@@ -17,7 +17,9 @@ comparison (``check_congruency``), the vertical-chord formula
 (``vertical_chord``: twice the capacity inside the rectangle spanned by the
 cycle bounds and the probe input, a history-independent quantity), and the
 split of the output into its history-carrying band contribution and the
-part forced by the current input (``decompose_classical``).
+part forced by the current input (``decompose_classical``). What every
+relay model and its simulator share lives here as well (``_RelayModel``,
+``_RelaySimulator``).
 """
 
 from __future__ import annotations
@@ -28,18 +30,112 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .hysteron import relay_fold
 from .memory import (
     INITIAL,
     RISING,
     StaircaseMemory,
-    initial_memory,
     push_extremum,
+    starting_memory,
     states_of,
 )
 from .signal import ReversalSequence, require_valid
 
 
-class AgentPopulation:
+def _require_in_cycle(u_minus: float, u_plus: float, u: float) -> None:
+    if not (u_minus <= u <= u_plus):
+        raise ValueError(
+            f"outside cycle: u={u!r} not within [{u_minus!r}, {u_plus!r}]"
+        )
+
+
+class _RelayModel:
+    """What every relay model shares.
+
+    A relay model has thresholds ``alpha``/``beta`` and differs from the
+    others only in the value they are compared with (``up_compare`` and
+    ``down_compare``: the identity here, the sliding maps of ``ShiftModel``)
+    and in ``output``, its readout of the relay states.
+    """
+
+    def up_compare(self, u: float) -> float:
+        """The value compared against up-thresholds when the input is at ``u``."""
+        return u
+
+    def down_compare(self, u: float) -> float:
+        """The value compared against down-thresholds at ``u``."""
+        return u
+
+    def support_bounds(self) -> tuple[float, float]:
+        """Smallest closed interval containing every threshold."""
+        lo = float(min(self.beta.min(), self.alpha.min()))
+        hi = float(max(self.alpha.max(), self.beta.max()))
+        return lo, hi
+
+    def fold(self, steps) -> np.ndarray:
+        """Relay states after ``(value, rising)`` steps, starting all-DOWN."""
+        return relay_fold(self.alpha, self.beta, steps, None,
+                          self.up_compare, self.down_compare)
+
+    def band_sum(self, weight: np.ndarray, states: np.ndarray, u: float) -> float:
+        """Signed ``weight`` of the relays still bistable at ``u``: the
+        only ones whose state depends on the history."""
+        band = (self.alpha > self.up_compare(u)) & (self.beta < self.down_compare(u))
+        return math.fsum(weight[band] * states[band])
+
+    def forced_sum(self, weight: np.ndarray, u: float) -> float:
+        """Signed ``weight`` of the relays whose state ``u`` alone forces."""
+        return (math.fsum(weight[self.alpha <= self.up_compare(u)])
+                - math.fsum(weight[self.beta >= self.down_compare(u)]))
+
+    def flipped(self, u_minus: float, u_plus: float, u: float) -> np.ndarray:
+        """Mask of the relays the steady cycle ``[u_minus, u_plus]`` flips at ``u``.
+
+        Up-threshold in ``(u, u_plus]`` and down-threshold in
+        ``[u_minus, u)``, each bound taken through the compare maps.
+        """
+        _require_in_cycle(u_minus, u_plus, u)
+        return (
+            (self.alpha > self.up_compare(u))
+            & (self.alpha <= self.up_compare(u_plus))
+            & (self.beta >= self.down_compare(u_minus))
+            & (self.beta < self.down_compare(u))
+        )
+
+
+class _RelaySimulator:
+    """Relay states of one input path, kept with the path's staircase memory.
+
+    The per-kind subclasses exist so that each kind is a type of its own;
+    all of them read out through their model's ``output``.
+    """
+
+    def __init__(self, model: _RelayModel, memory: StaircaseMemory):
+        self.model = model
+        self.memory = memory
+        self.states = states_of(
+            memory, model.alpha, model.beta, model.up_compare, model.down_compare
+        ).astype(float)
+
+    def push(self, u) -> None:
+        u = float(u)
+        current = self.memory.current_u
+        if u == current:
+            return
+        m = self.model
+        relay_fold(m.alpha, m.beta, [(u, u > current)], self.states,
+                   m.up_compare, m.down_compare)
+        self.memory = push_extremum(self.memory, u)
+
+    def value(self) -> float:
+        return self.model.output(self.states, self.memory.current_u)
+
+
+class PopulationSimulator(_RelaySimulator):
+    """Relay-state tracker for one input path over a population."""
+
+
+class AgentPopulation(_RelayModel):
     """A finite set of rectangular agents stored as parallel arrays.
 
     Duplicate threshold pairs are allowed; their capacities simply add.
@@ -70,13 +166,6 @@ class AgentPopulation:
         self.beta = beta
         self.nu = nu
 
-    @classmethod
-    def from_hysterons(cls, hysterons) -> "AgentPopulation":
-        hs = list(hysterons)
-        return cls(
-            [h.alpha for h in hs], [h.beta for h in hs], [h.nu for h in hs]
-        )
-
     def __len__(self) -> int:
         return int(self.alpha.size)
 
@@ -84,50 +173,17 @@ class AgentPopulation:
     def total_capacity(self) -> float:
         return float(self.nu.sum())
 
-    def support_bounds(self) -> tuple[float, float]:
-        """Smallest closed interval containing every threshold."""
-        lo = float(min(self.beta.min(), self.alpha.min()))
-        hi = float(max(self.alpha.max(), self.beta.max()))
-        return lo, hi
+    def output(self, states: np.ndarray, u: float) -> float:
+        return float(self.nu @ states)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        if memory is not None:
-            return PopulationSimulator.from_memory(self, memory)
-        if start_u is None:
-            raise ValueError("either start_u or memory is required")
-        return PopulationSimulator(self, start_u)
+        return PopulationSimulator(self, starting_memory(start_u, memory))
 
+    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        return 2.0 * float(self.nu[self.flipped(u_minus, u_plus, u)].sum())
 
-class PopulationSimulator:
-    """Mutable relay-state tracker for one input path over a population."""
-
-    def __init__(self, pop: AgentPopulation, start_u, states=None):
-        self.pop = pop
-        self.current = float(start_u)
-        if states is None:
-            self.states = np.full(len(pop), -1.0)
-        else:
-            self.states = np.asarray(states, dtype=float).copy()
-            if self.states.shape != (len(pop),):
-                raise ValueError("states must have one entry per agent")
-
-    @classmethod
-    def from_memory(cls, pop: AgentPopulation, mem: StaircaseMemory):
-        states = states_of(mem, pop.alpha, pop.beta).astype(float)
-        return cls(pop, mem.current_u, states)
-
-    def push(self, u) -> None:
-        u = float(u)
-        if u == self.current:
-            return
-        if u > self.current:
-            self.states[self.pop.alpha <= u] = 1.0
-        else:
-            self.states[self.pop.beta >= u] = -1.0
-        self.current = u
-
-    def value(self) -> float:
-        return float(self.pop.nu @ self.states)
+    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
+        return (*decompose_direct(self, mem), 0.0)
 
 
 def eval_direct(pop: AgentPopulation, seq: ReversalSequence, init=None) -> np.ndarray:
@@ -138,11 +194,16 @@ def eval_direct(pop: AgentPopulation, seq: ReversalSequence, init=None) -> np.nd
     states as +/-1 values), followed by the output after each reversal.
     """
     require_valid(seq)
-    sim = PopulationSimulator(pop, seq.start_u, states=init)
-    out = [sim.value()]
-    for v in seq.extrema:
-        sim.push(v)
-        out.append(sim.value())
+    if init is None:
+        states = np.full(len(pop), -1.0)
+    else:
+        states = np.asarray(init, dtype=float).copy()
+        if states.shape != (len(pop),):
+            raise ValueError("states must have one entry per agent")
+    out = [pop.output(states, seq.start_u)]
+    for value, rising in seq.steps():
+        relay_fold(pop.alpha, pop.beta, [(value, rising)], states)
+        out.append(pop.output(states, value))
     return np.array(out)
 
 
@@ -210,34 +271,35 @@ class WeightGrid:
         p = self.prefix
         return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
 
-    def contains(self, v: float) -> bool:
-        return self.beta0 <= v <= self.alpha0
+    def support_bounds(self) -> tuple[float, float]:
+        return self.beta0, self.alpha0
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        return GridSimulator(self, start_u=start_u, memory=memory)
+        return GridSimulator(self, starting_memory(start_u, memory))
+
+    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        _require_in_cycle(u_minus, u_plus, u)
+        return 2.0 * self.rect_mass(
+            self.icut_up(u), self.icut_up(u_plus), self.jcut_down(u_minus), self.jcut_down(u)
+        )
+
+    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
+        return (*decompose_classical(self, mem), 0.0)
 
 
 class GridSimulator:
     """Staircase-memory tracker evaluating through the summed-area table."""
 
-    def __init__(self, grid: WeightGrid, start_u=None, memory=None):
+    def __init__(self, grid: WeightGrid, memory: StaircaseMemory):
         self.grid = grid
-        if memory is None:
-            if start_u is None:
-                raise ValueError("either start_u or memory is required")
-            memory = initial_memory(start_u)
-        self.mem = memory
-
-    @property
-    def current(self) -> float:
-        return self.mem.current_u
+        self.memory = memory
 
     def push(self, u) -> None:
-        if float(u) != self.mem.current_u:
-            self.mem = push_extremum(self.mem, float(u))
+        if float(u) != self.memory.current_u:
+            self.memory = push_extremum(self.memory, float(u))
 
     def value(self) -> float:
-        return eval_geometric(self.grid, self.mem)
+        return eval_geometric(self.grid, self.memory)
 
 
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
@@ -286,12 +348,16 @@ def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightG
     return WeightGrid(beta0, alpha0, mass)
 
 
+class SupportError(ValueError):
+    """A history leaves the threshold triangle a weight grid covers."""
+
+
 def _require_in_support(grid: WeightGrid, mem: StaircaseMemory) -> None:
     if mem.trend == INITIAL:
         return
     lo, hi = mem.extrema_bounds()
     if lo < grid.beta0 or hi > grid.alpha0:
-        raise ValueError(
+        raise SupportError(
             f"out of triangle T: history spans [{lo!r}, {hi!r}] but the grid "
             f"supports [{grid.beta0!r}, {grid.alpha0!r}]"
         )
@@ -370,11 +436,10 @@ def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition
 def decompose_direct(pop: AgentPopulation, mem: StaircaseMemory) -> Decomposition:
     """Exact population-level counterpart of :func:`decompose_classical`."""
     u = mem.current_u
-    states = states_of(mem, pop.alpha, pop.beta).astype(float)
-    band = (pop.beta < u) & (u < pop.alpha)
-    irreversible = math.fsum(pop.nu[band] * states[band])
-    reversible = math.fsum(pop.nu[pop.alpha <= u]) - math.fsum(pop.nu[pop.beta >= u])
-    return Decomposition(irreversible=irreversible, reversible=reversible)
+    return Decomposition(
+        irreversible=pop.band_sum(pop.nu, pop.fold(mem.steps()), u),
+        reversible=pop.forced_sum(pop.nu, u),
+    )
 
 
 @dataclass(eq=False)
@@ -480,23 +545,6 @@ def vertical_chord(model, u_minus: float, u_plus: float, u: float) -> float:
     the two branch passes. Boundary membership matches the relay
     tie-breaks, which is what makes this equal the sampled branch gap
     exactly. The answer does not depend on the history before the cycle.
+    ``model`` is any model kind; each answers through its ``chord``.
     """
-    if not (u_minus <= u <= u_plus):
-        raise ValueError(
-            f"outside cycle: u={u!r} not within [{u_minus!r}, {u_plus!r}]"
-        )
-    if isinstance(model, WeightGrid):
-        return 2.0 * model.rect_mass(
-            model.icut_up(u),
-            model.icut_up(u_plus),
-            model.jcut_down(u_minus),
-            model.jcut_down(u),
-        )
-    pop = model
-    mask = (
-        (pop.alpha > u)
-        & (pop.alpha <= u_plus)
-        & (pop.beta >= u_minus)
-        & (pop.beta < u)
-    )
-    return 2.0 * float(pop.nu[mask].sum())
+    return model.chord(u_minus, u_plus, u)

@@ -8,30 +8,15 @@ so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import fileio
-from .classical import (
-    AgentPopulation,
-    WeightGrid,
-    decompose_classical,
-    decompose_direct,
-    from_agents,
-    minor_loop,
-    vertical_chord,
-)
-from .generalized import (
-    GeneralizedPopulation,
-    ShiftModel,
-    chord_generalized,
-    chord_shifted,
-    decompose_generalized,
-    shifted_saturation_term,
-)
-from .memory import initial_memory, load_memory, push_extremum, save_memory
+from .classical import SupportError, from_agents, minor_loop
+from .memory import load_memory, push_extremum, save_memory, starting_memory
 from .signal import ReversalSequence, SampledSeries, extract_reversals, require_valid
 from .verify import run_suite
 
@@ -79,7 +64,12 @@ def _load_model(args):
             if args.grid_n < 2:
                 raise ValueError("--grid-n must be at least 2")
             if args.bounds:
-                lo, hi = (float(x) for x in args.bounds.split(","))
+                try:
+                    lo, hi = (float(x) for x in args.bounds.split(","))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"bad --bounds value {args.bounds!r}: expected LO,HI"
+                    ) from exc
             else:
                 lo, hi = pop.support_bounds()
             return from_agents(pop, args.grid_n, (lo, hi))
@@ -89,10 +79,12 @@ def _load_model(args):
     return fileio.read_shift_json(args.agents)
 
 
-def _load_memory_arg(args):
-    if args.memory_in:
-        return load_memory(args.memory_in)
-    return None
+def _start(args):
+    """The run's starting memory (``--memory-in``, else fresh at ``--start``) and input moves."""
+    mem_in = load_memory(args.memory_in) if args.memory_in else None
+    start = mem_in.current_u if mem_in is not None else args.start
+    values = _input_values(args, start)
+    return starting_memory(start, mem_in), values
 
 
 def _input_values(args, start_u: float) -> list[float]:
@@ -124,48 +116,22 @@ def _history_seq(args, start_u: float) -> ReversalSequence:
     return ReversalSequence(start_u, ())
 
 
-def _open_out(args):
-    if args.out == "-":
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
-
-
 def _write_rows(args, header, rows) -> None:
-    fh, close = _open_out(args)
-    try:
-        fileio.write_rows_csv(fh, header, rows)
-    finally:
-        if close:
-            fh.close()
+    fileio.write_rows_csv(sys.stdout if args.out == "-" else args.out, header, rows)
 
 
 def cmd_simulate(args) -> int:
     model = _load_model(args)
-    mem_in = _load_memory_arg(args)
-    start = mem_in.current_u if mem_in is not None else args.start
-    values = _input_values(args, start)
-
-    sim = model.simulator(start_u=start, memory=mem_in)
-    mem = mem_in if mem_in is not None else initial_memory(start)
-
+    mem, values = _start(args)
+    sim = model.simulator(memory=mem)
     rows = []
     for step, u in enumerate(values, start=1):
         sim.push(u)
-        if u != mem.current_u:
-            mem = push_extremum(mem, u)
         rows.append((step, u, sim.value()))
     _write_rows(args, ["step", "u", "f"], rows)
     if args.memory_out:
-        save_memory(mem, args.memory_out)
+        save_memory(sim.memory, args.memory_out)
     return 0
-
-
-def _chord_formula(model, u_minus, u_plus, u) -> float:
-    if isinstance(model, (AgentPopulation, WeightGrid)):
-        return vertical_chord(model, u_minus, u_plus, u)
-    if isinstance(model, GeneralizedPopulation):
-        return chord_generalized(model, u_minus, u_plus, u)
-    return chord_shifted(model, u_minus, u_plus, u)
 
 
 def cmd_loop(args) -> int:
@@ -174,7 +140,7 @@ def cmd_loop(args) -> int:
     trace = minor_loop(model, history, args.u_minus, args.u_plus, args.n_points)
     chord_loop = trace.chord()
     chord_formula = np.array(
-        [_chord_formula(model, args.u_minus, args.u_plus, float(u)) for u in trace.us]
+        [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
     )
     mismatch = float(np.abs(chord_loop - chord_formula).max())
     if mismatch <= args.tol:
@@ -198,38 +164,19 @@ def cmd_chord(args) -> int:
         us = [args.at]
     else:
         us = np.linspace(args.u_minus, args.u_plus, args.n_points)
-    rows = [(float(u), _chord_formula(model, args.u_minus, args.u_plus, float(u))) for u in us]
+    rows = [(float(u), model.chord(args.u_minus, args.u_plus, float(u))) for u in us]
     _write_rows(args, ["u", "chord"], rows)
     return 0
 
 
 def cmd_decompose(args) -> int:
     model = _load_model(args)
-    mem_in = _load_memory_arg(args)
-    start = mem_in.current_u if mem_in is not None else args.start
-    values = _input_values(args, start)
-    mem = mem_in if mem_in is not None else initial_memory(start)
-
-    shifted_sim = model.simulator(start_u=start, memory=mem_in) if isinstance(model, ShiftModel) else None
-
+    mem, values = _start(args)
     rows = []
     for u in values:
-        if shifted_sim is not None:
-            shifted_sim.push(u)
         if u != mem.current_u:
             mem = push_extremum(mem, u)
-        if isinstance(model, WeightGrid):
-            irr, rev = decompose_classical(model, mem)
-            f_offset = 0.0
-        elif isinstance(model, AgentPopulation):
-            irr, rev = decompose_direct(model, mem)
-            f_offset = 0.0
-        elif isinstance(model, GeneralizedPopulation):
-            irr, rev, f_offset = decompose_generalized(model, mem)
-        else:
-            irr = shifted_sim.value()
-            rev = shifted_saturation_term(model, mem.current_u)
-            f_offset = 0.0
+        irr, rev, f_offset = model.decompose(mem)
         rows.append((u, irr, rev, f_offset, irr + rev + f_offset))
     _write_rows(args, ["u", "f_irreversible", "G", "F", "f_total"], rows)
     if args.memory_out:
@@ -244,19 +191,7 @@ def cmd_verify(args) -> int:
         print(res.line())
     if args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "max_deviation": r.max_deviation,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                fh,
-                indent=2,
-            )
+            json.dump([dataclasses.asdict(r) for r in results], fh, indent=2)
             fh.write("\n")
     return 0 if all(r.passed for r in results) else SUITE_FAILURE
 
@@ -300,13 +235,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.model != "classical" and (args.grid_n is not None or args.bounds):
+            parser.error("--grid-n and --bounds apply to --model classical only")
     except SystemExit as exc:
         # argparse exits itself for --help (0) and via _Parser.error (1)
         return int(exc.code or 0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"preisach: error: {exc}", file=sys.stderr)
+        hint = ""
+        if isinstance(exc, SupportError) and args.bounds is None:
+            hint = " (the default grid covers only the agent extent; pass --bounds LO,HI)"
+        print(f"preisach: error: {exc}{hint}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -79,13 +79,6 @@ def read_agents_csv(path) -> AgentPopulation:
     return AgentPopulation(alphas, betas, nus)
 
 
-def write_agents_csv(path, pop: AgentPopulation) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("alpha,beta,nu\n")
-        for a, b, v in zip(pop.alpha, pop.beta, pop.nu):
-            fh.write(f"{fmt(a)},{fmt(b)},{fmt(v)}\n")
-
-
 def _branch_from_json(data, where: str) -> BranchFunction:
     try:
         return BranchFunction([(float(u), float(f)) for u, f in data])
@@ -120,21 +113,6 @@ def read_generalized_json(path) -> GeneralizedPopulation:
     return GeneralizedPopulation(agents)
 
 
-def write_generalized_json(path, gpop: GeneralizedPopulation) -> None:
-    data = [
-        {
-            "alpha": h.alpha,
-            "beta": h.beta,
-            "f_plus": h.f_plus.breakpoints(),
-            "f_minus": h.f_minus.breakpoints(),
-        }
-        for h in gpop.agents
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
 def read_shift_json(path) -> ShiftModel:
     """Parse a shift model: base agents plus breakpoint tables for g1, g2.
 
@@ -156,20 +134,6 @@ def read_shift_json(path) -> ShiftModel:
         return ShiftModel(AgentPopulation(alphas, betas, nus), g1=g1, g2=g2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def write_shift_json(path, sm: ShiftModel) -> None:
-    data = {
-        "agents": [
-            {"alpha": a, "beta": b, "nu": v}
-            for a, b, v in zip(sm.base.alpha, sm.base.beta, sm.base.nu)
-        ],
-        "g1": sm.g1.breakpoints(),
-        "g2": sm.g2.breakpoints(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
 
 
 def write_rows_csv(path_or_file, header: list[str], rows) -> None:

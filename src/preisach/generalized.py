@@ -33,18 +33,26 @@ and reproduces ``eval_shifted`` exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import AgentPopulation, LoopTrace, check_congruency, _require_comparable
+from .classical import (
+    AgentPopulation,
+    LoopTrace,
+    _RelayModel,
+    _RelaySimulator,
+    _require_comparable,
+    check_congruency,
+)
 from .hysteron import GeneralizedHysteron, PiecewiseLinear
-from .memory import RISING, StaircaseMemory
-from .signal import ReversalSequence, require_valid
+from .memory import StaircaseMemory, starting_memory
+from .signal import ReversalSequence
 
 
-class GeneralizedPopulation:
+class GeneralizedPopulation(_RelayModel):
     """A finite set of soft-branch agents, evaluated in fixed order."""
 
     def __init__(self, agents):
@@ -67,53 +75,23 @@ class GeneralizedPopulation:
     def midline_at(self, u: float) -> np.ndarray:
         return np.array([h.midline(u) for h in self.agents])
 
-    def support_bounds(self) -> tuple[float, float]:
-        lo = float(min(self.beta.min(), self.alpha.min()))
-        hi = float(max(self.alpha.max(), self.beta.max()))
-        return lo, hi
+    def output(self, states: np.ndarray, u: float) -> float:
+        return math.fsum(self.loop_gap_at(u) * states + self.midline_at(u))
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        if memory is not None:
-            return GeneralizedSimulator.from_memory(self, memory)
-        if start_u is None:
-            raise ValueError("either start_u or memory is required")
-        return GeneralizedSimulator(self, start_u)
+        return GeneralizedSimulator(self, starting_memory(start_u, memory))
 
+    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        return chord_generalized(self, u_minus, u_plus, u)
 
-def _relay_states(alpha: np.ndarray, beta: np.ndarray, seq: ReversalSequence,
-                  query_u: float) -> np.ndarray:
-    """Relay states after ``seq`` plus the final monotone leg to ``query_u``."""
-    require_valid(seq)
-    if not math.isfinite(query_u):
-        raise ValueError("query value must be finite")
-    states = np.full(alpha.shape, -1.0)
-    for v, rising in seq.steps():
-        if rising:
-            states[alpha <= v] = 1.0
-        else:
-            states[beta >= v] = -1.0
-    last = seq.extrema[-1] if seq.extrema else seq.start_u
-    if query_u != last:
-        d = 1 if query_u > last else -1
-        direction = seq.last_direction()
-        if direction != 0 and d != direction:
-            raise ValueError(
-                "non-monotone query: query value backtracks from the last reversal"
-            )
-        if d > 0:
-            states[alpha <= query_u] = 1.0
-        else:
-            states[beta >= query_u] = -1.0
-    return states
+    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
+        return decompose_generalized(self, mem)
 
 
 def eval_generalized(gpop: GeneralizedPopulation, seq: ReversalSequence,
                      query_u: float) -> float:
     """Aggregate soft-branch output after ``seq`` at input ``query_u``."""
-    states = _relay_states(gpop.alpha, gpop.beta, seq, query_u)
-    gap = gpop.loop_gap_at(query_u)
-    mid = gpop.midline_at(query_u)
-    return math.fsum(gap * states + mid)
+    return gpop.output(gpop.fold(seq.steps_to(query_u)), query_u)
 
 
 def midline_offset(gpop: GeneralizedPopulation, u: float) -> float:
@@ -128,10 +106,7 @@ def saturation_term(gpop: GeneralizedPopulation, u: float) -> float:
     with down-threshold at or above ``u`` negatively, each with its loop
     gap evaluated at ``u``.
     """
-    gap = gpop.loop_gap_at(u)
-    pos = math.fsum(gap[gpop.alpha <= u])
-    neg = math.fsum(gap[gpop.beta >= u])
-    return pos - neg
+    return gpop.forced_sum(gpop.loop_gap_at(u), u)
 
 
 def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
@@ -141,10 +116,8 @@ def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
     Adding ``saturation_term`` and ``midline_offset`` at the same input
     reconstructs ``eval_generalized`` exactly.
     """
-    states = _relay_states(gpop.alpha, gpop.beta, seq, query_u)
-    gap = gpop.loop_gap_at(query_u)
-    band = (gpop.beta < query_u) & (query_u < gpop.alpha)
-    return math.fsum(gap[band] * states[band])
+    states = gpop.fold(seq.steps_to(query_u))
+    return gpop.band_sum(gpop.loop_gap_at(query_u), states, query_u)
 
 
 def decompose_generalized(gpop: GeneralizedPopulation, mem: StaircaseMemory
@@ -155,48 +128,13 @@ def decompose_generalized(gpop: GeneralizedPopulation, mem: StaircaseMemory
     sequence-driven ``eval_irreversible`` for any history that produced
     ``mem``. The three parts sum to the full output.
     """
-    from .memory import states_of
-
     u = mem.current_u
-    states = states_of(mem, gpop.alpha, gpop.beta).astype(float)
-    gap = gpop.loop_gap_at(u)
-    band = (gpop.beta < u) & (u < gpop.alpha)
-    irreversible = math.fsum(gap[band] * states[band])
+    irreversible = gpop.band_sum(gpop.loop_gap_at(u), gpop.fold(mem.steps()), u)
     return irreversible, saturation_term(gpop, u), midline_offset(gpop, u)
 
 
-class GeneralizedSimulator:
+class GeneralizedSimulator(_RelaySimulator):
     """Relay-state tracker emitting soft-branch output along an input path."""
-
-    def __init__(self, gpop: GeneralizedPopulation, start_u, states=None):
-        self.gpop = gpop
-        self.current = float(start_u)
-        if states is None:
-            self.states = np.full(len(gpop), -1.0)
-        else:
-            self.states = np.asarray(states, dtype=float).copy()
-
-    @classmethod
-    def from_memory(cls, gpop: GeneralizedPopulation, mem: StaircaseMemory):
-        from .memory import states_of
-
-        states = states_of(mem, gpop.alpha, gpop.beta).astype(float)
-        return cls(gpop, mem.current_u, states)
-
-    def push(self, u) -> None:
-        u = float(u)
-        if u == self.current:
-            return
-        if u > self.current:
-            self.states[self.gpop.alpha <= u] = 1.0
-        else:
-            self.states[self.gpop.beta >= u] = -1.0
-        self.current = u
-
-    def value(self) -> float:
-        gap = self.gpop.loop_gap_at(self.current)
-        mid = self.gpop.midline_at(self.current)
-        return math.fsum(gap * self.states + mid)
 
 
 def chord_generalized(gpop: GeneralizedPopulation, u_minus: float,
@@ -207,16 +145,7 @@ def chord_generalized(gpop: GeneralizedPopulation, u_minus: float,
     cycle: up-threshold in ``(u, u_plus]``, down-threshold in
     ``[u_minus, u)``. History before the cycle does not enter.
     """
-    if not (u_minus <= u <= u_plus):
-        raise ValueError(
-            f"outside cycle: u={u!r} not within [{u_minus!r}, {u_plus!r}]"
-        )
-    mask = (
-        (gpop.alpha > u)
-        & (gpop.alpha <= u_plus)
-        & (gpop.beta >= u_minus)
-        & (gpop.beta < u)
-    )
+    mask = gpop.flipped(u_minus, u_plus, u)
     gap = gpop.loop_gap_at(u)
     return 2.0 * math.fsum(gap[mask])
 
@@ -248,7 +177,36 @@ def check_equal_chords(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> Equa
     )
 
 
-class ShiftModel:
+def _composite_map(g: PiecewiseLinear, name: str):
+    """``u -> u + g(u)``, evaluated so that it is non-decreasing in floats too.
+
+    Summing ``u + g(u)`` is not: along a flat stretch of the composite map
+    ``0.5 + g(0.5)`` can exceed ``0.9 + g(0.9)`` by an ulp, and the
+    staircase memory's erasure is exact only for a non-decreasing compare
+    map. So the composite knot table is interpolated directly, each segment
+    clamped to its end value, with slope 1 outside the knots. The values at
+    the knots and for a constant shift are exactly ``u + g(u)``.
+    """
+    us = g.us.tolist()
+    cs = (g.us + g.fs).tolist()
+    if any(b < a for a, b in zip(cs, cs[1:])):
+        raise ValueError(f"ill-posed shift: u + {name}(u) must be non-decreasing")
+    first, last = float(g.fs[0]), float(g.fs[-1])
+
+    def compare(u: float) -> float:
+        u = float(u)
+        if u <= us[0]:
+            return u + first
+        if u >= us[-1]:
+            return u + last
+        j = bisect.bisect_right(us, u) - 1
+        slope = (cs[j + 1] - cs[j]) / (us[j + 1] - us[j])
+        return min(cs[j] + slope * (u - us[j]), cs[j + 1])
+
+    return compare
+
+
+class ShiftModel(_RelayModel):
     """Rectangular agents whose thresholds slide with the current input.
 
     ``g2`` shifts the up thresholds, ``g1`` the down thresholds
@@ -260,14 +218,11 @@ class ShiftModel:
 
     def __init__(self, base: AgentPopulation, g1: PiecewiseLinear, g2: PiecewiseLinear):
         self.base = base
+        self.alpha, self.beta, self.nu = base.alpha, base.beta, base.nu
         self.g1 = g1
         self.g2 = g2
-        for name, g in (("g1", g1), ("g2", g2)):
-            composite = g.us + g.fs
-            if np.any(np.diff(composite) < 0):
-                raise ValueError(
-                    f"ill-posed shift: u + {name}(u) must be non-decreasing"
-                )
+        self._down = _composite_map(g1, "g1")
+        self._up = _composite_map(g2, "g2")
         probes = np.concatenate(
             (
                 [min(g1.us[0], g2.us[0]) - 1.0],
@@ -282,48 +237,27 @@ class ShiftModel:
 
     def up_compare(self, u: float) -> float:
         """The value compared against up-thresholds when the input is at ``u``."""
-        return float(u + self.g2(u))
+        return self._up(u)
 
     def down_compare(self, u: float) -> float:
         """The value compared against down-thresholds at ``u``."""
-        return float(u + self.g1(u))
+        return self._down(u)
 
-    def support_bounds(self) -> tuple[float, float]:
-        return self.base.support_bounds()
+    def output(self, states: np.ndarray, u: float) -> float:
+        return self.band_sum(self.nu, states, u)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        if memory is not None:
-            return ShiftedSimulator.from_memory(self, memory)
-        if start_u is None:
-            raise ValueError("either start_u or memory is required")
-        return ShiftedSimulator(self, start_u)
+        # The dominant-extrema record compresses raw inputs; both composite
+        # maps are non-decreasing, so domination survives the transform and
+        # the compressed replay reproduces the full-history states.
+        return ShiftedSimulator(self, starting_memory(start_u, memory))
 
+    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        return chord_shifted(self, u_minus, u_plus, u)
 
-def _shifted_states(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> np.ndarray:
-    """Relay states of the shifted model after ``seq`` and the leg to ``query_u``."""
-    require_valid(seq)
-    if not math.isfinite(query_u):
-        raise ValueError("query value must be finite")
-    pop = sm.base
-    states = np.full(len(pop), -1.0)
-    for v, rising in seq.steps():
-        if rising:
-            states[pop.alpha <= sm.up_compare(v)] = 1.0
-        else:
-            states[pop.beta >= sm.down_compare(v)] = -1.0
-    last = seq.extrema[-1] if seq.extrema else seq.start_u
-    if query_u != last:
-        d = 1 if query_u > last else -1
-        direction = seq.last_direction()
-        if direction != 0 and d != direction:
-            raise ValueError(
-                "non-monotone query: query value backtracks from the last reversal"
-            )
-        if d > 0:
-            states[pop.alpha <= sm.up_compare(query_u)] = 1.0
-        else:
-            states[pop.beta >= sm.down_compare(query_u)] = -1.0
-    return states
+    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
+        u = mem.current_u
+        return self.output(self.fold(mem.steps()), u), self.forced_sum(self.nu, u), 0.0
 
 
 def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float:
@@ -333,61 +267,11 @@ def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float
     current input: ``alpha`` above ``u + g2(u)`` and ``beta`` below
     ``u + g1(u)``.
     """
-    states = _shifted_states(sm, seq, query_u)
-    pop = sm.base
-    band = (pop.alpha > sm.up_compare(query_u)) & (pop.beta < sm.down_compare(query_u))
-    return math.fsum(pop.nu[band] * states[band])
+    return sm.output(sm.fold(seq.steps_to(query_u)), query_u)
 
 
-def shifted_saturation_term(sm: ShiftModel, u: float) -> float:
-    """Reversible part of the shift model: capacities forced by ``u`` alone."""
-    pop = sm.base
-    pos = math.fsum(pop.nu[pop.alpha <= sm.up_compare(u)])
-    neg = math.fsum(pop.nu[pop.beta >= sm.down_compare(u)])
-    return pos - neg
-
-
-class ShiftedSimulator:
+class ShiftedSimulator(_RelaySimulator):
     """Moving-threshold relay tracker emitting the band output."""
-
-    def __init__(self, sm: ShiftModel, start_u, states=None):
-        self.sm = sm
-        self.current = float(start_u)
-        if states is None:
-            self.states = np.full(len(sm.base), -1.0)
-        else:
-            self.states = np.asarray(states, dtype=float).copy()
-
-    @classmethod
-    def from_memory(cls, sm: ShiftModel, mem: StaircaseMemory):
-        # The dominant-extrema record compresses raw inputs; both composite
-        # maps are monotone, so domination survives the transform and the
-        # compressed replay reproduces the full-history states.
-        pop = sm.base
-        states = np.full(len(pop), -1.0)
-        for big, small in mem.vertex_pairs:
-            states[pop.alpha <= sm.up_compare(big)] = 1.0
-            states[pop.beta >= sm.down_compare(small)] = -1.0
-        if mem.trend == RISING:
-            states[pop.alpha <= sm.up_compare(mem.current_u)] = 1.0
-        return cls(sm, mem.current_u, states)
-
-    def push(self, u) -> None:
-        u = float(u)
-        if u == self.current:
-            return
-        pop = self.sm.base
-        if u > self.current:
-            self.states[pop.alpha <= self.sm.up_compare(u)] = 1.0
-        else:
-            self.states[pop.beta >= self.sm.down_compare(u)] = -1.0
-        self.current = u
-
-    def value(self) -> float:
-        pop = self.sm.base
-        u = self.current
-        band = (pop.alpha > self.sm.up_compare(u)) & (pop.beta < self.sm.down_compare(u))
-        return math.fsum(pop.nu[band] * self.states[band])
 
 
 def chord_shifted(sm: ShiftModel, u_minus: float, u_plus: float, u: float) -> float:
@@ -397,18 +281,7 @@ def chord_shifted(sm: ShiftModel, u_minus: float, u_plus: float, u: float) -> fl
     ``(u + g2(u), u_plus + g2(u_plus)]``, down-thresholds in
     ``[u_minus + g1(u_minus), u + g1(u))``.
     """
-    if not (u_minus <= u <= u_plus):
-        raise ValueError(
-            f"outside cycle: u={u!r} not within [{u_minus!r}, {u_plus!r}]"
-        )
-    pop = sm.base
-    mask = (
-        (pop.alpha > sm.up_compare(u))
-        & (pop.alpha <= sm.up_compare(u_plus))
-        & (pop.beta >= sm.down_compare(u_minus))
-        & (pop.beta < sm.down_compare(u))
-    )
-    return 2.0 * math.fsum(pop.nu[mask])
+    return 2.0 * math.fsum(sm.nu[sm.flipped(u_minus, u_plus, u)])
 
 
 class ShiftedWeightView:
@@ -416,55 +289,31 @@ class ShiftedWeightView:
 
     At input ``u`` every base agent ``(alpha, beta, nu)`` sits at the primed
     position ``(alpha - g2(u), beta - g1(u))`` carrying its capacity: an
-    input-dependent point weight. Evaluating the band output in primed
-    coordinates reproduces :func:`eval_shifted` -- the relabeling is a
-    change of variables, not a different model.
+    input-dependent point weight. Evaluating the band output of that weight
+    reproduces :func:`eval_shifted` -- the relabeling is a change of
+    variables, not a different model.
     """
 
     def __init__(self, sm: ShiftModel):
         self.sm = sm
-        self.base = sm.base
-        self.g1 = sm.g1
-        self.g2 = sm.g2
 
     def support_at(self, u: float):
         """Primed positions and weights of the point masses at input ``u``."""
-        pop = self.base
-        alpha_p = pop.alpha - float(self.g2(u))
-        beta_p = pop.beta - float(self.g1(u))
-        return alpha_p, beta_p, pop.nu
+        sm = self.sm
+        return sm.alpha - float(sm.g2(u)), sm.beta - float(sm.g1(u)), sm.nu
 
     def eval_irreversible(self, seq: ReversalSequence, query_u: float) -> float:
-        """Band output computed entirely in primed coordinates."""
-        require_valid(seq)
-        if not math.isfinite(query_u):
-            raise ValueError("query value must be finite")
-        q = float(query_u)
-        alpha_p, beta_p, nu = self.support_at(q)
-        # Thresholds recovered from the primed labels; switching compares
-        # the same composite-map values as the base model.
-        thr_up = alpha_p + float(self.g2(q))
-        thr_dn = beta_p + float(self.g1(q))
-        states = np.full(alpha_p.shape, -1.0)
-        for v, rising in seq.steps():
-            if rising:
-                states[thr_up <= self.sm.up_compare(v)] = 1.0
-            else:
-                states[thr_dn >= self.sm.down_compare(v)] = -1.0
-        last = seq.extrema[-1] if seq.extrema else seq.start_u
-        if q != last:
-            d = 1 if q > last else -1
-            direction = seq.last_direction()
-            if direction != 0 and d != direction:
-                raise ValueError(
-                    "non-monotone query: query value backtracks from the last reversal"
-                )
-            if d > 0:
-                states[thr_up <= self.sm.up_compare(q)] = 1.0
-            else:
-                states[thr_dn >= self.sm.down_compare(q)] = -1.0
-        band = (beta_p < q) & (q < alpha_p)
-        return math.fsum(nu[band] * states[band])
+        """Band output of the relabeled weight at ``query_u``.
+
+        A primed agent is bistable while ``beta' < u < alpha'``, i.e. while
+        ``beta < u + g1(u)`` and ``alpha > u + g2(u)``. Switching and band
+        membership are decided on those base-side values, as in the base
+        model: comparing ``alpha - g2(u)`` with ``u`` rounds differently and
+        disagrees with it at exact ties.
+        """
+        states = self.sm.fold(seq.steps_to(query_u))
+        _, _, nu = self.support_at(query_u)
+        return self.sm.band_sum(nu, states, query_u)
 
 
 def to_generalized(sm: ShiftModel) -> ShiftedWeightView:

@@ -58,6 +58,28 @@ class RectHysteron:
             raise ValueError(f"capacity must be finite and >= 0, got {self.nu}")
 
 
+def relay_fold(alpha, beta, steps, states=None, up_compare=None,
+               down_compare=None) -> np.ndarray:
+    """Relay states after a stream of ``(value, rising)`` input legs.
+
+    This is the one switching rule of the package. A rise to ``value``
+    switches UP every relay whose up-threshold is <= the compared value, a
+    fall switches DOWN every relay whose down-threshold is >= it, and all
+    other relays keep their state. ``up_compare``/``down_compare`` map the
+    input to the value compared (the identity when omitted; the shift model
+    slides them). ``states`` is updated in place and defaults to all-DOWN
+    floats.
+    """
+    if states is None:
+        states = np.full(np.shape(alpha), -1.0)
+    for value, rising in steps:
+        if rising:
+            states[alpha <= (value if up_compare is None else up_compare(value))] = 1
+        else:
+            states[beta >= (value if down_compare is None else down_compare(value))] = -1
+    return states
+
+
 def rect_apply(
     h: RectHysteron, state: BinaryState, seq: ReversalSequence
 ) -> tuple[BinaryState, list[BinaryState]]:
@@ -69,17 +91,13 @@ def rect_apply(
     state after each reversal.
     """
     require_valid(seq)
-    s = BinaryState(state)
+    alpha, beta = np.array([h.alpha]), np.array([h.beta])
+    states = np.array([float(state)])
     trace: list[BinaryState] = []
-    for v, rising in seq.steps():
-        if rising:
-            if v >= h.alpha:
-                s = BinaryState.UP
-        else:
-            if v <= h.beta:
-                s = BinaryState.DOWN
-        trace.append(s)
-    return s, trace
+    for step in seq.steps():
+        relay_fold(alpha, beta, [step], states)
+        trace.append(BinaryState(int(states[0])))
+    return BinaryState(int(states[0])), trace
 
 
 class PiecewiseLinear:
@@ -202,38 +220,6 @@ def gen_output(h: GeneralizedHysteron, state: BinaryState, u: float) -> float:
     return float(h.f_plus(u))
 
 
-def _advance_state(
-    h, state: BinaryState, seq: ReversalSequence, query_u: float
-) -> BinaryState:
-    """Relay state after ``seq`` plus the final monotone leg to ``query_u``."""
-    require_valid(seq)
-    if not math.isfinite(query_u):
-        raise ValueError("query value must be finite")
-    s = BinaryState(state)
-    for v, rising in seq.steps():
-        if rising:
-            if v >= h.alpha:
-                s = BinaryState.UP
-        else:
-            if v <= h.beta:
-                s = BinaryState.DOWN
-    last = seq.extrema[-1] if seq.extrema else seq.start_u
-    direction = seq.last_direction()
-    if query_u != last:
-        d = 1 if query_u > last else -1
-        if direction != 0 and d != direction:
-            raise ValueError(
-                "non-monotone query: query value backtracks from the last reversal"
-            )
-        if d > 0:
-            if query_u >= h.alpha:
-                s = BinaryState.UP
-        else:
-            if query_u <= h.beta:
-                s = BinaryState.DOWN
-    return s
-
-
 def gen_apply(
     h: GeneralizedHysteron,
     state: BinaryState,
@@ -245,5 +231,8 @@ def gen_apply(
     ``query_u`` must equal the last reversal value or continue monotonically
     past it (it is the momentary input on the final leg).
     """
-    s = _advance_state(h, state, seq, query_u)
-    return gen_output(h, s, query_u)
+    states = relay_fold(
+        np.array([h.alpha]), np.array([h.beta]), seq.steps_to(query_u),
+        np.array([float(state)]),
+    )
+    return gen_output(h, states[0], query_u)

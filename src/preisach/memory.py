@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteron import BinaryState
+from .hysteron import BinaryState, relay_fold
 from .signal import ReversalSequence, require_valid
 
 INITIAL = "initial"
@@ -52,14 +52,20 @@ class StaircaseMemory:
             return self.vertex_pairs[:-1]
         return self.vertex_pairs
 
+    def steps(self):
+        """Yield ``(value, rising)``: each stored vertex pair, then a rising live link."""
+        for big, small in self.vertex_pairs:
+            yield big, True
+            yield small, False
+        if self.trend == RISING:
+            yield self.current_u, True
+
     def extrema_bounds(self) -> tuple[float, float]:
         """(lowest, highest) input value the stored history ever reached."""
         lo = hi = self.current_u
-        for big, small in self.vertex_pairs:
-            hi = max(hi, big)
-            lo = min(lo, small)
-        if self.trend == INITIAL:
-            lo = hi = self.current_u
+        if self.vertex_pairs:  # nested pairs: the outermost holds the extremes
+            big, small = self.vertex_pairs[0]
+            lo, hi = min(lo, small), max(hi, big)
         return lo, hi
 
 
@@ -178,23 +184,30 @@ def memory_from_sequence(seq: ReversalSequence) -> StaircaseMemory:
     return apply_sequence(initial_memory(seq.start_u), seq)
 
 
-def states_of(mem: StaircaseMemory, alphas, betas) -> np.ndarray:
+def starting_memory(start_u=None, memory: StaircaseMemory | None = None) -> StaircaseMemory:
+    """``memory`` when given (a resumed run), else a fresh memory at ``start_u``."""
+    if memory is not None:
+        return memory
+    if start_u is None:
+        raise ValueError("either start_u or memory is required")
+    return initial_memory(start_u)
+
+
+def states_of(mem: StaircaseMemory, alphas, betas, up_compare=None,
+              down_compare=None) -> np.ndarray:
     """Relay states (+1/-1) for arrays of thresholds under this memory.
 
     Replays the stored dominant extrema plus the live link through the
     switching rule, starting from all-DOWN. Cost is O(number of stored
-    pairs) vectorized operations.
+    pairs) vectorized operations. The optional compare maps are those of
+    :func:`~preisach.hysteron.relay_fold`; compression stays exact for any
+    non-decreasing map.
     """
     alphas, betas = np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
     )
     states = np.full(alphas.shape, -1, dtype=np.int8)
-    for big, small in mem.vertex_pairs:
-        states[alphas <= big] = 1
-        states[betas >= small] = -1
-    if mem.trend == RISING:
-        states[alphas <= mem.current_u] = 1
-    return states
+    return relay_fold(alphas, betas, mem.steps(), states, up_compare, down_compare)
 
 
 def state_of(mem: StaircaseMemory, alpha: float, beta: float) -> BinaryState:

@@ -78,12 +78,25 @@ class ReversalSequence:
             yield v, v > prev
             prev = v
 
-    def last_direction(self) -> int:
-        """+1 if the final segment rose, -1 if it fell, 0 if empty."""
-        if not self.extrema:
-            return 0
-        prev = self.extrema[-2] if len(self.extrema) >= 2 else self.start_u
-        return 1 if self.extrema[-1] > prev else -1
+    def steps_to(self, query_u: float) -> list[tuple[float, bool]]:
+        """The steps of :meth:`steps` plus the final monotone leg to ``query_u``.
+
+        ``query_u`` is the momentary input on the final leg: it must equal
+        the last reversal value or continue monotonically past it.
+        """
+        require_valid(self)
+        if not _is_finite(query_u):
+            raise ValueError("query value must be finite")
+        steps = list(self.steps())
+        last = self.extrema[-1] if self.extrema else self.start_u
+        if query_u != last:
+            rising = query_u > last
+            if steps and rising != steps[-1][1]:
+                raise ValueError(
+                    "non-monotone query: query value backtracks from the last reversal"
+                )
+            steps.append((query_u, rising))
+        return steps
 
 
 def validate(seq: ReversalSequence) -> str | None:

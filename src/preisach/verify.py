@@ -33,6 +33,7 @@ from .generalized import (
     saturation_term,
     to_generalized,
 )
+from .hysteron import relay_fold
 from .memory import memory_from_sequence, states_of
 from .signal import ReversalSequence, SampledSeries, extract_reversals
 
@@ -60,19 +61,6 @@ def random_history(rng, lo: float, hi: float, max_reversals: int,
     return extract_reversals(series, start_u)
 
 
-def _raw_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
-    """Brute-force relay fold of the uncompressed history (the oracle)."""
-    states = np.full(alphas.shape, -1, dtype=np.int8)
-    prev = seq.start_u
-    for v in seq.extrema:
-        if v > prev:
-            states[alphas <= v] = 1
-        else:
-            states[betas >= v] = -1
-        prev = v
-    return states
-
-
 def check_erasure(bounds: tuple[float, float], rng, n_histories: int = 200,
                   max_reversals: int = 100, probe_n: int = 50) -> CheckResult:
     """Compressed-memory states vs. brute-force replay on a probe lattice."""
@@ -87,7 +75,7 @@ def check_erasure(bounds: tuple[float, float], rng, n_histories: int = 200,
         seq = random_history(rng, lo, hi, max_reversals)
         mem = memory_from_sequence(seq)
         got = states_of(mem, alphas, betas)
-        want = _raw_states(alphas, betas, seq)
+        want = relay_fold(alphas, betas, seq.steps())  # the uncompressed history
         mismatches += int(np.count_nonzero(got != want))
     return CheckResult(
         name="erasure-soundness",
@@ -104,26 +92,31 @@ def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
+def _loop_pairs(model, rng, n_pairs: int, n_cycles: int, max_reversals: int,
+                n_points: int, pad: float):
+    """Yield two steady loops per random cycle, traced after two random histories.
+
+    Histories range over the model's support widened by ``pad`` times its
+    width on each side.
+    """
+    lo, hi = model.support_bounds()
+    h_lo, h_hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    for _ in range(n_pairs):
+        h1 = random_history(rng, h_lo, h_hi, max_reversals)
+        h2 = random_history(rng, h_lo, h_hi, max_reversals)
+        for _ in range(n_cycles):
+            um, up = _random_cycle(rng, lo, hi)
+            yield minor_loop(model, h1, um, up, n_points), minor_loop(model, h2, um, up, n_points)
+
+
 def check_classical_congruency(model, rng, n_pairs: int = 10, n_cycles: int = 3,
                                tol: float = 1e-12, n_points: int = 61) -> CheckResult:
     """Steady cycles from different histories must be congruent."""
-    if isinstance(model, WeightGrid):
-        # grid evaluation is only defined inside the binned support
-        lo, hi = model.beta0, model.alpha0
-        h_lo, h_hi = lo, hi
-    else:
-        lo, hi = model.support_bounds()
-        pad = 0.4 * (hi - lo)
-        h_lo, h_hi = lo - pad, hi + pad
+    # grid evaluation is only defined inside the binned support
+    pad = 0.0 if isinstance(model, WeightGrid) else 0.4
     worst = 0.0
-    for _ in range(n_pairs):
-        h1 = random_history(rng, h_lo, h_hi, 40)
-        h2 = random_history(rng, h_lo, h_hi, 40)
-        for _ in range(n_cycles):
-            um, up = _random_cycle(rng, lo, hi)
-            l1 = minor_loop(model, h1, um, up, n_points)
-            l2 = minor_loop(model, h2, um, up, n_points)
-            worst = max(worst, check_congruency(l1, l2, tol).max_deviation)
+    for l1, l2 in _loop_pairs(model, rng, n_pairs, n_cycles, 40, n_points, pad):
+        worst = max(worst, check_congruency(l1, l2, tol).max_deviation)
     return CheckResult(
         name="congruency",
         passed=worst <= tol,
@@ -136,23 +129,13 @@ def check_generalized_equal_chords(gpop: GeneralizedPopulation, rng,
                                    n_pairs: int = 8, n_cycles: int = 3,
                                    tol: float = 1e-12, n_points: int = 61) -> CheckResult:
     """Branch gaps must agree across histories; congruency usually fails."""
-    lo, hi = gpop.support_bounds()
-    pad = 0.4 * (hi - lo)
     worst = 0.0
     incongruent_seen = False
-    for _ in range(n_pairs):
-        h1 = random_history(rng, lo - pad, hi + pad, 30)
-        h2 = random_history(rng, lo - pad, hi + pad, 30)
-        for _ in range(n_cycles):
-            um, up = _random_cycle(rng, lo, hi)
-            rep = check_equal_chords(
-                minor_loop(gpop, h1, um, up, n_points),
-                minor_loop(gpop, h2, um, up, n_points),
-                tol,
-            )
-            worst = max(worst, rep.max_chord_deviation)
-            if not rep.congruent:
-                incongruent_seen = True
+    for l1, l2 in _loop_pairs(gpop, rng, n_pairs, n_cycles, 30, n_points, 0.4):
+        rep = check_equal_chords(l1, l2, tol)
+        worst = max(worst, rep.max_chord_deviation)
+        if not rep.congruent:
+            incongruent_seen = True
     witness = "incongruent loops observed" if incongruent_seen else "all loops congruent"
     return CheckResult(
         name="equal-chords",
@@ -207,22 +190,15 @@ def check_shift_equivalence(sm: ShiftModel, rng, n_cases: int = 100,
 
 def run_suite(model, seed: int = 0, tol: float = 1e-12) -> list[CheckResult]:
     """Run the checks that apply to ``model`` and return their results."""
+    if not isinstance(model, (AgentPopulation, WeightGrid, GeneralizedPopulation, ShiftModel)):
+        raise ValueError(f"unsupported model type: {type(model).__name__}")
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-    if isinstance(model, (AgentPopulation, WeightGrid)):
-        if isinstance(model, WeightGrid):
-            bounds = (model.beta0, model.alpha0)
-        else:
-            bounds = model.support_bounds()
-        results.append(check_erasure(bounds, rng))
-        results.append(check_classical_congruency(model, rng, tol=tol))
-    elif isinstance(model, GeneralizedPopulation):
-        results.append(check_erasure(model.support_bounds(), rng))
+    results = [check_erasure(model.support_bounds(), rng)]
+    if isinstance(model, GeneralizedPopulation):
         results.append(check_generalized_equal_chords(model, rng, tol=tol))
         results.append(check_reconstruction(model, rng, tol=tol))
     elif isinstance(model, ShiftModel):
-        results.append(check_erasure(model.support_bounds(), rng))
         results.append(check_shift_equivalence(model, rng, tol=tol))
     else:
-        raise ValueError(f"unsupported model type: {type(model).__name__}")
+        results.append(check_classical_congruency(model, rng, tol=tol))
     return results

@@ -144,6 +144,32 @@ class TestSimulate:
         assert "invalid reversal sequence" in capsys.readouterr().err
 
 
+class TestGridOptions:
+    @pytest.mark.parametrize("model, option", [
+        ("generalized", ["--grid-n", "8"]),
+        ("shifted", ["--bounds=-1,1"]),
+    ])
+    def test_grid_options_need_classical_model(self, generalized_json, shift_json,
+                                               model, option, capsys):
+        agents = generalized_json if model == "generalized" else shift_json
+        code = main(["simulate", "--model", model, "--agents", agents, "--history", "1", *option])
+        assert code == 1
+        assert "--model classical" in capsys.readouterr().err
+
+    def test_malformed_bounds_named(self, agents_csv, capsys):
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--bounds", "0",
+                     "--history", "1"])
+        assert code == 2
+        assert "--bounds" in capsys.readouterr().err
+
+    def test_default_bounds_miss_the_input(self, agents_csv, capsys):
+        # the agents span [0, 3]; the input climbs to 4
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "out of triangle T" in err and "--bounds LO,HI" in err
+
+
 class TestLoop:
     def test_endpoint_chords_are_zero(self, agents_csv, tmp_path):
         out = tmp_path / "loop.csv"

@@ -1,0 +1,240 @@
+"""Exact ties: thresholds, shifts and inputs drawn from a one-decimal grid.
+
+Random floats almost never land a history value exactly on a threshold, so
+the dual-path identities are checked here on values where they do. The
+draws are derandomized, so every run checks the same examples.
+"""
+
+import functools
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import raw_relay_states, series_from_values
+from preisach import (
+    AgentPopulation,
+    BranchFunction,
+    GeneralizedHysteron,
+    GeneralizedPopulation,
+    PiecewiseLinear,
+    ReversalSequence,
+    ShiftModel,
+    eval_shifted,
+    extract_reversals,
+    memory_from_sequence,
+    relay_fold,
+    states_of,
+    to_generalized,
+)
+from preisach.cli import main
+
+RS = ReversalSequence
+TIES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+tenths = st.integers(-15, 15).map(lambda k: k / 10)
+histories = st.lists(tenths, min_size=1, max_size=7)
+KNOTS = (-1.5, -0.5, 0.5, 1.5)
+# A composite map u + g2(u) that is flat on [0.5, 2]: 0.5 + g2(0.5) is 0.3
+# but 0.9 + g2(0.9) summed directly is 0.29999999999999993.
+FLAT_G2 = [(-2.0, 1.5), (-0.5, 0.4), (0.5, -0.2), (2.0, -1.7)]
+
+
+@st.composite
+def thresholds(draw, max_agents=6):
+    pairs = draw(st.lists(st.tuples(tenths, tenths), min_size=1, max_size=max_agents))
+    return np.array([max(p) for p in pairs]), np.array([min(p) for p in pairs])
+
+
+def soft_population(alpha, beta) -> GeneralizedPopulation:
+    f_plus = BranchFunction([(-2.0, -1.0), (0.0, -0.5), (2.0, -0.2)])
+    f_minus = BranchFunction([(-2.0, 0.5), (0.0, 1.0), (2.0, 1.5)])
+    return GeneralizedPopulation(
+        [GeneralizedHysteron(a, b, f_plus, f_minus) for a, b in zip(alpha, beta)]
+    )
+
+
+@st.composite
+def shift_tables(draw):
+    """(g1, g2) knot tables with non-decreasing composites, often flat on a stretch."""
+    steps = st.sampled_from((0.0, 0.0, 0.1, 0.5))
+    c2 = np.cumsum([draw(tenths)] + [draw(steps) for _ in KNOTS[1:]])
+    c1 = c2 + draw(st.sampled_from((0.0, 0.2, 1.0)))
+    g2 = list(zip(KNOTS, (c2 - KNOTS).tolist()))
+    g1 = list(zip(KNOTS, (c1 - KNOTS).tolist()))
+    c = draw(tenths)
+    return (draw(st.sampled_from((g1, [(0.0, 2.0)], [(0.0, c)]))),
+            draw(st.sampled_from((g2, FLAT_G2, [(0.0, c - 0.3)]))))
+
+
+def shift_model(alpha, beta, g1, g2):
+    try:
+        return ShiftModel(AgentPopulation(alpha, beta, np.ones(alpha.size)),
+                          g1=PiecewiseLinear(g1), g2=PiecewiseLinear(g2))
+    except ValueError:
+        # rounding in u + g(u) at the knots can make a flat composite
+        # decrease by an ulp; the constructor rightly rejects those tables
+        return None
+
+
+def driven(model, start, values, resume=False):
+    sim = model.simulator(start)
+    for u in values:
+        sim.push(u)
+    if resume:
+        sim = model.simulator(memory=sim.memory)
+    return sim
+
+
+class TestFoldAgreesWithRawRelays:
+    @given(thresholds(), tenths, histories)
+    @TIES
+    def test_fold_and_memory_replay(self, th, start, values):
+        alpha, beta = th
+        seq = extract_reversals(series_from_values(values), start)
+        want = raw_relay_states(alpha, beta, seq)
+        assert np.array_equal(relay_fold(alpha, beta, seq.steps()), want)
+        assert np.array_equal(states_of(memory_from_sequence(seq), alpha, beta), want)
+
+    @given(thresholds(), tenths, histories, st.booleans())
+    @TIES
+    def test_direct_and_soft_simulators(self, th, start, values, resume):
+        alpha, beta = th
+        want = raw_relay_states(alpha, beta, extract_reversals(series_from_values(values), start))
+        for model in (AgentPopulation(alpha, beta, np.ones(alpha.size)),
+                      soft_population(alpha, beta)):
+            sim = driven(model, start, values, resume)
+            assert np.array_equal(sim.states, want)
+
+    @given(thresholds(), tenths, histories, tenths, st.booleans())
+    @TIES
+    def test_shifted_simulator_with_constant_shift(self, th, start, values, shift, resume):
+        # With g1 == g2 == c the shift model is the classical one driven by
+        # u + c, a strictly increasing map on these values.
+        alpha, beta = th
+        sm = shift_model(alpha, beta, [(0.0, shift)], [(0.0, shift)])
+        seq = extract_reversals(series_from_values(values), start)
+        moved = RS(start + shift, tuple(v + shift for v in seq.extrema))
+        sim = driven(sm, start, values, resume)
+        assert np.array_equal(sim.states, raw_relay_states(alpha, beta, moved))
+
+
+class TestShiftTies:
+    def test_dual_path_regression(self):
+        pop = AgentPopulation([0.5, 0.1, 0.6, 0.9, 0.6], [0.1, 0.1, 0.3, 0.5, 0.5], np.ones(5))
+        sm = ShiftModel(pop, g1=PiecewiseLinear([(0.0, -0.2)]), g2=PiecewiseLinear([(0.0, -0.5)]))
+        seq = RS(-1.0, (1.5, 1.0, 1.4, -0.4, 1.4))
+        assert to_generalized(sm).eval_irreversible(seq, 1.4) == eval_shifted(sm, seq, 1.4)
+
+    @given(thresholds(), tenths, histories, shift_tables())
+    @TIES
+    def test_dual_path_on_tie_grid(self, th, start, values, tables):
+        sm = shift_model(*th, *tables)
+        if sm is None:
+            return
+        seq = extract_reversals(series_from_values(values), start)
+        q = seq.extrema[-1] if seq.extrema else seq.start_u
+        assert to_generalized(sm).eval_irreversible(seq, q) == eval_shifted(sm, seq, q)
+
+    def test_resume_on_flat_composite_regression(self):
+        sm = shift_model(np.array([0.3]), np.array([0.0]), [(0.0, 2.0)], FLAT_G2)
+        assert sm.up_compare(0.5) == sm.up_compare(0.9) == 0.3
+        values = (-0.7, -1.1, 0.5, 0.9)
+        full = driven(sm, -1.0, values)
+        assert full.states.tolist() == [1.0]
+        assert driven(sm, -1.0, values, resume=True).states.tolist() == [1.0]
+
+    @given(shift_tables(), st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.integers(0, 3))
+    @example(([(0.0, 2.0)], FLAT_G2), 0.5, 0.4, 0)
+    @TIES
+    def test_compare_maps_non_decreasing(self, tables, u1, gap, ulps):
+        sm = shift_model(np.array([0.0]), np.array([0.0]), *tables)
+        if sm is None:
+            return
+        u2 = u1 + gap
+        for _ in range(ulps):
+            u2 = float(np.nextafter(u2, np.inf))
+        assert sm.up_compare(u1) <= sm.up_compare(u2)
+        assert sm.down_compare(u1) <= sm.down_compare(u2)
+
+    @given(shift_tables(), tenths, st.floats(-3.0, 3.0))
+    @TIES
+    def test_compare_maps_exact_at_knots_and_for_constant_shifts(self, tables, c, u):
+        constant = shift_model(np.array([0.0]), np.array([0.0]), [(0.0, c)], [(0.0, c)])
+        assert constant.up_compare(u) == constant.down_compare(u) == u + c
+        sm = shift_model(np.array([0.0]), np.array([0.0]), *tables)
+        if sm is None:
+            return
+        g1, g2 = tables
+        assert all(sm.down_compare(k) == k + shift for k, shift in g1)
+        assert all(sm.up_compare(k) == k + shift for k, shift in g2)
+
+
+def _write_series(path, values):
+    with open(path, "w") as fh:
+        fh.write("time,u\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values)))
+
+
+def _rows(path):
+    """The ``u,f`` text of each output row (step numbers restart per run)."""
+    with open(path) as fh:
+        return [line.split(",", 1)[1] for line in fh.read().splitlines()[1:]]
+
+
+def _agent_file(kind, alpha, beta, tables, tmp):
+    if kind in ("classical", "grid"):
+        path = os.path.join(tmp, "agents.csv")
+        with open(path, "w") as fh:
+            fh.write("alpha,beta,nu\n" + "".join(f"{a},{b},1.5\n" for a, b in zip(alpha, beta)))
+        return path
+    if kind == "generalized":
+        gpop = soft_population(alpha, beta)
+        data = [{"alpha": h.alpha, "beta": h.beta, "f_plus": h.f_plus.breakpoints(),
+                 "f_minus": h.f_minus.breakpoints()} for h in gpop.agents]
+    else:
+        data = {"agents": [{"alpha": a, "beta": b, "nu": 1.5}
+                           for a, b in zip(alpha.tolist(), beta.tolist())],
+                "g1": tables[0], "g2": tables[1]}
+    path = os.path.join(tmp, "agents.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return path
+
+
+MODEL_ARGS = {
+    "classical": [],
+    "grid": ["--grid-n", "6", "--bounds=-1.5,1.5"],
+    "generalized": ["--model", "generalized"],
+    "shifted": ["--model", "shifted"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_ARGS))
+@given(th=thresholds(), start=tenths, values=st.lists(tenths, min_size=2, max_size=6),
+       tables=shift_tables())
+@example(th=(np.array([0.3]), np.array([0.0])), start=-1.0, values=[-0.7, -1.1, 0.5, 0.9, 0.9],
+         tables=([(0.0, 2.0)], FLAT_G2))
+@settings(TIES, max_examples=25)
+def test_split_run_is_byte_identical(kind, th, start, values, tables):
+    alpha, beta = th
+    if kind == "shifted" and shift_model(alpha, beta, *tables) is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = functools.partial(os.path.join, tmp)
+        base = ["simulate", "--agents", _agent_file(kind, alpha, beta, tables, tmp),
+                *MODEL_ARGS[kind]]
+        _write_series(path("all.csv"), values)
+        assert main([*base, "--start", repr(start), "--input", path("all.csv"),
+                     "--out", path("full.csv")]) == 0
+        for k in range(1, len(values)):
+            _write_series(path("a.csv"), values[:k])
+            _write_series(path("b.csv"), values[k:])
+            assert main([*base, "--start", repr(start), "--input", path("a.csv"),
+                         "--memory-out", path("m.json"), "--out", path("1.csv")]) == 0
+            assert main([*base, "--input", path("b.csv"), "--memory-in", path("m.json"),
+                         "--out", path("2.csv")]) == 0
+            assert _rows(path("1.csv")) + _rows(path("2.csv")) == _rows(path("full.csv"))
