@@ -55,7 +55,8 @@ class _RelayModel:
     A relay model has thresholds ``alpha``/``beta`` and differs from the
     others only in the value they are compared with (``up_compare`` and
     ``down_compare``: the identity here, the sliding maps of ``ShiftModel``)
-    and in ``output``, its readout of the relay states.
+    and in ``output``, its readout of the relay states. ``parts`` splits
+    that readout with the relay ``weight`` and the state-free ``offset``.
     """
 
     def up_compare(self, u: float) -> float:
@@ -71,6 +72,19 @@ class _RelayModel:
         lo = float(min(self.beta.min(), self.alpha.min()))
         hi = float(max(self.alpha.max(), self.beta.max()))
         return lo, hi
+
+    def weight(self, u: float) -> np.ndarray:
+        """What each relay's state counts for in the output at ``u``."""
+        return self.nu
+
+    def offset(self, u: float) -> float:
+        """The part of the output at ``u`` that no relay state carries."""
+        return 0.0
+
+    def parts(self, states: np.ndarray, u: float) -> tuple[float, float, float]:
+        """The output at ``u`` as its band, forced and offset parts, which add up to it."""
+        w = self.weight(u)
+        return self.band_sum(w, states, u), self.forced_sum(w, u), self.offset(u)
 
     def fold(self, steps) -> np.ndarray:
         """Relay states after ``(value, rising)`` steps, starting all-DOWN."""
@@ -107,7 +121,7 @@ class _RelaySimulator:
     """Relay states of one input path, kept with the path's staircase memory.
 
     The per-kind subclasses exist so that each kind is a type of its own;
-    all of them read out through their model's ``output``.
+    all of them read out through their model's ``output`` and ``parts``.
     """
 
     def __init__(self, model: _RelayModel, memory: StaircaseMemory):
@@ -129,6 +143,9 @@ class _RelaySimulator:
 
     def value(self) -> float:
         return self.model.output(self.states, self.memory.current_u)
+
+    def parts(self) -> tuple[float, float, float]:
+        return self.model.parts(self.states, self.memory.current_u)
 
 
 class PopulationSimulator(_RelaySimulator):
@@ -181,9 +198,6 @@ class AgentPopulation(_RelayModel):
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         return 2.0 * float(self.nu[self.flipped(u_minus, u_plus, u)].sum())
-
-    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
-        return (*decompose_direct(self, mem), 0.0)
 
 
 def eval_direct(pop: AgentPopulation, seq: ReversalSequence, init=None) -> np.ndarray:
@@ -283,9 +297,6 @@ class WeightGrid:
             self.icut_up(u), self.icut_up(u_plus), self.jcut_down(u_minus), self.jcut_down(u)
         )
 
-    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
-        return (*decompose_classical(self, mem), 0.0)
-
 
 class GridSimulator:
     """Staircase-memory tracker evaluating through the summed-area table."""
@@ -300,6 +311,9 @@ class GridSimulator:
 
     def value(self) -> float:
         return eval_geometric(self.grid, self.memory)
+
+    def parts(self) -> tuple[float, float, float]:
+        return (*decompose_classical(self.grid, self.memory), 0.0)
 
 
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
@@ -435,11 +449,7 @@ def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition
 
 def decompose_direct(pop: AgentPopulation, mem: StaircaseMemory) -> Decomposition:
     """Exact population-level counterpart of :func:`decompose_classical`."""
-    u = mem.current_u
-    return Decomposition(
-        irreversible=pop.band_sum(pop.nu, pop.fold(mem.steps()), u),
-        reversible=pop.forced_sum(pop.nu, u),
-    )
+    return Decomposition(*pop.parts(pop.fold(mem.steps()), mem.current_u)[:2])
 
 
 @dataclass(eq=False)

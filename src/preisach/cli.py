@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .classical import SupportError, from_agents, minor_loop
-from .memory import load_memory, push_extremum, save_memory, starting_memory
+from .memory import load_memory, save_memory
 from .signal import ReversalSequence, SampledSeries, extract_reversals, require_valid
 from .verify import run_suite
 
@@ -34,26 +34,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--model",
-        choices=("classical", "generalized", "shifted"),
-        default="classical",
-        help="which aggregate to run (default: classical)",
-    )
-    sub.add_argument("--agents", required=True, help="agent file (CSV or JSON per model)")
-    sub.add_argument("--input", help="sampled series CSV with time,u columns")
-    sub.add_argument("--history", help="inline comma-separated reversal values")
-    sub.add_argument("--start", type=float, default=0.0,
-                     help="starting input value (default 0; ignored with --memory-in)")
-    sub.add_argument("--memory-in", help="resume from a memory JSON written earlier")
-    sub.add_argument("--memory-out", help="write the final memory JSON here")
-    sub.add_argument("--grid-n", type=int,
-                     help="classical only: bin agents into an n x n grid and "
-                          "evaluate via region sums")
-    sub.add_argument("--bounds", help="grid support as LO,HI (default: agent extent)")
-    sub.add_argument("--tol", type=float, default=1e-12, help="comparison tolerance")
-    sub.add_argument("--out", default="-", help="output path (default: stdout)")
+# Every option, declared once; each subcommand takes only those it reads.
+_OPTIONS = {
+    "model": dict(choices=("classical", "generalized", "shifted"), default="classical",
+                  help="which aggregate to run (default: classical)"),
+    "agents": dict(required=True, help="agent file (CSV or JSON per model)"),
+    "input": dict(help="sampled series CSV with time,u columns"),
+    "history": dict(help="inline comma-separated reversal values"),
+    "start": dict(type=float, default=0.0,
+                  help="starting input value (default 0; ignored with --memory-in)"),
+    "memory-in": dict(help="resume from a memory JSON written earlier"),
+    "memory-out": dict(help="write the final memory JSON here"),
+    "grid-n": dict(type=int, help="classical only: bin agents into an n x n grid and "
+                                  "evaluate via region sums"),
+    "bounds": dict(help="grid support as LO,HI (default: agent extent; needs --grid-n)"),
+    "tol": dict(type=float, default=1e-12, help="comparison tolerance"),
+    "out": dict(default="-", help="output path (default: stdout)"),
+    "u-minus": dict(type=float, required=True),
+    "u-plus": dict(type=float, required=True),
+    "n-points": dict(type=int, default=101),
+    "at": dict(type=float, help="single probe input instead of a grid"),
+    "seed": dict(type=int, default=0),
+}
+_SHARED_OPTIONS = {"model", "agents", "grid-n", "bounds", "out"}
+_RUN_OPTIONS = {*_SHARED_OPTIONS, "input", "history", "start", "memory-in", "memory-out"}
+_CYCLE_OPTIONS = {*_SHARED_OPTIONS, "u-minus", "u-plus", "n-points"}
 
 
 def _load_model(args):
@@ -77,14 +82,6 @@ def _load_model(args):
     if kind == "generalized":
         return fileio.read_generalized_json(args.agents)
     return fileio.read_shift_json(args.agents)
-
-
-def _start(args):
-    """The run's starting memory (``--memory-in``, else fresh at ``--start``) and input moves."""
-    mem_in = load_memory(args.memory_in) if args.memory_in else None
-    start = mem_in.current_u if mem_in is not None else args.start
-    values = _input_values(args, start)
-    return starting_memory(start, mem_in), values
 
 
 def _input_values(args, start_u: float) -> list[float]:
@@ -120,18 +117,33 @@ def _write_rows(args, header, rows) -> None:
     fileio.write_rows_csv(sys.stdout if args.out == "-" else args.out, header, rows)
 
 
-def cmd_simulate(args) -> int:
+def _drive(args, header, row) -> int:
+    """Drive the model through the input moves, one ``row(step, u, simulator)`` each."""
     model = _load_model(args)
-    mem, values = _start(args)
-    sim = model.simulator(memory=mem)
+    mem_in = load_memory(args.memory_in) if args.memory_in else None
+    start = args.start if mem_in is None else mem_in.current_u
+    values = _input_values(args, start)
+    sim = model.simulator(start, mem_in)
     rows = []
     for step, u in enumerate(values, start=1):
         sim.push(u)
-        rows.append((step, u, sim.value()))
-    _write_rows(args, ["step", "u", "f"], rows)
+        rows.append(row(step, u, sim))
+    _write_rows(args, header, rows)
     if args.memory_out:
         save_memory(sim.memory, args.memory_out)
     return 0
+
+
+def cmd_simulate(args) -> int:
+    return _drive(args, ["step", "u", "f"], lambda step, u, sim: (step, u, sim.value()))
+
+
+def cmd_decompose(args) -> int:
+    def row(step, u, sim):
+        irr, rev, offset = sim.parts()
+        return u, irr, rev, offset, irr + rev + offset
+
+    return _drive(args, ["u", "f_irreversible", "G", "F", "f_total"], row)
 
 
 def cmd_loop(args) -> int:
@@ -169,21 +181,6 @@ def cmd_chord(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    model = _load_model(args)
-    mem, values = _start(args)
-    rows = []
-    for u in values:
-        if u != mem.current_u:
-            mem = push_extremum(mem, u)
-        irr, rev, f_offset = model.decompose(mem)
-        rows.append((u, irr, rev, f_offset, irr + rev + f_offset))
-    _write_rows(args, ["u", "f_irreversible", "G", "F", "f_total"], rows)
-    if args.memory_out:
-        save_memory(mem, args.memory_out)
-    return 0
-
-
 def cmd_verify(args) -> int:
     model = _load_model(args)
     results = run_suite(model, seed=args.seed, tol=args.tol)
@@ -196,38 +193,26 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else SUITE_FAILURE
 
 
+_SUBCOMMANDS = (
+    ("simulate", cmd_simulate, "drive a model along an input record", _RUN_OPTIONS),
+    ("loop", cmd_loop, "trace the steady cycle between two bounds",
+     {*_CYCLE_OPTIONS, "input", "history", "start", "tol"}),
+    ("chord", cmd_chord, "vertical chord profile of a cycle", {*_CYCLE_OPTIONS, "at"}),
+    ("decompose", cmd_decompose, "split the output along the input record", _RUN_OPTIONS),
+    ("verify", cmd_verify, "run the structural property suite",
+     {*_SHARED_OPTIONS, "tol", "seed"}),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="preisach", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = subs.add_parser("simulate", help="drive a model along an input record")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_loop = subs.add_parser("loop", help="trace the steady cycle between two bounds")
-    _add_common(p_loop)
-    p_loop.add_argument("--u-minus", type=float, required=True)
-    p_loop.add_argument("--u-plus", type=float, required=True)
-    p_loop.add_argument("--n-points", type=int, default=101)
-    p_loop.set_defaults(func=cmd_loop)
-
-    p_chord = subs.add_parser("chord", help="vertical chord profile of a cycle")
-    _add_common(p_chord)
-    p_chord.add_argument("--u-minus", type=float, required=True)
-    p_chord.add_argument("--u-plus", type=float, required=True)
-    p_chord.add_argument("--n-points", type=int, default=101)
-    p_chord.add_argument("--at", type=float, help="single probe input instead of a grid")
-    p_chord.set_defaults(func=cmd_chord)
-
-    p_dec = subs.add_parser("decompose", help="split the output along the input record")
-    _add_common(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_ver = subs.add_parser("verify", help="run the structural property suite")
-    _add_common(p_ver)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(func=cmd_verify)
-
+    for name, func, help_text, options in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for option, spec in _OPTIONS.items():
+            if option in options:
+                sub.add_argument(f"--{option}", **spec)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -237,6 +222,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.model != "classical" and (args.grid_n is not None or args.bounds):
             parser.error("--grid-n and --bounds apply to --model classical only")
+        if args.bounds is not None and args.grid_n is None:
+            parser.error("--bounds applies only with --grid-n")
     except SystemExit as exc:
         # argparse exits itself for --help (0) and via _Parser.error (1)
         return int(exc.code or 0)

@@ -75,6 +75,12 @@ class GeneralizedPopulation(_RelayModel):
     def midline_at(self, u: float) -> np.ndarray:
         return np.array([h.midline(u) for h in self.agents])
 
+    def weight(self, u: float) -> np.ndarray:
+        return self.loop_gap_at(u)
+
+    def offset(self, u: float) -> float:
+        return math.fsum(self.midline_at(u))
+
     def output(self, states: np.ndarray, u: float) -> float:
         return math.fsum(self.loop_gap_at(u) * states + self.midline_at(u))
 
@@ -83,9 +89,6 @@ class GeneralizedPopulation(_RelayModel):
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         return chord_generalized(self, u_minus, u_plus, u)
-
-    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
-        return decompose_generalized(self, mem)
 
 
 def eval_generalized(gpop: GeneralizedPopulation, seq: ReversalSequence,
@@ -96,7 +99,7 @@ def eval_generalized(gpop: GeneralizedPopulation, seq: ReversalSequence,
 
 def midline_offset(gpop: GeneralizedPopulation, u: float) -> float:
     """Fully reversible part: the summed branch midlines at ``u``."""
-    return math.fsum(gpop.midline_at(u))
+    return gpop.offset(u)
 
 
 def saturation_term(gpop: GeneralizedPopulation, u: float) -> float:
@@ -106,7 +109,7 @@ def saturation_term(gpop: GeneralizedPopulation, u: float) -> float:
     with down-threshold at or above ``u`` negatively, each with its loop
     gap evaluated at ``u``.
     """
-    return gpop.forced_sum(gpop.loop_gap_at(u), u)
+    return gpop.forced_sum(gpop.weight(u), u)
 
 
 def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
@@ -117,7 +120,7 @@ def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
     reconstructs ``eval_generalized`` exactly.
     """
     states = gpop.fold(seq.steps_to(query_u))
-    return gpop.band_sum(gpop.loop_gap_at(query_u), states, query_u)
+    return gpop.band_sum(gpop.weight(query_u), states, query_u)
 
 
 def decompose_generalized(gpop: GeneralizedPopulation, mem: StaircaseMemory
@@ -128,9 +131,7 @@ def decompose_generalized(gpop: GeneralizedPopulation, mem: StaircaseMemory
     sequence-driven ``eval_irreversible`` for any history that produced
     ``mem``. The three parts sum to the full output.
     """
-    u = mem.current_u
-    irreversible = gpop.band_sum(gpop.loop_gap_at(u), gpop.fold(mem.steps()), u)
-    return irreversible, saturation_term(gpop, u), midline_offset(gpop, u)
+    return gpop.parts(gpop.fold(mem.steps()), mem.current_u)
 
 
 class GeneralizedSimulator(_RelaySimulator):
@@ -254,10 +255,6 @@ class ShiftModel(_RelayModel):
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         return chord_shifted(self, u_minus, u_plus, u)
-
-    def decompose(self, mem: StaircaseMemory) -> tuple[float, float, float]:
-        u = mem.current_u
-        return self.output(self.fold(mem.steps()), u), self.forced_sum(self.nu, u), 0.0
 
 
 def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float:

@@ -22,10 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 
-def _is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class SampledSeries:
     """An input record u(t): strictly increasing times, finite values."""
@@ -39,7 +35,7 @@ class SampledSeries:
         if len(self.times) == 0:
             raise ValueError("empty series")
         for i, (t, u) in enumerate(zip(self.times, self.values)):
-            if not (_is_finite(t) and _is_finite(u)):
+            if not (math.isfinite(t) and math.isfinite(u)):
                 raise ValueError(f"invalid sample at row {i}: ({t!r}, {u!r})")
         for i in range(1, len(self.times)):
             if self.times[i] <= self.times[i - 1]:
@@ -85,7 +81,7 @@ class ReversalSequence:
         the last reversal value or continue monotonically past it.
         """
         require_valid(self)
-        if not _is_finite(query_u):
+        if not math.isfinite(query_u):
             raise ValueError("query value must be finite")
         steps = list(self.steps())
         last = self.extrema[-1] if self.extrema else self.start_u
@@ -105,12 +101,12 @@ def validate(seq: ReversalSequence) -> str | None:
     Returns None when the sequence is valid, otherwise a description of the
     first violation (including the offending index).
     """
-    if not _is_finite(seq.start_u):
+    if not math.isfinite(seq.start_u):
         return "start value is not finite"
     prev = seq.start_u
     direction = 0
     for i, v in enumerate(seq.extrema):
-        if not _is_finite(v):
+        if not math.isfinite(v):
             return f"violation at index {i}: value is not finite"
         if v == prev:
             return f"violation at index {i}: repeats previous value"
@@ -138,7 +134,7 @@ def extract_reversals(series: SampledSeries, start_u: float) -> ReversalSequence
     change records the value where the run turned, and the final sample
     always terminates the last run.
     """
-    if not _is_finite(start_u):
+    if not math.isfinite(start_u):
         raise ValueError("invalid sample: start value is not finite")
     extrema: list[float] = []
     prev = start_u

@@ -13,6 +13,9 @@ seeded fixtures and reports the worst deviation it observed:
   back to the full output,
 * shift equivalence -- the moving-threshold model and its relabeling as an
   input-dependent weight produce the same numbers.
+
+All but erasure soundness pass when their worst deviation is within ``tol``
+times the largest ``|output|`` they evaluated, or ``tol`` if that is below 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .generalized import (
     check_equal_chords,
     eval_generalized,
     eval_irreversible,
-    eval_shifted,
     midline_offset,
     saturation_term,
     to_generalized,
@@ -93,20 +95,26 @@ def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _loop_pairs(model, rng, n_pairs: int, n_cycles: int, max_reversals: int,
-                n_points: int, pad: float):
-    """Yield two steady loops per random cycle, traced after two random histories.
+                n_points: int, pad: float, tol: float):
+    """Two steady loops per random cycle, traced after two random histories.
 
     Histories range over the model's support widened by ``pad`` times its
-    width on each side.
+    width on each side. Also returns the pass limit for deviations between
+    loops: ``tol`` times max(1, the largest ``|output|`` on any branch).
     """
     lo, hi = model.support_bounds()
     h_lo, h_hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    pairs = []
     for _ in range(n_pairs):
         h1 = random_history(rng, h_lo, h_hi, max_reversals)
         h2 = random_history(rng, h_lo, h_hi, max_reversals)
         for _ in range(n_cycles):
             um, up = _random_cycle(rng, lo, hi)
-            yield minor_loop(model, h1, um, up, n_points), minor_loop(model, h2, um, up, n_points)
+            pairs.append((minor_loop(model, h1, um, up, n_points),
+                          minor_loop(model, h2, um, up, n_points)))
+    branches = (f for pair in pairs for loop in pair
+                for f in (loop.f_ascending, loop.f_descending))
+    return pairs, tol * max(1.0, *(float(np.abs(f).max()) for f in branches))
 
 
 def check_classical_congruency(model, rng, n_pairs: int = 10, n_cycles: int = 3,
@@ -114,12 +122,11 @@ def check_classical_congruency(model, rng, n_pairs: int = 10, n_cycles: int = 3,
     """Steady cycles from different histories must be congruent."""
     # grid evaluation is only defined inside the binned support
     pad = 0.0 if isinstance(model, WeightGrid) else 0.4
-    worst = 0.0
-    for l1, l2 in _loop_pairs(model, rng, n_pairs, n_cycles, 40, n_points, pad):
-        worst = max(worst, check_congruency(l1, l2, tol).max_deviation)
+    pairs, limit = _loop_pairs(model, rng, n_pairs, n_cycles, 40, n_points, pad, tol)
+    worst = max(check_congruency(l1, l2, tol).max_deviation for l1, l2 in pairs)
     return CheckResult(
         name="congruency",
-        passed=worst <= tol,
+        passed=worst <= limit,
         max_deviation=worst,
         detail=f"{n_pairs} history pairs x {n_cycles} cycles, translation-adjusted",
     )
@@ -129,76 +136,79 @@ def check_generalized_equal_chords(gpop: GeneralizedPopulation, rng,
                                    n_pairs: int = 8, n_cycles: int = 3,
                                    tol: float = 1e-12, n_points: int = 61) -> CheckResult:
     """Branch gaps must agree across histories; congruency usually fails."""
-    worst = 0.0
-    incongruent_seen = False
-    for l1, l2 in _loop_pairs(gpop, rng, n_pairs, n_cycles, 30, n_points, 0.4):
-        rep = check_equal_chords(l1, l2, tol)
-        worst = max(worst, rep.max_chord_deviation)
-        if not rep.congruent:
-            incongruent_seen = True
+    pairs, limit = _loop_pairs(gpop, rng, n_pairs, n_cycles, 30, n_points, 0.4, tol)
+    reports = [check_equal_chords(l1, l2, limit) for l1, l2 in pairs]
+    worst = max(rep.max_chord_deviation for rep in reports)
+    incongruent_seen = not all(rep.congruent for rep in reports)
     witness = "incongruent loops observed" if incongruent_seen else "all loops congruent"
     return CheckResult(
         name="equal-chords",
-        passed=worst <= tol,
+        passed=worst <= limit,
         max_deviation=worst,
         detail=f"{n_pairs} history pairs x {n_cycles} cycles; {witness}",
+    )
+
+
+def _two_routes(name: str, model, rng, n_cases: int, tol: float, pad: float,
+                routes, detail: str) -> CheckResult:
+    """Compare two routes to one output after random histories, padded as in ``_loop_pairs``.
+
+    ``routes(seq, q)`` gives each route's output at ``q`` after ``seq``, then any terms one summed.
+    """
+    lo, hi = model.support_bounds()
+    span = hi - lo
+    worst, scale = 0.0, 1.0
+    for _ in range(n_cases):
+        seq = random_history(rng, lo - pad * span, hi + pad * span, 30)
+        q = seq.extrema[-1] if seq.extrema else seq.start_u
+        first, second, *terms = routes(seq, q)
+        worst = max(worst, abs(first - second))
+        scale = max(scale, *(abs(v) for v in (first, second, *terms)))
+    return CheckResult(
+        name=name,
+        passed=worst <= tol * scale,
+        max_deviation=worst,
+        detail=f"{n_cases} random histories{detail}",
     )
 
 
 def check_reconstruction(gpop: GeneralizedPopulation, rng, n_cases: int = 100,
                          tol: float = 1e-12) -> CheckResult:
     """Band + saturation + midline must re-assemble the full output."""
-    lo, hi = gpop.support_bounds()
-    span = hi - lo
-    worst = 0.0
-    for _ in range(n_cases):
-        seq = random_history(rng, lo - 0.2 * span, hi + 0.2 * span, 30)
-        q = seq.extrema[-1] if seq.extrema else seq.start_u
-        full = eval_generalized(gpop, seq, q)
-        rebuilt = (
-            eval_irreversible(gpop, seq, q)
-            + saturation_term(gpop, q)
-            + midline_offset(gpop, q)
-        )
-        worst = max(worst, abs(full - rebuilt))
-    return CheckResult(
-        name="reconstruction",
-        passed=worst <= tol,
-        max_deviation=worst,
-        detail=f"{n_cases} random histories",
-    )
+    def routes(seq, q):
+        irr, sat, mid = (eval_irreversible(gpop, seq, q), saturation_term(gpop, q),
+                         midline_offset(gpop, q))
+        return eval_generalized(gpop, seq, q), irr + sat + mid, irr, sat, mid
+
+    return _two_routes("reconstruction", gpop, rng, n_cases, tol, 0.2, routes, "")
 
 
 def check_shift_equivalence(sm: ShiftModel, rng, n_cases: int = 100,
                             tol: float = 1e-12) -> CheckResult:
-    """Moving-threshold evaluation vs. the relabeled-weight evaluation."""
-    lo, hi = sm.support_bounds()
-    span = hi - lo
-    view = to_generalized(sm)
-    worst = 0.0
-    for _ in range(n_cases):
-        seq = random_history(rng, lo - 0.5 * span, hi + 0.5 * span, 30)
-        q = seq.extrema[-1] if seq.extrema else seq.start_u
-        worst = max(worst, abs(eval_shifted(sm, seq, q) - view.eval_irreversible(seq, q)))
-    return CheckResult(
-        name="shift-equivalence",
-        passed=worst <= tol,
-        max_deviation=worst,
-        detail=f"{n_cases} random histories, dual evaluation paths",
-    )
+    """Relabeled weight on the raw history vs. the moving-threshold simulator
+    resumed, as a ``--memory-in`` run is, from the history's staircase memory."""
+    def routes(seq, q):
+        relabeled = to_generalized(sm).eval_irreversible(seq, q)
+        return relabeled, sm.simulator(memory=memory_from_sequence(seq)).value()
+
+    return _two_routes("shift-equivalence", sm, rng, n_cases, tol, 0.5, routes,
+                       ", dual evaluation paths")
+
+
+# Each model kind's checks after erasure soundness, by name so wrappers apply.
+_CHECKS = {
+    AgentPopulation: ("check_classical_congruency",),
+    WeightGrid: ("check_classical_congruency",),
+    GeneralizedPopulation: ("check_generalized_equal_chords", "check_reconstruction"),
+    ShiftModel: ("check_shift_equivalence",),
+}
 
 
 def run_suite(model, seed: int = 0, tol: float = 1e-12) -> list[CheckResult]:
     """Run the checks that apply to ``model`` and return their results."""
-    if not isinstance(model, (AgentPopulation, WeightGrid, GeneralizedPopulation, ShiftModel)):
+    checks = _CHECKS.get(type(model))
+    if checks is None:
         raise ValueError(f"unsupported model type: {type(model).__name__}")
     rng = np.random.default_rng(seed)
-    results = [check_erasure(model.support_bounds(), rng)]
-    if isinstance(model, GeneralizedPopulation):
-        results.append(check_generalized_equal_chords(model, rng, tol=tol))
-        results.append(check_reconstruction(model, rng, tol=tol))
-    elif isinstance(model, ShiftModel):
-        results.append(check_shift_equivalence(model, rng, tol=tol))
-    else:
-        results.append(check_classical_congruency(model, rng, tol=tol))
-    return results
+    return [check_erasure(model.support_bounds(), rng),
+            *(globals()[name](model, rng, tol=tol) for name in checks)]

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from preisach import uniform_grid
-from preisach.cli import main
+import preisach.classical
+import preisach.verify
+from preisach import ShiftedWeightView, uniform_grid
+from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
 
@@ -49,6 +51,18 @@ def shift_json(tmp_path):
     }
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(model))
+    return str(path)
+
+
+@pytest.fixture()
+def large_agents_csv(tmp_path):
+    rng = np.random.default_rng(7)
+    beta = rng.uniform(0.0, 1.0, 2000)
+    alpha = beta + rng.uniform(0.0, 1.0, 2000) * (1.0 - beta)
+    nu = rng.uniform(0.0, 1e6, 2000)
+    path = tmp_path / "large.csv"
+    path.write_text("alpha,beta,nu\n" + "".join(
+        f"{a!r},{b!r},{v!r}\n" for a, b, v in zip(alpha.tolist(), beta.tolist(), nu.tolist())))
     return str(path)
 
 
@@ -168,6 +182,61 @@ class TestGridOptions:
         assert code == 2
         err = capsys.readouterr().err
         assert "out of triangle T" in err and "--bounds LO,HI" in err
+
+
+SUBCOMMAND_OPTIONS = {
+    "simulate": {"model", "agents", "grid-n", "bounds", "input", "history", "start",
+                 "memory-in", "memory-out", "out"},
+    "decompose": {"model", "agents", "grid-n", "bounds", "input", "history", "start",
+                  "memory-in", "memory-out", "out"},
+    "loop": {"model", "agents", "grid-n", "bounds", "input", "history", "start", "tol", "out",
+             "u-minus", "u-plus", "n-points"},
+    "chord": {"model", "agents", "grid-n", "bounds", "out", "u-minus", "u-plus", "n-points",
+              "at"},
+    "verify": {"model", "agents", "grid-n", "bounds", "tol", "out", "seed"},
+}
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+    def test_each_subcommand_takes_only_the_options_it_reads(self, command, capsys):
+        parser = build_parser()
+        required = ["--agents", "a.csv", "--u-minus", "0", "--u-plus", "1"]
+        if command in ("simulate", "decompose", "verify"):
+            required = required[:2]
+        for option in sorted(set().union(*SUBCOMMAND_OPTIONS.values())):
+            argv = [command, *required, f"--{option}", "classical" if option == "model" else "1"]
+            if option in SUBCOMMAND_OPTIONS[command]:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 1, option
+
+    def test_loop_rejects_memory_out(self, agents_csv, tmp_path):
+        mem = tmp_path / "m.json"
+        code = main(["loop", "--agents", agents_csv, "--history", "3", "--u-minus", "0.5",
+                     "--u-plus", "2.5", "--memory-out", str(mem)])
+        assert code == 1
+        assert not mem.exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--memory-in", "missing.json"], ["--history", "9,1"], ["--tol", "5"],
+    ])
+    def test_chord_rejects_options_it_ignored(self, agents_csv, option, capsys):
+        code = main(["chord", "--agents", agents_csv, "--u-minus", "0.5", "--u-plus", "2.5",
+                     *option])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--input", "missing.csv"], ["--start", "7"]])
+    def test_verify_rejects_input_options(self, agents_csv, option):
+        assert main(["verify", "--agents", agents_csv, *option]) == 1
+
+    def test_bounds_without_grid_n_is_a_usage_error(self, agents_csv, capsys):
+        code = main(["simulate", "--agents", agents_csv, "--bounds", "0,1", "--history", "2.5"])
+        assert code == 1
+        assert "--grid-n" in capsys.readouterr().err
 
 
 class TestLoop:
@@ -340,6 +409,15 @@ class TestDecompose:
         for c, s in zip(c_rows, s_rows):
             assert c == pytest.approx(s, abs=1e-12)
 
+    def test_shifted_simulate_emits_the_band_column(self, shift_json, tmp_path):
+        sim, dec = tmp_path / "sim.csv", tmp_path / "dec.csv"
+        for command, out in (("simulate", sim), ("decompose", dec)):
+            assert main([command, "--model", "shifted", "--agents", shift_json, "--start", "-2",
+                         "--history", "1.5,-0.8,0.9,-0.3", "--out", str(out)]) == 0
+        f = [line.split(",")[2] for line in sim.read_text().splitlines()[1:]]
+        irreversible = [line.split(",")[1] for line in dec.read_text().splitlines()[1:]]
+        assert f == irreversible
+
     def test_fully_reversible_population_has_zero_band(self, tmp_path):
         steps = tmp_path / "steps.csv"
         steps.write_text("alpha,beta,nu\n1,1,1\n0.5,0.5,2\n")
@@ -404,6 +482,48 @@ class TestVerify:
         code = main(["verify", "--model", "shifted", "--agents", shift_json])
         assert code == 0
         assert "shift-equivalence" in capsys.readouterr().out
+
+    def test_large_capacities_pass_at_default_tolerance(self, large_agents_csv, capsys):
+        # outputs near 1e9: rounding alone gives deviations far above 1e-12
+        assert main(["verify", "--agents", large_agents_csv]) == 0
+        assert "PASS  congruency" in capsys.readouterr().out
+
+    def test_relative_error_in_one_loop_fails_at_scale(self, large_agents_csv, monkeypatch,
+                                                       capsys):
+        minor_loop = preisach.verify.minor_loop
+        calls = []
+
+        def off_by_1e9(*args):
+            loop = minor_loop(*args)
+            calls.append(loop)
+            if len(calls) % 2 == 0:
+                loop.f_ascending *= 1 + 1e-9
+                loop.f_descending *= 1 + 1e-9
+            return loop
+
+        monkeypatch.setattr(preisach.verify, "minor_loop", off_by_1e9)
+        assert main(["verify", "--agents", large_agents_csv]) == 3
+        assert "FAIL  congruency" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model, owner, name, check", [
+        ("generalized", preisach.verify, "eval_generalized", "reconstruction"),
+        ("shifted", ShiftedWeightView, "eval_irreversible", "shift-equivalence"),
+    ])
+    def test_relative_error_in_one_route_fails(self, generalized_json, shift_json, model,
+                                               owner, name, check, monkeypatch, capsys):
+        route = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: route(*args) * (1 + 1e-9))
+        agents = generalized_json if model == "generalized" else shift_json
+        assert main(["verify", "--model", model, "--agents", agents]) == 3
+        assert f"FAIL  {check}" in capsys.readouterr().out
+
+    def test_shift_equivalence_catches_a_resume_without_compare_maps(self, shift_json,
+                                                                     monkeypatch, capsys):
+        states_of = preisach.classical.states_of
+        monkeypatch.setattr(preisach.classical, "states_of",
+                            lambda mem, alphas, betas, *maps: states_of(mem, alphas, betas))
+        assert main(["verify", "--model", "shifted", "--agents", shift_json]) == 3
+        assert "FAIL  shift-equivalence" in capsys.readouterr().out
 
     def test_impossible_tolerance_fails_with_exit_3(self, generalized_json, capsys):
         code = main(

@@ -180,7 +180,7 @@ def _write_series(path, values):
 
 
 def _rows(path):
-    """The ``u,f`` text of each output row (step numbers restart per run)."""
+    """Each output row's text after its first column (simulate's step numbers restart per run)."""
     with open(path) as fh:
         return [line.split(",", 1)[1] for line in fh.read().splitlines()[1:]]
 
@@ -213,19 +213,22 @@ MODEL_ARGS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MODEL_ARGS))
+@pytest.mark.parametrize("kind, command", [
+    pytest.param(kind, command, id=kind if command == "simulate" else f"{kind}-{command}")
+    for command in ("simulate", "decompose") for kind in sorted(MODEL_ARGS)
+])
 @given(th=thresholds(), start=tenths, values=st.lists(tenths, min_size=2, max_size=6),
        tables=shift_tables())
 @example(th=(np.array([0.3]), np.array([0.0])), start=-1.0, values=[-0.7, -1.1, 0.5, 0.9, 0.9],
          tables=([(0.0, 2.0)], FLAT_G2))
 @settings(TIES, max_examples=25)
-def test_split_run_is_byte_identical(kind, th, start, values, tables):
+def test_split_run_is_byte_identical(kind, command, th, start, values, tables):
     alpha, beta = th
     if kind == "shifted" and shift_model(alpha, beta, *tables) is None:
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = functools.partial(os.path.join, tmp)
-        base = ["simulate", "--agents", _agent_file(kind, alpha, beta, tables, tmp),
+        base = [command, "--agents", _agent_file(kind, alpha, beta, tables, tmp),
                 *MODEL_ARGS[kind]]
         _write_series(path("all.csv"), values)
         assert main([*base, "--start", repr(start), "--input", path("all.csv"),
