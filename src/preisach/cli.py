@@ -41,8 +41,7 @@ _OPTIONS = {
     "agents": dict(required=True, help="agent file (CSV or JSON per model)"),
     "input": dict(help="sampled series CSV with time,u columns"),
     "history": dict(help="inline comma-separated reversal values"),
-    "start": dict(type=float, default=0.0,
-                  help="starting input value (default 0; ignored with --memory-in)"),
+    "start": dict(type=float, help="starting input value (default 0)"),
     "memory-in": dict(help="resume from a memory JSON written earlier"),
     "memory-out": dict(help="write the final memory JSON here"),
     "grid-n": dict(type=int, help="classical only: bin agents into an n x n grid and "
@@ -52,13 +51,16 @@ _OPTIONS = {
     "out": dict(default="-", help="output path (default: stdout)"),
     "u-minus": dict(type=float, required=True),
     "u-plus": dict(type=float, required=True),
-    "n-points": dict(type=int, default=101),
+    "n-points": dict(type=int, help="points on the cycle (default 101)"),
     "at": dict(type=float, help="single probe input instead of a grid"),
     "seed": dict(type=int, default=0),
 }
 _SHARED_OPTIONS = {"model", "agents", "grid-n", "bounds", "out"}
 _RUN_OPTIONS = {*_SHARED_OPTIONS, "input", "history", "start", "memory-in", "memory-out"}
 _CYCLE_OPTIONS = {*_SHARED_OPTIONS, "u-minus", "u-plus", "n-points"}
+# Defaults of options that another option overrides; they are filled in
+# after parsing, so giving one alongside its overrider is a usage error.
+_OVERRIDDEN = {"start": ("memory_in", 0.0), "n_points": ("at", 101)}
 
 
 def _load_model(args):
@@ -68,7 +70,7 @@ def _load_model(args):
         if args.grid_n is not None:
             if args.grid_n < 2:
                 raise ValueError("--grid-n must be at least 2")
-            if args.bounds:
+            if args.bounds is not None:
                 try:
                     lo, hi = (float(x) for x in args.bounds.split(","))
                 except ValueError as exc:
@@ -220,10 +222,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.model != "classical" and (args.grid_n is not None or args.bounds):
+        if args.model != "classical" and (args.grid_n is not None or args.bounds is not None):
             parser.error("--grid-n and --bounds apply to --model classical only")
         if args.bounds is not None and args.grid_n is None:
             parser.error("--bounds applies only with --grid-n")
+        for name, (other, default) in _OVERRIDDEN.items():
+            if getattr(args, name, default) is None:
+                setattr(args, name, default)
+            elif getattr(args, other, None) is not None:
+                parser.error(f"--{name} does not apply with --{other}".replace("_", "-"))
     except SystemExit as exc:
         # argparse exits itself for --help (0) and via _Parser.error (1)
         return int(exc.code or 0)

@@ -47,7 +47,7 @@ from .classical import (
     _require_comparable,
     check_congruency,
 )
-from .hysteron import GeneralizedHysteron, PiecewiseLinear
+from .hysteron import BranchTable, GeneralizedHysteron, PiecewiseLinear
 from .memory import StaircaseMemory, starting_memory
 from .signal import ReversalSequence
 
@@ -65,15 +65,17 @@ class GeneralizedPopulation(_RelayModel):
         self.agents = agents
         self.alpha = np.array([h.alpha for h in agents])
         self.beta = np.array([h.beta for h in agents])
+        self.f_plus = BranchTable([h.f_plus for h in agents])
+        self.f_minus = BranchTable([h.f_minus for h in agents])
 
     def __len__(self) -> int:
         return len(self.agents)
 
     def loop_gap_at(self, u: float) -> np.ndarray:
-        return np.array([h.loop_gap(u) for h in self.agents])
+        return 0.5 * (self.f_minus(u) - self.f_plus(u))
 
     def midline_at(self, u: float) -> np.ndarray:
-        return np.array([h.midline(u) for h in self.agents])
+        return 0.5 * (self.f_minus(u) + self.f_plus(u))
 
     def weight(self, u: float) -> np.ndarray:
         return self.loop_gap_at(u)

@@ -131,6 +131,35 @@ class PiecewiseLinear:
         return f"{type(self).__name__}({self.breakpoints()!r})"
 
 
+class BranchTable:
+    """Many piecewise-linear maps, evaluated together in one numpy pass.
+
+    Column ``k`` holds the knots of ``maps[k]``, padded with ``+inf``
+    abscissae and its last value to one row more than the longest map (knots
+    are rows, so counting those below ``u`` adds contiguous rows). Calling
+    the table at a finite ``u`` applies ``np.interp``'s formula and tie rule
+    to every map, so each value is bit-identical to ``maps[k](u)``.
+    """
+
+    def __init__(self, maps):
+        sizes = np.array([len(m.us) for m in maps])
+        knots = np.arange(sizes.max() + 1)[:, None]
+        idx = np.minimum(knots, sizes - 1) + (np.cumsum(sizes) - sizes)
+        self.us = np.where(knots < sizes, np.concatenate([m.us for m in maps])[idx], np.inf)
+        self.fs = np.concatenate([m.fs for m in maps])[idx]
+        self.cols = np.arange(len(sizes))
+
+    def __call__(self, u: float) -> np.ndarray:
+        # j: flat index of each column's last knot at or below u (its first
+        # knot below them all); np.interp returns fs[j] there, at a knot and
+        # past the last knot, and otherwise interpolates towards the next row
+        n = len(self.cols)
+        j = np.clip((self.us <= u).sum(0) - 1, 0, len(self.us) - 2) * n + self.cols
+        us, fs = self.us.ravel(), self.fs.ravel()
+        x0, x1, y0, y1 = us[j], us[j + n], fs[j], fs[j + n]
+        return np.where((u <= x0) | np.isinf(x1), y0, (y1 - y0) / (x1 - x0) * (u - x0) + y0)
+
+
 class BranchFunction(PiecewiseLinear):
     """A monotone (non-decreasing) piecewise-linear output branch."""
 

@@ -176,6 +176,13 @@ class TestGridOptions:
         assert code == 2
         assert "--bounds" in capsys.readouterr().err
 
+    def test_empty_bounds_named(self, agents_csv, capsys):
+        # an empty value is a malformed --bounds, not an absent one
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--bounds", "",
+                     "--history", "4"])
+        assert code == 2
+        assert "bad --bounds value '': expected LO,HI" in capsys.readouterr().err
+
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
@@ -232,6 +239,24 @@ class TestOptionsPerSubcommand:
     @pytest.mark.parametrize("option", [["--input", "missing.csv"], ["--start", "7"]])
     def test_verify_rejects_input_options(self, agents_csv, option):
         assert main(["verify", "--agents", agents_csv, *option]) == 1
+
+    def test_chord_at_rejects_n_points(self, agents_csv, capsys):
+        code = main(["chord", "--agents", agents_csv, "--u-minus", "0.5", "--u-plus", "2.5",
+                     "--at", "1.5", "--n-points", "7"])
+        assert code == 1
+        assert "--n-points does not apply with --at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "decompose"])
+    def test_memory_in_rejects_start(self, agents_csv, tmp_path, command, capsys):
+        mem = tmp_path / "m.json"
+        assert main(["simulate", "--agents", agents_csv, "--history", "3.0,0.5",
+                     "--memory-out", str(mem), "--out", str(tmp_path / "a.csv")]) == 0
+        out = tmp_path / "b.csv"
+        code = main([command, "--agents", agents_csv, "--history", "2.5",
+                     "--memory-in", str(mem), "--start", "9", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "--start does not apply with --memory-in" in capsys.readouterr().err
 
     def test_bounds_without_grid_n_is_a_usage_error(self, agents_csv, capsys):
         code = main(["simulate", "--agents", agents_csv, "--bounds", "0,1", "--history", "2.5"])

@@ -81,6 +81,23 @@ def shift_model(alpha, beta, g1, g2):
         return None
 
 
+@st.composite
+def soft_agents(draw):
+    """A soft-branch agent on one-decimal knots, or a rectangular one."""
+    alpha, beta = sorted((draw(tenths), draw(tenths)), reverse=True)
+    if draw(st.booleans()):
+        return GeneralizedHysteron.rectangular(alpha, beta, draw(tenths) + 1.5)
+
+    def branch(values):
+        us = sorted(set(draw(st.lists(tenths, min_size=1, max_size=6))))
+        fs = sorted(draw(st.lists(values, min_size=len(us), max_size=len(us))))
+        return BranchFunction(list(zip(us, fs)))
+
+    # f_plus <= 0 <= f_minus everywhere, so every draw is a valid agent
+    return GeneralizedHysteron(alpha, beta, branch(st.integers(-15, 0).map(lambda k: k / 10)),
+                               branch(st.integers(0, 15).map(lambda k: k / 10)))
+
+
 def driven(model, start, values, resume=False):
     sim = model.simulator(start)
     for u in values:
@@ -172,6 +189,21 @@ class TestShiftTies:
         g1, g2 = tables
         assert all(sm.down_compare(k) == k + shift for k, shift in g1)
         assert all(sm.up_compare(k) == k + shift for k, shift in g2)
+
+
+class TestPackedReadout:
+    @given(st.lists(soft_agents(), min_size=1, max_size=8),
+           st.lists(st.integers(-25, 25).map(lambda k: k / 10), max_size=6))
+    @TIES
+    def test_bit_identical_to_per_agent_interp(self, agents, queries):
+        # every knot, below the first, past the last, and drawn inputs between
+        gpop = GeneralizedPopulation(agents)
+        knots = [u for h in agents for f in (h.f_plus, h.f_minus) for u in f.us.tolist()]
+        for u in [*queries, *knots, min(knots) - 0.1, max(knots) + 0.1]:
+            gap = np.array([h.loop_gap(u) for h in agents])
+            mid = np.array([h.midline(u) for h in agents])
+            assert gpop.loop_gap_at(u).tobytes() == gap.tobytes(), u
+            assert gpop.midline_at(u).tobytes() == mid.tobytes(), u
 
 
 def _write_series(path, values):
