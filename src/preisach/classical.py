@@ -25,6 +25,7 @@ relay model and its simulator share lives here as well (``_RelayModel``,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .hysteron import relay_fold
 from .memory import (
+    FALLING,
     INITIAL,
     RISING,
     StaircaseMemory,
@@ -243,8 +245,7 @@ class WeightGrid:
         n = cell_mass.shape[0]
         if n < 2:
             raise ValueError("grid needs at least 2 cells per axis")
-        rows, cols = np.indices((n, n))
-        if cell_mass[rows < cols].any():
+        if np.triu(cell_mass, 1).any():
             raise ValueError("cells with alpha < beta must carry zero mass")
         self.beta0 = float(beta0)
         self.alpha0 = float(alpha0)
@@ -252,6 +253,7 @@ class WeightGrid:
         self.cell_mass = cell_mass
         self.cell_width = (self.alpha0 - self.beta0) / n
         self.centers = self.beta0 + (np.arange(n) + 0.5) * self.cell_width
+        self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.prefix = self._build_prefix(cell_mass)
         self.total_mass = float(self.prefix[n, n])
 
@@ -259,7 +261,10 @@ class WeightGrid:
     def _build_prefix(cell_mass: np.ndarray) -> np.ndarray:
         n = cell_mass.shape[0]
         prefix = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-        prefix[1:, 1:] = cell_mass.astype(np.longdouble).cumsum(0).cumsum(1)
+        body = prefix[1:, 1:]
+        body[...] = cell_mass
+        np.cumsum(body, axis=0, out=body)  # in place: no table-sized temporaries
+        np.cumsum(body, axis=1, out=body)
         return prefix
 
     def prefix_is_consistent(self) -> bool:
@@ -269,10 +274,10 @@ class WeightGrid:
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
     # whose center alpha is <= v; a fall to v leaves up only centers < v.
     def icut_up(self, v: float) -> int:
-        return int(np.searchsorted(self.centers, v, side="right"))
+        return bisect_right(self._center_list, v)
 
     def jcut_down(self, v: float) -> int:
-        return int(np.searchsorted(self.centers, v, side="left"))
+        return bisect_left(self._center_list, v)
 
     def rect_mass(self, i0: int, i1: int, j0: int, j1: int) -> float:
         """Mass of cell rows [i0, i1) x cols [j0, j1), empty ranges giving 0."""
@@ -282,8 +287,7 @@ class WeightGrid:
         j1 = min(j1, self.n)
         if i0 >= i1 or j0 >= j1:
             return 0.0
-        p = self.prefix
-        return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
+        return float(_strip(self.prefix, i1, j0, j1, i0))
 
     def support_bounds(self) -> tuple[float, float]:
         return self.beta0, self.alpha0
@@ -299,18 +303,46 @@ class WeightGrid:
 
 
 class GridSimulator:
-    """Staircase-memory tracker evaluating through the summed-area table."""
+    """Staircase-memory tracker evaluating through the summed-area table.
+
+    ``cuts[k]`` and ``strips[k]`` are stored vertex pair k's column cut and
+    up-set strip (those of ``_up_mass``); one more entry holds the live
+    link's sweep while rising. A push recomputes only the entries past the
+    pairs it kept, so a step costs O(erased pairs + 1) table lookups, and a
+    readout sums the same strips in the same order as ``_up_mass``.
+    """
 
     def __init__(self, grid: WeightGrid, memory: StaircaseMemory):
         self.grid = grid
         self.memory = memory
+        self.cuts: list[int] = []
+        self.strips = np.zeros(len(memory.vertex_pairs) + 16, dtype=np.longdouble)
+        self._restack(0)
+
+    def _restack(self, keep: int) -> None:
+        """Recompute the stack entries from ``keep`` on; those before are current."""
+        grid, mem, cuts = self.grid, self.memory, self.cuts
+        pairs = mem.vertex_pairs
+        depth = len(pairs) + (mem.trend == RISING)
+        if depth > self.strips.size:
+            self.strips = np.concatenate((self.strips[:keep], np.zeros(2 * depth, np.longdouble)))
+        del cuts[keep:]
+        for k in range(keep, depth):
+            if k < len(pairs):
+                row, col_up = grid.icut_up(pairs[k][0]), grid.jcut_down(pairs[k][1])
+            else:
+                row, col_up = grid.icut_up(mem.current_u), grid.n
+            self.strips[k] = _strip(grid.prefix, row, cuts[-1] if cuts else 0, col_up)
+            cuts.append(col_up)
 
     def push(self, u) -> None:
         if float(u) != self.memory.current_u:
-            self.memory = push_extremum(self.memory, float(u))
+            self.memory = mem = push_extremum(self.memory, float(u))
+            # a fall replaces the innermost pair; a rise only erases pairs
+            self._restack(max(len(mem.vertex_pairs) - (mem.trend == FALLING), 0))
 
     def value(self) -> float:
-        return eval_geometric(self.grid, self.memory)
+        return eval_geometric(self.grid, self.memory, self.strips[:len(self.cuts)])
 
     def parts(self) -> tuple[float, float, float]:
         return (*decompose_classical(self.grid, self.memory), 0.0)
@@ -377,6 +409,11 @@ def _require_in_support(grid: WeightGrid, mem: StaircaseMemory) -> None:
         )
 
 
+def _strip(p: np.ndarray, rows, col_lo, col_up, row_lo=0):
+    """Mass of rows [row_lo, rows) x cols [col_lo, col_up) on the summed-area table ``p``."""
+    return p[rows, col_up] - p[row_lo, col_up] - p[rows, col_lo] + p[row_lo, col_lo]
+
+
 def _up_mass(grid: WeightGrid, mem: StaircaseMemory, row_lo: int = 0, col_hi=None) -> float:
     """Mass of the up-set, optionally clipped to rows >= row_lo, cols < col_hi.
 
@@ -408,15 +445,18 @@ def _up_mass(grid: WeightGrid, mem: StaircaseMemory, row_lo: int = 0, col_hi=Non
     rows = np.maximum(rows, row_lo)
     col_lo = np.minimum(col_lo, col_hi)
     col_up = np.minimum(col_up, col_hi)
-    p = grid.prefix
-    strips = p[rows, col_up] - p[row_lo, col_up] - p[rows, col_lo] + p[row_lo, col_lo]
-    return float(strips.sum())
+    return float(_strip(grid.prefix, rows, col_lo, col_up, row_lo).sum())
 
 
-def eval_geometric(grid: WeightGrid, mem: StaircaseMemory) -> float:
-    """Aggregate output for a staircase memory: up-mass minus down-mass."""
+def eval_geometric(grid: WeightGrid, mem: StaircaseMemory, strips=None) -> float:
+    """Aggregate output for a staircase memory: up-mass minus down-mass.
+
+    ``strips`` are the memory's up-set strips as ``GridSimulator`` keeps
+    them; without them they are built from ``mem`` (``_up_mass``).
+    """
     _require_in_support(grid, mem)
-    return 2.0 * _up_mass(grid, mem) - grid.total_mass
+    up = _up_mass(grid, mem) if strips is None else float(strips.sum())
+    return 2.0 * up - grid.total_mass
 
 
 class Decomposition(NamedTuple):

@@ -118,6 +118,15 @@ class TestWeightGrid:
     def test_prefix_rebuild_check(self, unit_grid):
         assert unit_grid.prefix_is_consistent()
 
+    @pytest.mark.parametrize("n", [2, 5, 64, 129])
+    def test_prefix_matches_independent_cumsum(self, n):
+        # prefix_is_consistent rebuilds through the same code; this does not.
+        # Values, not bytes: a long double's padding bytes may differ.
+        mass = np.tril(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
+        want = np.zeros((n + 1, n + 1), dtype=np.longdouble)
+        want[1:, 1:] = mass.astype(np.longdouble).cumsum(0).cumsum(1)
+        assert np.array_equal(WeightGrid(0.0, 1.0, mass).prefix, want)
+
 
 class TestEvalGeometric:
     def test_saturated_down(self, unit_grid):

@@ -24,6 +24,9 @@ from preisach import (
     PiecewiseLinear,
     ReversalSequence,
     ShiftModel,
+    WeightGrid,
+    eval_direct,
+    eval_geometric,
     eval_shifted,
     extract_reversals,
     memory_from_sequence,
@@ -204,6 +207,80 @@ class TestPackedReadout:
             mid = np.array([h.midline(u) for h in agents])
             assert gpop.loop_gap_at(u).tobytes() == gap.tobytes(), u
             assert gpop.midline_at(u).tobytes() == mid.tobytes(), u
+
+
+def cell_points(n):
+    """Cell centers and edges of an n-cell axis over [0, 1], ascending."""
+    return sorted({*((np.arange(n) + 0.5) / n).tolist(), *(np.arange(n + 1) / n).tolist()})
+
+
+@st.composite
+def grid_paths(draw):
+    """A weight grid, a start and an input path over its cell centers and edges.
+
+    The path joins drawn values with nested-cycle staircases (one stored
+    pair per cycle), each followed by a drawn value that may swallow
+    several pairs or wipe all of them out.
+    """
+    n = draw(st.sampled_from((2, 3, 8, 13, 64)))
+    mass = np.tril(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)))
+    points = cell_points(n)
+    index = st.integers(0, len(points) - 1)
+    path = []
+    for _ in range(draw(st.integers(1, 4))):
+        path += [points[k] for k in draw(st.lists(index, max_size=6))]
+        depth = draw(st.integers(0, len(points) // 2))
+        for k in range(depth):
+            path += [points[-1 - k], points[k]]
+        path.append(points[draw(index)])
+    return WeightGrid(0.0, 1.0, mass), points[draw(index)], path
+
+
+def deep_grid_case():
+    """64 stored pairs, falls that swallow 3 and then 36 of them, a wipe-out."""
+    points = cell_points(64)
+    staircase = [v for k in range(64) for v in (points[-1 - k], points[k])]
+    path = [*staircase, points[60], points[24], points[100], 1.0, 0.0]
+    return WeightGrid(0.0, 1.0, np.tril(np.random.default_rng(7).random((64, 64)))), 0.5, path
+
+
+class TestStreamedGrid:
+    @given(grid_paths(), st.integers(0, 200))
+    @example(deep_grid_case(), 90)
+    @TIES
+    def test_bit_identical_to_stateless_route(self, case, split):
+        grid, start, path = case
+        sim = grid.simulator(start)
+        resumed = None
+        for k, u in enumerate(path):
+            if k == min(split, len(path) - 1):
+                resumed = grid.simulator(memory=sim.memory)
+            for s in (sim, resumed):
+                if s is not None:
+                    s.push(u)
+                    # the stateless route, rebuilt from the memory, is the reference
+                    assert s.value() == eval_geometric(grid, s.memory), (k, u)
+
+
+class TestDirectVsGeometricTies:
+    @given(st.sampled_from((8, 16)), st.integers(0, 2**32 - 1), st.data())
+    @TIES
+    def test_equal_on_dyadic_grid(self, n, seed, data):
+        # dyadic centers and edges are exact, and integer masses sum exactly,
+        # so the two routes must agree bit for bit at every tie
+        mass = np.tril(np.random.default_rng(seed).integers(0, 4, (n, n))).astype(float)
+        grid = WeightGrid(0.0, 1.0, mass)
+        rows, cols = np.nonzero(mass)
+        pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
+        points = st.sampled_from(cell_points(n))
+        start = data.draw(points)
+        values = data.draw(st.lists(points, min_size=1, max_size=12))
+        seq = extract_reversals(series_from_values(values), start)
+        sim = grid.simulator(start)
+        for u in values:
+            sim.push(u)
+        mem = memory_from_sequence(seq)
+        assert eval_direct(pop, seq)[-1] == eval_geometric(grid, mem) == sim.value()
 
 
 def _write_series(path, values):
