@@ -175,12 +175,12 @@ class AgentPopulation(_RelayModel):
         if bad.size:
             k = int(bad[0])
             raise ValueError(
-                f"agent {k}: alpha < beta ({alpha[k]!r} < {beta[k]!r})"
+                f"agent {k}: alpha < beta ({float(alpha[k])!r} < {float(beta[k])!r})"
             )
         bad = np.flatnonzero(nu < 0)
         if bad.size:
             k = int(bad[0])
-            raise ValueError(f"agent {k}: negative capacity {nu[k]!r}")
+            raise ValueError(f"agent {k}: negative capacity {float(nu[k])!r}")
         self.alpha = alpha
         self.beta = beta
         self.nu = nu
@@ -367,7 +367,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
         k = int(outside[0])
         raise ValueError(
             f"agent out of range: agent {k} with "
-            f"(alpha={pop.alpha[k]!r}, beta={pop.beta[k]!r}) "
+            f"(alpha={float(pop.alpha[k])!r}, beta={float(pop.beta[k])!r}) "
             f"outside bounds ({beta0!r}, {alpha0!r})"
         )
     width = (alpha0 - beta0) / n

@@ -157,7 +157,8 @@ def cmd_loop(args) -> int:
         [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
     )
     mismatch = float(np.abs(chord_loop - chord_formula).max())
-    if mismatch <= args.tol:
+    scale = max(1.0, *(float(np.abs(f).max()) for f in (trace.f_ascending, trace.f_descending)))
+    if mismatch <= args.tol * scale:
         header = ["u", "f_ascending", "f_descending", "chord"]
         rows = zip(trace.us, trace.f_ascending, trace.f_descending, chord_loop)
     else:

@@ -53,7 +53,7 @@ from .signal import ReversalSequence
 
 
 class GeneralizedPopulation(_RelayModel):
-    """A finite set of soft-branch agents, evaluated in fixed order."""
+    """Soft-branch agents in fixed order, kept as thresholds and two branch tables."""
 
     def __init__(self, agents):
         agents = list(agents)
@@ -62,14 +62,35 @@ class GeneralizedPopulation(_RelayModel):
         for k, h in enumerate(agents):
             if not isinstance(h, GeneralizedHysteron):
                 raise ValueError(f"agent {k} is not a GeneralizedHysteron")
-        self.agents = agents
         self.alpha = np.array([h.alpha for h in agents])
         self.beta = np.array([h.beta for h in agents])
-        self.f_plus = BranchTable([h.f_plus for h in agents])
-        self.f_minus = BranchTable([h.f_minus for h in agents])
+        self.f_plus = BranchTable.from_maps([h.f_plus for h in agents])
+        self.f_minus = BranchTable.from_maps([h.f_minus for h in agents])
+
+    @classmethod
+    def from_knots(cls, alpha, beta, f_plus, f_minus):
+        """Agents packed from ``(sizes, knots)`` per branch (knot counts, then all
+        ``(u, f)`` rows agent after agent), or None if one fails a check that
+        ``BranchFunction`` or ``GeneralizedHysteron`` makes."""
+        if not (np.isfinite(alpha) & np.isfinite(beta) & (alpha >= beta)).all():
+            return None
+        for sizes, knots in (f_plus, f_minus):
+            if sizes.min() < 1 or not np.isfinite(knots).all():
+                return None
+            step = np.diff(knots, axis=0)
+            step[np.cumsum(sizes)[:-1] - 1] = 1.0  # a step between two agents passes
+            if not ((step[:, 0] > 0).all() and (step[:, 1] >= 0).all()):
+                return None
+        gpop = cls.__new__(cls)
+        gpop.alpha, gpop.beta = alpha, beta
+        gpop.f_plus, gpop.f_minus = (BranchTable(s, *k.T) for s, k in (f_plus, f_minus))
+        # GeneralizedHysteron's gap probes: both band edges and every knot inside the band
+        probes = [beta, alpha, *(np.where((us >= beta) & (us <= alpha), us, beta)
+                                 for table in (gpop.f_plus, gpop.f_minus) for us in table.us)]
+        return gpop if all((gpop.f_minus(u) >= gpop.f_plus(u)).all() for u in probes) else None
 
     def __len__(self) -> int:
-        return len(self.agents)
+        return int(self.alpha.size)
 
     def loop_gap_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) - self.f_plus(u))

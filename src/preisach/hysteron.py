@@ -134,22 +134,26 @@ class PiecewiseLinear:
 class BranchTable:
     """Many piecewise-linear maps, evaluated together in one numpy pass.
 
-    Column ``k`` holds the knots of ``maps[k]``, padded with ``+inf``
-    abscissae and its last value to one row more than the longest map (knots
-    are rows, so counting those below ``u`` adds contiguous rows). Calling
-    the table at a finite ``u`` applies ``np.interp``'s formula and tie rule
-    to every map, so each value is bit-identical to ``maps[k](u)``.
+    Map ``k`` has ``sizes[k]`` of the flat knots ``us``/``fs``; column ``k``
+    holds them, padded with ``+inf`` and the last value to one row more than
+    the longest map (knots are rows, so counting those below ``u`` adds
+    contiguous rows). At a finite ``u``, or one per column, each map gets
+    ``np.interp``'s formula and tie rule, so each value is bit-identical.
     """
 
-    def __init__(self, maps):
-        sizes = np.array([len(m.us) for m in maps])
+    def __init__(self, sizes, us, fs):
         knots = np.arange(sizes.max() + 1)[:, None]
         idx = np.minimum(knots, sizes - 1) + (np.cumsum(sizes) - sizes)
-        self.us = np.where(knots < sizes, np.concatenate([m.us for m in maps])[idx], np.inf)
-        self.fs = np.concatenate([m.fs for m in maps])[idx]
+        self.us = np.where(knots < sizes, us[idx], np.inf)
+        self.fs = fs[idx]
         self.cols = np.arange(len(sizes))
 
-    def __call__(self, u: float) -> np.ndarray:
+    @classmethod
+    def from_maps(cls, maps) -> "BranchTable":
+        return cls(np.array([m.us.size for m in maps]), np.concatenate([m.us for m in maps]),
+                   np.concatenate([m.fs for m in maps]))
+
+    def __call__(self, u) -> np.ndarray:
         # j: flat index of each column's last knot at or below u (its first
         # knot below them all); np.interp returns fs[j] there, at a knot and
         # past the last knot, and otherwise interpolates towards the next row

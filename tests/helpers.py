@@ -95,7 +95,7 @@ def series_from_values(values, start_time=0.0) -> SampledSeries:
     )
 
 
-def varying_gap_population() -> GeneralizedPopulation:
+def varying_gap_agents() -> list[GeneralizedHysteron]:
     """A wide background agent whose loop gap grows with u, plus two agents
     switching inside [-0.5, 0.5].
 
@@ -121,4 +121,8 @@ def varying_gap_population() -> GeneralizedPopulation:
         f_plus=BranchFunction([(-1.0, -0.8), (1.0, -0.4)]),
         f_minus=BranchFunction([(-1.0, 0.4), (1.0, 0.8)]),
     )
-    return GeneralizedPopulation([background, inner1, inner2])
+    return [background, inner1, inner2]
+
+
+def varying_gap_population() -> GeneralizedPopulation:
+    return GeneralizedPopulation(varying_gap_agents())

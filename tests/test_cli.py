@@ -158,6 +158,44 @@ class TestSimulate:
         assert "invalid reversal sequence" in capsys.readouterr().err
 
 
+class TestDataErrors:
+    """Bad values are printed as plain floats, whatever numpy prints for its scalars."""
+
+    def run(self, capsys, *argv):
+        assert main([*argv, "--history", "0.9"]) == 2
+        return capsys.readouterr().err
+
+    def test_agent_out_of_grid_bounds(self, tmp_path, capsys):
+        path = tmp_path / "agents.csv"
+        path.write_text("alpha,beta,nu\n0.25,0.125,1\n0.7,0.6,1\n")
+        err = self.run(capsys, "simulate", "--agents", str(path), "--grid-n", "16",
+                       "--bounds", "0,0.5")
+        assert err == ("preisach: error: agent out of range: agent 1 with (alpha=0.7, "
+                       "beta=0.6) outside bounds (0.0, 0.5)\n")
+
+    @pytest.mark.parametrize("agent, message", [
+        ({"alpha": 0.2, "beta": 0.5, "nu": 1.0}, "alpha < beta (0.2 < 0.5)"),
+        ({"alpha": 0.5, "beta": 0.2, "nu": -1.5}, "negative capacity -1.5"),
+    ])
+    def test_bad_shift_agent(self, tmp_path, capsys, agent, message):
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps({"agents": [{"alpha": 0.5, "beta": 0.0, "nu": 1.0}, agent],
+                                    "g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}))
+        err = self.run(capsys, "simulate", "--model", "shifted", "--agents", str(path))
+        assert err == f"preisach: error: {path}: agent 1: {message}\n"
+
+    @pytest.mark.parametrize("column", range(3))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_agent_cell(self, tmp_path, capsys, column, value):
+        cells = ["0.5", "0.1", "1"]
+        cells[column] = value
+        path = tmp_path / "agents.csv"
+        path.write_text("alpha,beta,nu\n0.5,0.1,1\n" + ",".join(cells) + "\n")
+        err = self.run(capsys, "simulate", "--agents", str(path))
+        name = ("alpha", "beta", "nu")[column]
+        assert err == f"preisach: error: {path}:3: non-finite {name}\n"
+
+
 class TestGridOptions:
     @pytest.mark.parametrize("model, option", [
         ("generalized", ["--grid-n", "8"]),
@@ -355,6 +393,27 @@ class TestLoop:
         _, rows = read_rows(out)
         for u, fa, fd, chord in rows:
             assert chord == pytest.approx(fd - fa, abs=1e-12)
+
+    LARGE_LOOP = ["loop", "--grid-n", "64", "--bounds", "0,1", "--history", "0.9,0.1,0.7,0.3",
+                  "--u-minus", "0.2", "--u-plus", "0.8"]
+
+    def test_large_capacities_judge_the_chord_at_scale(self, large_agents_csv, tmp_path,
+                                                        capsys):
+        # outputs near 1e9: the two chord routes differ by rounding alone
+        out = tmp_path / "loop.csv"
+        assert main([*self.LARGE_LOOP, "--agents", large_agents_csv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_rows(out)[0] == ["u", "f_ascending", "f_descending", "chord"]
+
+    def test_relative_chord_error_still_warns(self, large_agents_csv, tmp_path, monkeypatch,
+                                              capsys):
+        chord = preisach.classical.WeightGrid.chord
+        monkeypatch.setattr(preisach.classical.WeightGrid, "chord",
+                            lambda *args: chord(*args) * (1 + 1e-9))
+        out = tmp_path / "loop.csv"
+        assert main([*self.LARGE_LOOP, "--agents", large_agents_csv, "--out", str(out)]) == 0
+        assert "warning: chord mismatch" in capsys.readouterr().err
+        assert read_rows(out)[0][-1] == "chord_formula"
 
 
 class TestChord:

@@ -7,7 +7,9 @@ from helpers import (
     random_history,
     random_population,
     random_shift_model,
+    random_soft_agent,
     random_soft_population,
+    varying_gap_agents,
     varying_gap_population,
 )
 from preisach import (
@@ -65,19 +67,19 @@ class TestEvalGeneralized:
             assert eval_generalized(gpop, seq, q) == eval_direct(pop, seq)[-1]
 
     def test_stays_on_ascending_branch_below_band(self):
-        gpop = varying_gap_fixture()
-        agent = gpop.agents[0]
+        agent = varying_gap_agents()[0]
         single = GeneralizedPopulation([agent])
         seq = RS(-3.0, (-2.5,))
         assert eval_generalized(single, seq, -2.5) == float(agent.f_plus(-2.5))
 
     def test_matches_per_agent_oracle(self):
         rng = np.random.default_rng(27)
-        gpop = random_soft_population(rng, 100)
+        agents = [random_soft_agent(rng) for _ in range(100)]
+        gpop = GeneralizedPopulation(agents)
         for _ in range(25):
             seq = random_history(rng, -1.3, 1.3, 25, start_u=-1.3)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            want = math.fsum(gen_apply(h, DOWN, seq, q) for h in gpop.agents)
+            want = math.fsum(gen_apply(h, DOWN, seq, q) for h in agents)
             assert eval_generalized(gpop, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_dominated_subcycle_leaves_later_outputs_unchanged(self):
@@ -109,11 +111,12 @@ class TestReversibleTerms:
 
     def test_terms_match_scalar_sweep_oracle(self):
         rng = np.random.default_rng(29)
-        gpop = random_soft_population(rng, 60)
+        agents = [random_soft_agent(rng) for _ in range(60)]
+        gpop = GeneralizedPopulation(agents)
         for u in rng.uniform(-1.5, 1.5, 10):
             sat = 0.0
             mid = 0.0
-            for h in gpop.agents:
+            for h in agents:
                 gap = 0.5 * (float(h.f_minus(u)) - float(h.f_plus(u)))
                 mid += 0.5 * (float(h.f_minus(u)) + float(h.f_plus(u)))
                 if h.alpha <= u:

@@ -53,12 +53,14 @@ def thresholds(draw, max_agents=6):
     return np.array([max(p) for p in pairs]), np.array([min(p) for p in pairs])
 
 
-def soft_population(alpha, beta) -> GeneralizedPopulation:
+def soft_hysterons(alpha, beta) -> list[GeneralizedHysteron]:
     f_plus = BranchFunction([(-2.0, -1.0), (0.0, -0.5), (2.0, -0.2)])
     f_minus = BranchFunction([(-2.0, 0.5), (0.0, 1.0), (2.0, 1.5)])
-    return GeneralizedPopulation(
-        [GeneralizedHysteron(a, b, f_plus, f_minus) for a, b in zip(alpha, beta)]
-    )
+    return [GeneralizedHysteron(a, b, f_plus, f_minus) for a, b in zip(alpha, beta)]
+
+
+def soft_population(alpha, beta) -> GeneralizedPopulation:
+    return GeneralizedPopulation(soft_hysterons(alpha, beta))
 
 
 @st.composite
@@ -301,9 +303,8 @@ def _agent_file(kind, alpha, beta, tables, tmp):
             fh.write("alpha,beta,nu\n" + "".join(f"{a},{b},1.5\n" for a, b in zip(alpha, beta)))
         return path
     if kind == "generalized":
-        gpop = soft_population(alpha, beta)
         data = [{"alpha": h.alpha, "beta": h.beta, "f_plus": h.f_plus.breakpoints(),
-                 "f_minus": h.f_minus.breakpoints()} for h in gpop.agents]
+                 "f_minus": h.f_minus.breakpoints()} for h in soft_hysterons(alpha, beta)]
     else:
         data = {"agents": [{"alpha": a, "beta": b, "nu": 1.5}
                            for a, b in zip(alpha.tolist(), beta.tolist())],
