@@ -17,14 +17,9 @@ from .signal import (
     validate,
 )
 from .hysteron import (
-    BinaryState,
     BranchFunction,
     GeneralizedHysteron,
     PiecewiseLinear,
-    RectHysteron,
-    gen_apply,
-    gen_output,
-    rect_apply,
     relay_fold,
 )
 from .memory import (
@@ -36,7 +31,6 @@ from .memory import (
     memory_from_sequence,
     push_extremum,
     save_memory,
-    state_of,
     states_of,
 )
 from .classical import (
@@ -47,7 +41,6 @@ from .classical import (
     WeightGrid,
     check_congruency,
     decompose_classical,
-    decompose_direct,
     eval_direct,
     eval_geometric,
     from_agents,
@@ -62,8 +55,6 @@ from .generalized import (
     ShiftedWeightView,
     check_equal_chords,
     chord_generalized,
-    chord_shifted,
-    decompose_generalized,
     eval_generalized,
     eval_irreversible,
     eval_shifted,
@@ -76,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentPopulation",
-    "BinaryState",
     "BranchFunction",
     "CongruencyReport",
     "Decomposition",
@@ -85,7 +75,6 @@ __all__ = [
     "GeneralizedPopulation",
     "LoopTrace",
     "PiecewiseLinear",
-    "RectHysteron",
     "ReversalSequence",
     "SampledSeries",
     "ShiftModel",
@@ -97,10 +86,7 @@ __all__ = [
     "check_equal_chords",
     "check_invariants",
     "chord_generalized",
-    "chord_shifted",
     "decompose_classical",
-    "decompose_direct",
-    "decompose_generalized",
     "eval_direct",
     "eval_generalized",
     "eval_geometric",
@@ -108,20 +94,16 @@ __all__ = [
     "eval_shifted",
     "extract_reversals",
     "from_agents",
-    "gen_apply",
-    "gen_output",
     "initial_memory",
     "load_memory",
     "memory_from_sequence",
     "midline_offset",
     "minor_loop",
     "push_extremum",
-    "rect_apply",
     "relay_fold",
     "require_valid",
     "saturation_term",
     "save_memory",
-    "state_of",
     "states_of",
     "to_generalized",
     "uniform_grid",

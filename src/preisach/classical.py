@@ -487,11 +487,6 @@ def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition
     return Decomposition(irreversible=irreversible, reversible=reversible)
 
 
-def decompose_direct(pop: AgentPopulation, mem: StaircaseMemory) -> Decomposition:
-    """Exact population-level counterpart of :func:`decompose_classical`."""
-    return Decomposition(*pop.parts(pop.fold(mem.steps()), mem.current_u)[:2])
-
-
 @dataclass(eq=False)
 class LoopTrace:
     """Sampled ascending/descending branches of one input cycle.

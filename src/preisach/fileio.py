@@ -101,13 +101,6 @@ def _agents_by_row(path) -> AgentPopulation:
     return AgentPopulation(*zip(*rows))
 
 
-def _branch_from_json(data, where: str) -> BranchFunction:
-    try:
-        return BranchFunction([(float(u), float(f)) for u, f in data])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def read_generalized_json(path) -> GeneralizedPopulation:
     """Parse a JSON array of soft-branch agents.
 
@@ -132,18 +125,13 @@ def read_generalized_json(path) -> GeneralizedPopulation:
 def _generalized_by_agent(path, data) -> GeneralizedPopulation:
     agents = []
     for k, entry in enumerate(data):
-        where = f"{path}: agent {k}"
         try:
-            agents.append(
-                GeneralizedHysteron(
-                    alpha=float(entry["alpha"]),
-                    beta=float(entry["beta"]),
-                    f_plus=_branch_from_json(entry["f_plus"], where),
-                    f_minus=_branch_from_json(entry["f_minus"], where),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+            alpha, beta = float(entry["alpha"]), float(entry["beta"])
+            f_plus, f_minus = (BranchFunction([(float(u), float(f)) for u, f in entry[key]])
+                               for key in ("f_plus", "f_minus"))
+            agents.append(GeneralizedHysteron(alpha, beta, f_plus, f_minus))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: agent {k}: {exc}") from exc
     return GeneralizedPopulation(agents)
 
 
@@ -162,7 +150,7 @@ def read_shift_json(path) -> ShiftModel:
         nus = [float(r["nu"]) for r in rows]
         g1 = PiecewiseLinear([(float(u), float(s)) for u, s in data["g1"]])
         g2 = PiecewiseLinear([(float(u), float(s)) for u, s in data["g2"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed shift model: {exc}") from exc
     try:
         return ShiftModel(AgentPopulation(alphas, betas, nus), g1=g1, g2=g2)

@@ -25,10 +25,11 @@ both halves of that statement on sampled loops).
 with the input: the up threshold is crossed where ``u + g2(u)`` reaches
 ``alpha``, the down threshold where ``u + g1(u)`` falls to ``beta``. Both
 composite maps must be non-decreasing so each monotone input leg crosses an
-effective threshold at most once. Relabeling each agent by its momentary
-effective thresholds turns the shift model into a soft-weight model whose
-weight rides with the input; ``to_generalized`` exposes that relabeled form
-and reproduces ``eval_shifted`` exactly.
+effective threshold at most once; its cycle chords come from
+``ShiftModel.chord``. Relabeling each agent by its momentary effective
+thresholds turns the shift model into a soft-weight model whose weight
+rides with the input; ``to_generalized`` returns that relabeled view, whose
+band output (``eval_irreversible``) equals ``eval_shifted`` exactly.
 """
 
 from __future__ import annotations
@@ -144,17 +145,6 @@ def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
     """
     states = gpop.fold(seq.steps_to(query_u))
     return gpop.band_sum(gpop.weight(query_u), states, query_u)
-
-
-def decompose_generalized(gpop: GeneralizedPopulation, mem: StaircaseMemory
-                          ) -> tuple[float, float, float]:
-    """(irreversible, saturation, midline) parts at the memory's input.
-
-    Relay states are read off the staircase record, so this matches the
-    sequence-driven ``eval_irreversible`` for any history that produced
-    ``mem``. The three parts sum to the full output.
-    """
-    return gpop.parts(gpop.fold(mem.steps()), mem.current_u)
 
 
 class GeneralizedSimulator(_RelaySimulator):
@@ -277,7 +267,13 @@ class ShiftModel(_RelayModel):
         return ShiftedSimulator(self, starting_memory(start_u, memory))
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
-        return chord_shifted(self, u_minus, u_plus, u)
+        """Vertical gap of the steady cycle at ``u``.
+
+        The flipped set is bounded by the composite maps: up-thresholds in
+        ``(u + g2(u), u_plus + g2(u_plus)]``, down-thresholds in
+        ``[u_minus + g1(u_minus), u + g1(u))``.
+        """
+        return 2.0 * math.fsum(self.nu[self.flipped(u_minus, u_plus, u)])
 
 
 def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float:
@@ -294,16 +290,6 @@ class ShiftedSimulator(_RelaySimulator):
     """Moving-threshold relay tracker emitting the band output."""
 
 
-def chord_shifted(sm: ShiftModel, u_minus: float, u_plus: float, u: float) -> float:
-    """Vertical gap of the shift model's steady cycle at ``u``.
-
-    The flipped set is bounded by the composite maps: up-thresholds in
-    ``(u + g2(u), u_plus + g2(u_plus)]``, down-thresholds in
-    ``[u_minus + g1(u_minus), u + g1(u))``.
-    """
-    return 2.0 * math.fsum(sm.nu[sm.flipped(u_minus, u_plus, u)])
-
-
 class ShiftedWeightView:
     """The shift model relabeled by momentary effective thresholds.
 
@@ -317,11 +303,6 @@ class ShiftedWeightView:
     def __init__(self, sm: ShiftModel):
         self.sm = sm
 
-    def support_at(self, u: float):
-        """Primed positions and weights of the point masses at input ``u``."""
-        sm = self.sm
-        return sm.alpha - float(sm.g2(u)), sm.beta - float(sm.g1(u)), sm.nu
-
     def eval_irreversible(self, seq: ReversalSequence, query_u: float) -> float:
         """Band output of the relabeled weight at ``query_u``.
 
@@ -332,8 +313,7 @@ class ShiftedWeightView:
         disagrees with it at exact ties.
         """
         states = self.sm.fold(seq.steps_to(query_u))
-        _, _, nu = self.support_at(query_u)
-        return self.sm.band_sum(nu, states, query_u)
+        return self.sm.band_sum(self.sm.nu, states, query_u)
 
 
 def to_generalized(sm: ShiftModel) -> ShiftedWeightView:

@@ -2,12 +2,15 @@
 
 Two kinds of binary agent live here:
 
-* the rectangular-loop relay: output jumps to +1 when the input rises to
-  the up-threshold ``alpha`` and to -1 when it falls to the down-threshold
-  ``beta``; in between (the range of inactivity) the state is retained,
-* the soft-branch agent: the same two-state relay, but the two output
-  levels are replaced by monotone curves ``f_plus`` (taken while the state
-  is down) and ``f_minus`` (taken while up).
+* the rectangular-loop relay, as the switching rule ``relay_fold`` over
+  arrays of thresholds (there is no per-agent class): the state jumps to
+  +1 when the input rises to the up-threshold ``alpha`` and to -1 when it
+  falls to the down-threshold ``beta``; in between (the range of
+  inactivity) the state is retained,
+* the soft-branch agent (``GeneralizedHysteron``): the same two-state
+  relay, but the two output levels are replaced by monotone curves
+  ``f_plus`` (taken while the state is down) and ``f_minus`` (taken while
+  up). ``BranchTable`` evaluates many such curves in one numpy pass.
 
 Threshold ties are closed: an increasing input switches up at exactly
 ``u == alpha`` and a decreasing input switches down at exactly
@@ -19,43 +22,8 @@ match these tie-breaks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
-
-from .signal import ReversalSequence, require_valid
-
-
-class BinaryState(IntEnum):
-    """Relay state; the integer value is the rectangular-loop output."""
-
-    DOWN = -1
-    UP = 1
-
-
-@dataclass(frozen=True)
-class RectHysteron:
-    """A rectangular-loop binary agent.
-
-    alpha : up-switching input threshold
-    beta  : down-switching input threshold (alpha >= beta)
-    nu    : capacity weight contributed at aggregation (nu >= 0)
-    """
-
-    alpha: float
-    beta: float
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("thresholds must be finite")
-        if self.alpha < self.beta:
-            raise ValueError(
-                f"alpha must be >= beta, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if not (math.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError(f"capacity must be finite and >= 0, got {self.nu}")
 
 
 def relay_fold(alpha, beta, steps, states=None, up_compare=None,
@@ -78,26 +46,6 @@ def relay_fold(alpha, beta, steps, states=None, up_compare=None,
         else:
             states[beta >= (value if down_compare is None else down_compare(value))] = -1
     return states
-
-
-def rect_apply(
-    h: RectHysteron, state: BinaryState, seq: ReversalSequence
-) -> tuple[BinaryState, list[BinaryState]]:
-    """Drive one rectangular agent through a reversal sequence.
-
-    On a reversal reached by an increase the state becomes UP iff the value
-    is >= alpha; on one reached by a decrease it becomes DOWN iff the value
-    is <= beta; otherwise it is retained. Returns the final state and the
-    state after each reversal.
-    """
-    require_valid(seq)
-    alpha, beta = np.array([h.alpha]), np.array([h.beta])
-    states = np.array([float(state)])
-    trace: list[BinaryState] = []
-    for step in seq.steps():
-        relay_fold(alpha, beta, [step], states)
-        trace.append(BinaryState(int(states[0])))
-    return BinaryState(int(states[0])), trace
 
 
 class PiecewiseLinear:
@@ -180,10 +128,10 @@ class BranchFunction(PiecewiseLinear):
 class GeneralizedHysteron:
     """A soft-branch binary agent.
 
-    The relay part switches exactly like :class:`RectHysteron` on
-    ``(alpha, beta)``; the emitted output is ``f_plus(u)`` while down and
-    ``f_minus(u)`` while up. ``f_minus`` must dominate ``f_plus`` on
-    ``[beta, alpha]`` so the loop has a non-negative vertical gap.
+    The relay part switches by :func:`relay_fold` on ``(alpha, beta)``;
+    the emitted output is ``f_plus(u)`` while down and ``f_minus(u)`` while
+    up. ``f_minus`` must dominate ``f_plus`` on ``[beta, alpha]`` so the
+    loop has a non-negative vertical gap.
     """
 
     def __init__(
@@ -239,33 +187,3 @@ class GeneralizedHysteron:
             f"GeneralizedHysteron(alpha={self.alpha}, beta={self.beta}, "
             f"f_plus={self.f_plus!r}, f_minus={self.f_minus!r})"
         )
-
-
-def gen_output(h: GeneralizedHysteron, state: BinaryState, u: float) -> float:
-    """Output of a soft-branch agent in the given state at input ``u``.
-
-    Equals ``loop_gap(u) * state + midline(u)``; evaluated by branch
-    selection so the reductions to ``f_plus`` (down) and ``f_minus`` (up)
-    are exact in floating point.
-    """
-    if int(state) > 0:
-        return float(h.f_minus(u))
-    return float(h.f_plus(u))
-
-
-def gen_apply(
-    h: GeneralizedHysteron,
-    state: BinaryState,
-    seq: ReversalSequence,
-    query_u: float,
-) -> float:
-    """Drive a soft-branch agent through ``seq`` and evaluate at ``query_u``.
-
-    ``query_u`` must equal the last reversal value or continue monotonically
-    past it (it is the momentary input on the final leg).
-    """
-    states = relay_fold(
-        np.array([h.alpha]), np.array([h.beta]), seq.steps_to(query_u),
-        np.array([float(state)]),
-    )
-    return gen_output(h, states[0], query_u)

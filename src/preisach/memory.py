@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteron import BinaryState, relay_fold
+from .hysteron import relay_fold
 from .signal import ReversalSequence, require_valid
 
 INITIAL = "initial"
@@ -45,12 +45,6 @@ class StaircaseMemory:
     vertex_pairs: tuple[tuple[float, float], ...]
     current_u: float
     trend: str
-
-    def completed_pairs(self) -> tuple[tuple[float, float], ...]:
-        """The frozen (max, min) pairs, excluding any live falling pair."""
-        if self.trend == FALLING and self.vertex_pairs:
-            return self.vertex_pairs[:-1]
-        return self.vertex_pairs
 
     def steps(self):
         """Yield ``(value, rising)``: each stored vertex pair, then a rising live link."""
@@ -210,14 +204,6 @@ def states_of(mem: StaircaseMemory, alphas, betas, up_compare=None,
     return relay_fold(alphas, betas, mem.steps(), states, up_compare, down_compare)
 
 
-def state_of(mem: StaircaseMemory, alpha: float, beta: float) -> BinaryState:
-    """State of the single relay ``(alpha, beta)`` under this memory."""
-    if alpha < beta:
-        raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
-    value = states_of(mem, np.array([alpha]), np.array([beta]))[0]
-    return BinaryState.UP if value > 0 else BinaryState.DOWN
-
-
 def to_dict(mem: StaircaseMemory) -> dict:
     """JSON-friendly form: start, vertex pairs, current input, trend."""
     return {
@@ -239,7 +225,7 @@ def from_dict(data: dict) -> StaircaseMemory:
             current_u=float(data["current_u"]),
             trend=str(data["trend"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed memory record: {exc}") from exc
     problem = check_invariants(mem)
     if problem is not None:

@@ -11,8 +11,9 @@ seeded fixtures and reports the worst deviation it observed:
   even where the branches themselves do not (the incongruence witness),
 * reconstruction (generalized) -- band + saturation + midline parts add
   back to the full output,
-* shift equivalence -- the moving-threshold model and its relabeling as an
-  input-dependent weight produce the same numbers.
+* shift equivalence -- the relabeled weight (``to_generalized``) folded
+  over the raw history gives the band output of the moving-threshold
+  simulator resumed from the history's compressed staircase memory.
 
 All but erasure soundness pass when their worst deviation is within ``tol``
 times the largest ``|output|`` they evaluated, or ``tol`` if that is below 1.

@@ -20,6 +20,7 @@ from preisach import (
     SampledSeries,
     ShiftModel,
     extract_reversals,
+    relay_fold,
 )
 
 
@@ -36,6 +37,36 @@ def raw_relay_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
             states[betas >= v] = -1
         prev = v
     return states
+
+
+def gen_output(h: GeneralizedHysteron, state: float, u: float) -> float:
+    """Output of a soft-branch agent in the given state at input ``u``.
+
+    Equals ``loop_gap(u) * state + midline(u)``; evaluated by branch
+    selection so the reductions to ``f_plus`` (down) and ``f_minus`` (up)
+    are exact in floating point.
+    """
+    if int(state) > 0:
+        return float(h.f_minus(u))
+    return float(h.f_plus(u))
+
+
+def gen_apply(
+    h: GeneralizedHysteron,
+    state: float,
+    seq: ReversalSequence,
+    query_u: float,
+) -> float:
+    """Drive a soft-branch agent through ``seq`` and evaluate at ``query_u``.
+
+    ``query_u`` must equal the last reversal value or continue monotonically
+    past it (it is the momentary input on the final leg).
+    """
+    states = relay_fold(
+        np.array([h.alpha]), np.array([h.beta]), seq.steps_to(query_u),
+        np.array([float(state)]),
+    )
+    return gen_output(h, states[0], query_u)
 
 
 def random_history(rng, lo, hi, max_reversals, start_u=None) -> ReversalSequence:

@@ -8,7 +8,6 @@ from preisach import (
     WeightGrid,
     check_congruency,
     decompose_classical,
-    decompose_direct,
     eval_direct,
     eval_geometric,
     from_agents,
@@ -54,10 +53,7 @@ class TestEvalDirect:
     def test_explicit_initial_states(self):
         pop = AgentPopulation([2, 3], [1, 0], [1, 2])
         assert eval_direct(pop, RS(0.0, ()), init=[1, 1]).tolist() == [3.0]
-        from preisach import BinaryState
-
-        mixed = [BinaryState.UP, BinaryState.DOWN]
-        assert eval_direct(pop, RS(0.0, ()), init=mixed).tolist() == [-1.0]
+        assert eval_direct(pop, RS(0.0, ()), init=[1, -1]).tolist() == [-1.0]
 
     def test_dominated_subcycle_leaves_later_outputs_unchanged(self):
         # Model-level erasure: once a later maximum wipes an inserted
@@ -315,9 +311,9 @@ class TestDecomposition:
         # vanishes and the band carries the full signed sum.
         pop = AgentPopulation([0.8, 0.9, 0.7], [0.2, 0.1, 0.3], [1.0, 2.0, 3.0])
         mem = memory_from_sequence(RS(0.0, (0.95, 0.5)))
-        part = decompose_direct(pop, mem)
-        assert part.reversible == 0.0
-        assert part.irreversible == eval_direct(pop, RS(0.0, (0.95, 0.5)))[-1]
+        irreversible, reversible, _ = pop.simulator(memory=mem).parts()
+        assert reversible == 0.0
+        assert irreversible == eval_direct(pop, RS(0.0, (0.95, 0.5)))[-1]
 
     def test_prefix_path_matches_cell_sweep(self, unit_grid):
         # Direct cell sweep oracle for the reversible term.
@@ -344,9 +340,9 @@ class TestDecomposition:
             seq = random_history(rng, 0.0, 1.0, 20, start_u=0.0)
             mem = memory_from_sequence(seq)
             a = decompose_classical(unit_grid, mem)
-            b = decompose_direct(center_population, mem)
-            assert abs(a.irreversible - b.irreversible) <= 1e-12 * scale
-            assert abs(a.reversible - b.reversible) <= 1e-12 * scale
+            b_irreversible, b_reversible, _ = center_population.simulator(memory=mem).parts()
+            assert abs(a.irreversible - b_irreversible) <= 1e-12 * scale
+            assert abs(a.reversible - b_reversible) <= 1e-12 * scale
 
 
 class TestSimulators:

@@ -195,6 +195,39 @@ class TestDataErrors:
         name = ("alpha", "beta", "nu")[column]
         assert err == f"preisach: error: {path}:3: non-finite {name}\n"
 
+    def test_bad_soft_branch_names_the_agent_once(self, tmp_path, capsys):
+        path = tmp_path / "soft_bad.json"
+        path.write_text(json.dumps([{"alpha": 0.5, "beta": -0.5,
+                                     "f_plus": [[1.0, -1.0], [-1.0, 0.0]],
+                                     "f_minus": [[0.0, 1.0]]}]))
+        err = self.run(capsys, "simulate", "--model", "generalized", "--agents", str(path))
+        assert err == (f"preisach: error: {path}: agent 0: "
+                       "breakpoint abscissae must be strictly increasing\n")
+
+    HUGE = "9" * 400  # a JSON integer no float can hold
+
+    def test_huge_soft_branch_value(self, tmp_path, capsys):
+        path = tmp_path / "soft.json"
+        path.write_text('[{"alpha": 0.5, "beta": -0.5, "f_plus": [[0.0, -1.0]], '
+                        f'"f_minus": [[0.0, {self.HUGE}]]}}]')
+        err = self.run(capsys, "simulate", "--model", "generalized", "--agents", str(path))
+        assert err == f"preisach: error: {path}: agent 0: int too large to convert to float\n"
+
+    def test_huge_shift_capacity(self, tmp_path, capsys):
+        path = tmp_path / "shift.json"
+        path.write_text(f'{{"agents": [{{"alpha": 0.5, "beta": 0.0, "nu": {self.HUGE}}}], '
+                        '"g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}')
+        err = self.run(capsys, "simulate", "--model", "shifted", "--agents", str(path))
+        assert err == (f"preisach: error: {path}: malformed shift model: "
+                       "int too large to convert to float\n")
+
+    def test_huge_memory_input(self, agents_csv, tmp_path, capsys):
+        path = tmp_path / "memory.json"
+        path.write_text(f'{{"start_u": 0.0, "pairs": [], "current_u": {self.HUGE}, '
+                        '"trend": "rising"}')
+        err = self.run(capsys, "simulate", "--agents", agents_csv, "--memory-in", str(path))
+        assert err == "preisach: error: malformed memory record: int too large to convert to float\n"
+
 
 class TestGridOptions:
     @pytest.mark.parametrize("model, option", [

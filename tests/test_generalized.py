@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    gen_apply,
     random_history,
     random_population,
     random_shift_model,
@@ -14,7 +15,6 @@ from helpers import (
 )
 from preisach import (
     AgentPopulation,
-    BinaryState,
     GeneralizedHysteron,
     GeneralizedPopulation,
     PiecewiseLinear,
@@ -22,13 +22,10 @@ from preisach import (
     ShiftModel,
     check_equal_chords,
     chord_generalized,
-    chord_shifted,
-    decompose_direct,
     eval_direct,
     eval_generalized,
     eval_irreversible,
     eval_shifted,
-    gen_apply,
     memory_from_sequence,
     midline_offset,
     minor_loop,
@@ -36,10 +33,9 @@ from preisach import (
     to_generalized,
     vertical_chord,
 )
-from preisach.generalized import decompose_generalized
 
 RS = ReversalSequence
-DOWN = BinaryState.DOWN
+DOWN = -1.0
 
 
 def rectangular_embedding(pop: AgentPopulation) -> GeneralizedPopulation:
@@ -153,8 +149,7 @@ class TestIrreversiblePart:
         for _ in range(20):
             seq = random_history(rng, 0.0, 1.0, 20, start_u=0.0)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            mem = memory_from_sequence(seq)
-            want = decompose_direct(pop, mem).irreversible
+            want = pop.simulator(memory=memory_from_sequence(seq)).parts()[0]
             assert eval_irreversible(gpop, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_memory_driven_decomposition_agrees(self):
@@ -163,7 +158,7 @@ class TestIrreversiblePart:
         for _ in range(15):
             seq = random_history(rng, -1.2, 1.2, 20, start_u=-1.2)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            irr, sat, mid = decompose_generalized(gpop, memory_from_sequence(seq))
+            irr, sat, mid = gpop.simulator(memory=memory_from_sequence(seq)).parts()
             assert irr == pytest.approx(eval_irreversible(gpop, seq, q), abs=1e-12)
             assert sat == saturation_term(gpop, q)
             assert mid == midline_offset(gpop, q)
@@ -178,7 +173,7 @@ class TestShiftModel:
         for _ in range(20):
             seq = random_history(rng, -1.2, 1.2, 20, start_u=-1.2)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            want = decompose_direct(pop, memory_from_sequence(seq)).irreversible
+            want = pop.simulator(memory=memory_from_sequence(seq)).parts()[0]
             assert eval_shifted(sm, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_constant_shift_is_a_threshold_translation(self):
@@ -191,7 +186,7 @@ class TestShiftModel:
         for _ in range(20):
             seq = random_history(rng, -1.5, 1.0, 20, start_u=-1.5)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            want = decompose_direct(translated, memory_from_sequence(seq)).irreversible
+            want = translated.simulator(memory=memory_from_sequence(seq)).parts()[0]
             assert eval_shifted(sm, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_dual_path_equivalence(self):
@@ -245,23 +240,23 @@ class TestShiftModel:
             ShiftModel(pop, g1=lo, g2=hi)
 
     def test_view_support_zero_shift(self):
+        # a primed agent sits at (alpha - g2(u), beta - g1(u)): comparing
+        # alpha with up_compare(u) = u + g2(u) is comparing alpha' with u
         pop = AgentPopulation([0.5, 0.7], [-0.5, -0.1], [1.0, 2.0])
         zero = PiecewiseLinear([(0.0, 0.0)])
-        view = to_generalized(ShiftModel(pop, g1=zero, g2=zero))
-        alpha_p, beta_p, nu = view.support_at(0.3)
-        assert np.array_equal(alpha_p, pop.alpha)
-        assert np.array_equal(beta_p, pop.beta)
-        assert np.array_equal(nu, pop.nu)
+        sm = to_generalized(ShiftModel(pop, g1=zero, g2=zero)).sm
+        assert sm.up_compare(0.3) == 0.3
+        assert sm.down_compare(0.3) == 0.3
+        assert np.array_equal(sm.nu, pop.nu)
 
     def test_view_support_constant_shift_translates_rigidly(self):
         pop = AgentPopulation([0.5, 0.7], [-0.5, -0.1], [1.0, 2.0])
         g1 = PiecewiseLinear([(0.0, 0.25)])
         g2 = PiecewiseLinear([(0.0, 0.1)])
-        view = to_generalized(ShiftModel(pop, g1=g1, g2=g2))
+        sm = to_generalized(ShiftModel(pop, g1=g1, g2=g2)).sm
         for u in (-1.0, 0.0, 2.0):
-            alpha_p, beta_p, _ = view.support_at(u)
-            assert np.allclose(alpha_p, pop.alpha - 0.1)
-            assert np.allclose(beta_p, pop.beta - 0.25)
+            assert sm.up_compare(u) == u + 0.1
+            assert sm.down_compare(u) == u + 0.25
 
     def test_memory_resume_matches_full_run(self):
         rng = np.random.default_rng(45)
@@ -332,7 +327,7 @@ class TestGeneralizedChords:
         trace = minor_loop(sm, RS(-2.0, (1.5,)), -0.8, 0.8, 31)
         gap = trace.chord()
         for k in range(0, 31, 3):
-            formula = chord_shifted(sm, -0.8, 0.8, float(trace.us[k]))
+            formula = sm.chord(-0.8, 0.8, float(trace.us[k]))
             assert formula == pytest.approx(gap[k], abs=1e-12)
 
 

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from helpers import random_history
+from helpers import gen_apply, gen_output, random_history
 from preisach import (
-    BinaryState,
+    AgentPopulation,
     BranchFunction,
     GeneralizedHysteron,
     PiecewiseLinear,
-    RectHysteron,
     ReversalSequence,
-    gen_apply,
-    gen_output,
-    rect_apply,
+    relay_fold,
 )
 
-DOWN, UP = BinaryState.DOWN, BinaryState.UP
+DOWN, UP = -1.0, 1.0
+
+
+def relay(alpha, beta, state, seq):
+    """One relay driven by ``relay_fold`` from ``state`` through ``seq``:
+    its final state and its state after each reversal."""
+    states = np.array([state])
+    trace = [relay_fold(np.array([alpha]), np.array([beta]), [step], states)[0]
+             for step in seq.steps()]
+    return states[0], trace
 
 
 def soft_unit_agent():
@@ -29,52 +35,48 @@ def soft_unit_agent():
 
 class TestRectHysteron:
     def test_switches_up_above_alpha(self):
-        final, _ = rect_apply(RectHysteron(2, 1), DOWN, ReversalSequence(0.0, (3.0,)))
-        assert final is UP
+        final, _ = relay(2.0, 1.0, DOWN, ReversalSequence(0.0, (3.0,)))
+        assert final == UP
 
     def test_inactive_inside_band(self):
-        final, _ = rect_apply(RectHysteron(2, 1), DOWN, ReversalSequence(0.0, (1.5,)))
-        assert final is DOWN
+        final, _ = relay(2.0, 1.0, DOWN, ReversalSequence(0.0, (1.5,)))
+        assert final == DOWN
 
     def test_switching_trace(self):
-        _, trace = rect_apply(
-            RectHysteron(2, 1), DOWN, ReversalSequence(0.0, (2.5, 0.5, 1.8))
-        )
+        _, trace = relay(2.0, 1.0, DOWN, ReversalSequence(0.0, (2.5, 0.5, 1.8)))
         assert trace == [UP, DOWN, DOWN]
 
     def test_closed_threshold_ties(self):
-        final, _ = rect_apply(RectHysteron(2, 1), DOWN, ReversalSequence(0.0, (2.0,)))
-        assert final is UP
-        final, _ = rect_apply(RectHysteron(2, 1), UP, ReversalSequence(3.0, (1.0,)))
-        assert final is DOWN
+        final, _ = relay(2.0, 1.0, DOWN, ReversalSequence(0.0, (2.0,)))
+        assert final == UP
+        final, _ = relay(2.0, 1.0, UP, ReversalSequence(3.0, (1.0,)))
+        assert final == DOWN
 
     def test_equal_thresholds_step_agent(self):
-        h = RectHysteron(1.0, 1.0)
-        assert rect_apply(h, DOWN, ReversalSequence(0.0, (1.0,)))[0] is UP
-        assert rect_apply(h, UP, ReversalSequence(2.0, (1.0,)))[0] is DOWN
+        assert relay(1.0, 1.0, DOWN, ReversalSequence(0.0, (1.0,)))[0] == UP
+        assert relay(1.0, 1.0, UP, ReversalSequence(2.0, (1.0,)))[0] == DOWN
 
     def test_invariants(self):
-        with pytest.raises(ValueError, match="alpha must be >= beta"):
-            RectHysteron(0.0, 1.0)
+        with pytest.raises(ValueError, match="alpha < beta"):
+            AgentPopulation([0.0], [1.0], [1.0])
         with pytest.raises(ValueError, match="capacity"):
-            RectHysteron(1.0, 0.0, nu=-1.0)
+            AgentPopulation([1.0], [0.0], [-1.0])
         with pytest.raises(ValueError, match="finite"):
-            RectHysteron(float("nan"), 0.0)
+            AgentPopulation([float("nan")], [0.0], [1.0])
 
     def test_markovian_memory(self):
         # Replaying a suffix from the recorded state equals the full replay.
         rng = np.random.default_rng(5)
-        h = RectHysteron(0.4, -0.3)
         for _ in range(50):
             seq = random_history(rng, -1, 1, 20, start_u=-1.0)
             cut = int(rng.integers(0, len(seq.extrema) + 1))
             head = ReversalSequence(seq.start_u, seq.extrema[:cut])
             tail_start = seq.extrema[cut - 1] if cut else seq.start_u
             tail = ReversalSequence(tail_start, seq.extrema[cut:])
-            mid, _ = rect_apply(h, DOWN, head)
-            resumed, _ = rect_apply(h, mid, tail)
-            full, _ = rect_apply(h, DOWN, seq)
-            assert resumed is full
+            mid, _ = relay(0.4, -0.3, DOWN, head)
+            resumed, _ = relay(0.4, -0.3, mid, tail)
+            full, _ = relay(0.4, -0.3, DOWN, seq)
+            assert resumed == full
 
 
 class TestBranchFunctions:
@@ -169,9 +171,8 @@ class TestGeneralizedHysteron:
     def test_rectangular_embedding_matches_rect_apply(self):
         rng = np.random.default_rng(9)
         soft = GeneralizedHysteron.rectangular(0.4, -0.2, nu=1.0)
-        hard = RectHysteron(0.4, -0.2)
         for _ in range(50):
             seq = random_history(rng, -1, 1, 15, start_u=-1.0)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            want, _ = rect_apply(hard, DOWN, seq)
-            assert gen_apply(soft, DOWN, seq, q) == float(int(want))
+            want, _ = relay(0.4, -0.2, DOWN, seq)
+            assert gen_apply(soft, DOWN, seq, q) == want

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import random_history, raw_relay_states
 from preisach import (
-    BinaryState,
+    AgentPopulation,
     ReversalSequence,
     apply_sequence,
     check_invariants,
@@ -14,7 +14,6 @@ from preisach import (
     memory_from_sequence,
     push_extremum,
     save_memory,
-    state_of,
     states_of,
 )
 from preisach.memory import from_dict, to_dict
@@ -39,8 +38,8 @@ class TestConstruction:
     def test_initial_memory_is_all_down(self):
         mem = initial_memory(0.0)
         assert mem.vertex_pairs == ()
-        assert state_of(mem, 1.0, -1.0) is BinaryState.DOWN
-        assert state_of(mem, -2.0, -3.0) is BinaryState.DOWN
+        assert states_of(mem, [1.0], [-1.0])[0] == -1
+        assert states_of(mem, [-2.0], [-3.0])[0] == -1
 
     def test_first_rise_is_the_running_maximum(self):
         mem = memory_from_sequence(ReversalSequence(0.0, (5.0,)))
@@ -148,17 +147,17 @@ class TestStateOf:
     def test_rise_sweeps_everything_below(self):
         mem = memory_from_sequence(ReversalSequence(0.0, (5.0,)))
         for alpha, beta in [(5.0, 4.0), (1.0, -3.0), (4.9, 4.9)]:
-            assert state_of(mem, alpha, beta) is BinaryState.UP
-        assert state_of(mem, 5.1, 0.0) is BinaryState.DOWN
+            assert states_of(mem, [alpha], [beta])[0] == 1
+        assert states_of(mem, [5.1], [0.0])[0] == -1
 
     def test_hand_stepped_examples(self):
         mem = memory_from_sequence(ReversalSequence(0.0, (5.0, 1.0)))
-        assert state_of(mem, 4.0, 2.0) is BinaryState.DOWN
-        assert state_of(mem, 4.0, 0.5) is BinaryState.UP
+        assert states_of(mem, [4.0], [2.0])[0] == -1
+        assert states_of(mem, [4.0], [0.5])[0] == 1
 
     def test_rejects_inverted_thresholds(self):
-        with pytest.raises(ValueError, match="alpha must be >= beta"):
-            state_of(initial_memory(0.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="alpha < beta"):
+            AgentPopulation([0.0], [1.0], [1.0])
 
     def test_erasure_soundness_randomized(self):
         rng = np.random.default_rng(23)
@@ -185,7 +184,7 @@ class TestInvariantsAndProperties:
         mem = memory_from_sequence(ReversalSequence(0.0, (5.0, 1.0, 4.0, 2.0)))
         mem = push_extremum(mem, 0.5)
         # only the running pair survives; no completed vertices remain
-        assert mem.completed_pairs() == ()
+        assert mem.trend == "falling" and mem.vertex_pairs[:-1] == ()
         assert mem.vertex_pairs == ((5.0, 0.5),)
 
     def test_memory_is_not_markovian(self):
@@ -193,8 +192,8 @@ class TestInvariantsAndProperties:
         a = memory_from_sequence(ReversalSequence(0.0, (5.0, 1.0, 3.0)))
         b = memory_from_sequence(ReversalSequence(0.0, (3.0,)))
         assert a.current_u == b.current_u == 3.0
-        assert state_of(a, 4.0, 0.5) is BinaryState.UP
-        assert state_of(b, 4.0, 0.5) is BinaryState.DOWN
+        assert states_of(a, [4.0], [0.5])[0] == 1
+        assert states_of(b, [4.0], [0.5])[0] == -1
 
 
 class TestSerialization:
