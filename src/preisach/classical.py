@@ -20,10 +20,18 @@ split of the output into its history-carrying band contribution and the
 part forced by the current input (``decompose_classical``). What every
 relay model and its simulator share lives here as well (``_RelayModel``,
 ``_RelaySimulator``).
+
+A relay simulator does not pay O(agents) per move: each relay model sorts
+its thresholds once (``_RelayIndex``), and a leg switches only the relays
+whose threshold it crosses, in O(log n + crossed). Capacity sums over a
+threshold range come from exact integer prefix sums (``_ExactCapacities``),
+rounded once, which is the Everett-function view of the output (Mayergoyz,
+*Mathematical Models of Hysteresis*) taken exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -88,10 +96,25 @@ class _RelayModel:
         w = self.weight(u)
         return self.band_sum(w, states, u), self.forced_sum(w, u), self.offset(u)
 
+    @functools.cached_property
+    def _index(self) -> _RelayIndex:
+        return _RelayIndex(self)
+
     def fold(self, steps) -> np.ndarray:
-        """Relay states after ``(value, rising)`` steps, starting all-DOWN."""
-        return relay_fold(self.alpha, self.beta, steps, None,
-                          self.up_compare, self.down_compare)
+        """Relay states after ``(value, rising)`` steps, starting all-DOWN.
+
+        The states of :func:`relay_fold`, switching only the relays each step
+        crosses (``_RelayIndex.crossed``); the steps must be those of one input
+        path, each leg starting where the one before it ended.
+        """
+        states = np.full(self.alpha.shape, -1.0)
+        last = None  # where the last leg ended, once the input has risen
+        for value, rising in steps:
+            crossed, state = self._index.crossed(last, value, rising)
+            states[crossed] = state
+            if rising or last is not None:
+                last = value
+        return states
 
     def band_sum(self, weight: np.ndarray, states: np.ndarray, u: float) -> float:
         """Signed ``weight`` of the relays still bistable at ``u``: the
@@ -119,11 +142,128 @@ class _RelayModel:
         )
 
 
+class _RelayIndex:
+    """A relay model's thresholds sorted once, so that a leg switches only the
+    relays it crosses: O(log n + crossed) per leg instead of O(agents).
+
+    Every range is taken by value, so relays with tied thresholds always move
+    together and the sort need not be stable.
+    """
+
+    def __init__(self, model: _RelayModel):
+        self.model = model
+        self.by_alpha = np.argsort(model.alpha)
+        self.alpha = model.alpha[self.by_alpha]
+        self.by_beta = np.argsort(model.beta)
+        self.beta = model.beta[self.by_beta]
+
+    def up_to(self, a: float) -> int:
+        """How many relays have an up-threshold ``<= a``: ``by_alpha[:up_to(a)]``."""
+        return int(self.alpha.searchsorted(a, "right"))
+
+    def down_from(self, d: float) -> int:
+        """Where the relays with a down-threshold ``>= d`` start: ``by_beta[down_from(d):]``."""
+        return int(self.beta.searchsorted(d, "left"))
+
+    def alpha_within(self, lo: float, hi: float) -> np.ndarray:
+        """The relays with ``lo <= alpha <= hi``."""
+        return self.by_alpha[self.alpha.searchsorted(lo, "left"):self.up_to(hi)]
+
+    def beta_within(self, lo: float, hi: float) -> np.ndarray:
+        """The relays with ``lo <= beta <= hi``."""
+        return self.by_beta[self.down_from(lo):self.beta.searchsorted(hi, "right")]
+
+    def crossed(self, c, v: float, rising: bool) -> tuple[np.ndarray, int]:
+        """The relays a leg from ``c`` to ``v`` may switch, and the state it gives them.
+
+        ``c`` is None before the input first rises, when every relay is DOWN:
+        a rise then switches UP every ``alpha <= up(v)`` and a fall nothing.
+        After it, the relays with ``alpha`` below both ``up(c)`` and
+        ``down(c)`` are UP and those with ``beta`` above both are DOWN, so a
+        rise needs only ``alpha`` in ``[min(up(c), down(c)), up(v)]`` and a
+        fall only ``beta`` in ``[down(v), max(down(c), up(c))]``. Both bounds
+        are needed: ``g2 <= g1`` does not make ``up(c) <= down(c)`` in floats.
+        """
+        m = self.model
+        if rising:
+            lo = -math.inf if c is None else min(m.up_compare(c), m.down_compare(c))
+            return self.alpha_within(lo, m.up_compare(v)), 1
+        if c is None:
+            return self.by_beta[:0], -1
+        return self.beta_within(m.down_compare(v), max(m.down_compare(c), m.up_compare(c))), -1
+
+
+_LIMB = 30  # bits per limb: a sum of n limbs stays exact in int64 while n < 2**33
+
+
+class _ExactCapacities:
+    """A relay model's capacities as exact integers ``I_k = nu_k * 2**K``.
+
+    Each ``I_k`` is kept as 30-bit int64 limbs, with prefix sums of the limbs
+    in the index's alpha order and beta order, so any sum of capacities over
+    a threshold range is exact after two lookups. Python ints join the limbs,
+    and ``int / 2**K`` rounds the exact sum once, correctly: the bits of
+    ``math.fsum``, which also rounds the exact sum once.
+    """
+
+    def __init__(self, nu: np.ndarray, index: _RelayIndex):
+        mant, exp = np.frexp(nu)
+        mant = (mant * 2.0 ** 53).astype(np.int64)  # nu = mant * 2**(exp - 53), exactly
+        exp = exp.astype(np.int64) - 53
+        live = mant != 0
+        self.scale = max(0, -int(exp[live].min())) if live.any() else 0  # K
+        q, r = np.divmod(np.where(live, exp + self.scale, 0), _LIMB)
+        # mant << r spans limbs q, q + 1 and q + 2
+        rows, mask = np.arange(nu.size), (1 << _LIMB) - 1
+        self.limbs = np.zeros((nu.size, int(q.max(initial=0)) + 3), dtype=np.int64)
+        self.limbs[rows, q] = (mant & ((1 << (_LIMB - r)) - 1)) << r
+        self.limbs[rows, q + 1] = (mant >> (_LIMB - r)) & mask
+        self.limbs[rows, q + 2] = mant >> (2 * _LIMB - r)
+        self.index = index
+        self.by_alpha, self.by_beta = (
+            np.concatenate((np.zeros((1, self.limbs.shape[1]), np.int64),
+                            np.cumsum(self.limbs[order], axis=0)))
+            for order in (index.by_alpha, index.by_beta))
+
+    @staticmethod
+    def _join(limbs: np.ndarray) -> int:
+        return sum(x << (_LIMB * j) for j, x in enumerate(limbs.tolist()))
+
+    def sum_of(self, relays: np.ndarray) -> int:
+        """``sum(I_k)`` over ``relays``."""
+        return self._join(self.limbs[relays].sum(axis=0)) if relays.size else 0
+
+    def signed_total(self, states: np.ndarray) -> int:
+        """``sum(s_k * I_k)`` over every relay."""
+        return self._join(states.astype(np.int64) @ self.limbs)
+
+    def band(self, total: int, states: np.ndarray, u: float, risen: bool) -> float:
+        """The signed capacity of the relays still bistable at ``u``, from
+        ``total = signed_total(states)``; ``states`` must be those of an input
+        path that is at ``u`` and has ``risen`` or not.
+
+        The band is the total minus the forced relays. Those with only
+        ``alpha <= up(u)`` are UP once the input has risen (DOWN before), those
+        with only ``beta >= down(u)`` are DOWN, and the tie set in both counts
+        with its own states.
+        """
+        index, m = self.index, self.index.model
+        a, d = m.up_compare(u), m.down_compare(u)
+        up = self._join(self.by_alpha[index.up_to(a)])
+        down = self._join(self.by_beta[-1] - self.by_beta[index.down_from(d)])
+        tie = index.alpha_within(d, a)
+        tie = tie[m.beta[tie] >= d]
+        tie_all, tie_up = self.sum_of(tie), self.sum_of(tie[states[tie] > 0])
+        forced = (up - tie_all) * (1 if risen else -1) - (down - tie_all) + 2 * tie_up - tie_all
+        return (total - forced) / (1 << self.scale)
+
+
 class _RelaySimulator:
     """Relay states of one input path, kept with the path's staircase memory.
 
-    The per-kind subclasses exist so that each kind is a type of its own;
-    all of them read out through their model's ``output`` and ``parts``.
+    A push switches only the relays its leg crosses (``_RelayIndex``). The
+    per-kind subclasses exist so that each kind is a type of its own; all
+    of them read out through their model's ``output`` and ``parts``.
     """
 
     def __init__(self, model: _RelayModel, memory: StaircaseMemory):
@@ -135,13 +275,15 @@ class _RelaySimulator:
 
     def push(self, u) -> None:
         u = float(u)
-        current = self.memory.current_u
-        if u == current:
+        mem = self.memory
+        if u == mem.current_u:
             return
-        m = self.model
-        relay_fold(m.alpha, m.beta, [(u, u > current)], self.states,
-                   m.up_compare, m.down_compare)
-        self.memory = push_extremum(self.memory, u)
+        self._switch(*self.model._index.crossed(mem.current_u if mem.risen else None,
+                                                 u, u > mem.current_u))
+        self.memory = push_extremum(mem, u)
+
+    def _switch(self, crossed: np.ndarray, state: int) -> None:
+        self.states[crossed] = state
 
     def value(self) -> float:
         return self.model.output(self.states, self.memory.current_u)

@@ -10,7 +10,6 @@ identical inputs always produce byte-identical output files.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 
@@ -19,6 +18,7 @@ import numpy as np
 from .classical import AgentPopulation
 from .generalized import GeneralizedPopulation, ShiftModel
 from .hysteron import BranchFunction, GeneralizedHysteron, PiecewiseLinear
+from .memory import read_json
 from .signal import SampledSeries
 
 
@@ -107,8 +107,7 @@ def read_generalized_json(path) -> GeneralizedPopulation:
     Each entry is ``{"alpha":..., "beta":..., "f_plus": [[u, f], ...],
     "f_minus": [[u, f], ...]}``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a non-empty JSON array of agents")
     try:
@@ -141,8 +140,7 @@ def read_shift_json(path) -> ShiftModel:
     ``{"agents": [{"alpha":..., "beta":..., "nu":...}, ...],
        "g1": [[u, shift], ...], "g2": [[u, shift], ...]}``
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     try:
         rows = data["agents"]
         alphas = [float(r["alpha"]) for r in rows]

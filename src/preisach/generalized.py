@@ -29,12 +29,19 @@ effective threshold at most once; its cycle chords come from
 ``ShiftModel.chord``. Relabeling each agent by its momentary effective
 thresholds turns the shift model into a soft-weight model whose weight
 rides with the input; ``to_generalized`` returns that relabeled view, whose
-band output (``eval_irreversible``) equals ``eval_shifted`` exactly.
+band output (``eval_irreversible``) equals ``eval_shifted`` exactly. This is
+the moving Preisach model of Della Torre and Vajda.
+
+``ShiftModel.output`` sums the band with ``math.fsum`` in O(agents) and is
+the reference. ``ShiftedSimulator`` reads the same bits in O(log n) from the
+exact signed capacity total it keeps (``classical._ExactCapacities``), and
+its steps, like every relay simulator's, touch only the crossed relays.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +50,7 @@ import numpy as np
 from .classical import (
     AgentPopulation,
     LoopTrace,
+    _ExactCapacities,
     _RelayModel,
     _RelaySimulator,
     _require_comparable,
@@ -260,6 +268,10 @@ class ShiftModel(_RelayModel):
     def output(self, states: np.ndarray, u: float) -> float:
         return self.band_sum(self.nu, states, u)
 
+    @functools.cached_property
+    def _exact(self) -> _ExactCapacities:
+        return _ExactCapacities(self.nu, self._index)
+
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         # The dominant-extrema record compresses raw inputs; both composite
         # maps are non-decreasing, so domination survives the transform and
@@ -287,7 +299,25 @@ def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float
 
 
 class ShiftedSimulator(_RelaySimulator):
-    """Moving-threshold relay tracker emitting the band output."""
+    """Moving-threshold relay tracker emitting the band output.
+
+    It keeps the exact signed capacity total, adds to it only the relays a
+    push flips, and reads the band out of it in O(log n + ties): bit for bit
+    what ``ShiftModel.output`` sums with ``math.fsum``.
+    """
+
+    def __init__(self, model: ShiftModel, memory: StaircaseMemory):
+        super().__init__(model, memory)
+        self.total = model._exact.signed_total(self.states)
+
+    def _switch(self, crossed: np.ndarray, state: int) -> None:
+        flipped = crossed[self.states[crossed] != state]
+        self.states[flipped] = state
+        self.total += 2 * state * self.model._exact.sum_of(flipped)
+
+    def value(self) -> float:
+        mem = self.memory
+        return self.model._exact.band(self.total, self.states, mem.current_u, mem.risen)
 
 
 class ShiftedWeightView:

@@ -12,6 +12,10 @@ Two kinds of binary agent live here:
   ``f_plus`` (taken while the state is down) and ``f_minus`` (taken while
   up). ``BranchTable`` evaluates many such curves in one numpy pass.
 
+``relay_fold`` costs O(agents) per step and is the reference: the relay
+models' sorted-threshold steps (``classical._RelayIndex``), which touch only
+the relays a leg crosses, are tested against it bit for bit.
+
 Threshold ties are closed: an increasing input switches up at exactly
 ``u == alpha`` and a decreasing input switches down at exactly
 ``u == beta``. ``alpha == beta`` is allowed and gives a fully reversible

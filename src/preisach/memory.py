@@ -54,6 +54,11 @@ class StaircaseMemory:
         if self.trend == RISING:
             yield self.current_u, True
 
+    @property
+    def risen(self) -> bool:
+        """Whether the input has risen since the fresh start: before it, every relay is DOWN."""
+        return self.trend == RISING or bool(self.vertex_pairs)
+
     def extrema_bounds(self) -> tuple[float, float]:
         """(lowest, highest) input value the stored history ever reached."""
         lo = hi = self.current_u
@@ -225,7 +230,7 @@ def from_dict(data: dict) -> StaircaseMemory:
             current_u=float(data["current_u"]),
             trend=str(data["trend"]),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed memory record: {exc}") from exc
     problem = check_invariants(mem)
     if problem is not None:
@@ -239,6 +244,14 @@ def save_memory(mem: StaircaseMemory, path) -> None:
         fh.write("\n")
 
 
-def load_memory(path) -> StaircaseMemory:
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not JSON is named."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_memory(path) -> StaircaseMemory:
+    return from_dict(read_json(path))

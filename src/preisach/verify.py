@@ -12,8 +12,9 @@ seeded fixtures and reports the worst deviation it observed:
 * reconstruction (generalized) -- band + saturation + midline parts add
   back to the full output,
 * shift equivalence -- the relabeled weight (``to_generalized``) folded
-  over the raw history gives the band output of the moving-threshold
-  simulator resumed from the history's compressed staircase memory.
+  over the raw history, summed with ``math.fsum``, gives the band output of
+  the moving-threshold simulator resumed from the history's compressed
+  staircase memory, read from its exact integer total.
 
 All but erasure soundness pass when their worst deviation is within ``tol``
 times the largest ``|output|`` they evaluated, or ``tol`` if that is below 1.

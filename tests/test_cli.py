@@ -228,6 +228,34 @@ class TestDataErrors:
         err = self.run(capsys, "simulate", "--agents", agents_csv, "--memory-in", str(path))
         assert err == "preisach: error: malformed memory record: int too large to convert to float\n"
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"start_u": 0.0, "pairs": [], "current_u": "abc", "trend": "rising"}',
+         "could not convert string to float: 'abc'"),
+        ('{"start_u": 0.0, "pairs": [[1]], "current_u": 0.5, "trend": "falling"}',
+         "not enough values to unpack (expected 2, got 1)"),
+    ], ids=["text-value", "short-pair"])
+    def test_malformed_memory_value(self, agents_csv, tmp_path, capsys, record, message):
+        path = tmp_path / "memory.json"
+        path.write_text(record)
+        err = self.run(capsys, "simulate", "--agents", agents_csv, "--memory-in", str(path))
+        assert err == f"preisach: error: malformed memory record: {message}\n"
+
+    @pytest.mark.parametrize("option, model, text, message", [
+        ("--memory-in", "classical", '{"start_u": 0.0,',
+         "Expecting property name enclosed in double quotes: line 1 column 17 (char 16)"),
+        ("--agents", "shifted", '{"agents": [}', "Expecting value: line 1 column 13 (char 12)"),
+        ("--agents", "generalized", '[{"alpha": 0.5 "beta": 0.1}]',
+         "Expecting ',' delimiter: line 1 column 16 (char 15)"),
+    ], ids=["memory", "shift", "soft"])
+    def test_json_syntax_error_names_the_file(self, agents_csv, tmp_path, capsys, option, model,
+                                              text, message):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        files = {"--agents": agents_csv, option: str(path)}
+        err = self.run(capsys, "simulate", "--model", model,
+                       *(arg for item in files.items() for arg in item))
+        assert err == f"preisach: error: {path}: {message}\n"
+
 
 class TestGridOptions:
     @pytest.mark.parametrize("model, option", [

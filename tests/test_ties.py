@@ -45,6 +45,10 @@ KNOTS = (-1.5, -0.5, 0.5, 1.5)
 # A composite map u + g2(u) that is flat on [0.5, 2]: 0.5 + g2(0.5) is 0.3
 # but 0.9 + g2(0.9) summed directly is 0.29999999999999993.
 FLAT_G2 = [(-2.0, 1.5), (-0.5, 0.4), (0.5, -0.2), (2.0, -1.7)]
+# g1 and g2 both tabulate g(u) = -0.5 - 0.5u, on different knots, so in floats
+# up_compare exceeds down_compare at some inputs: at 0.8 they are
+# -0.09999999999999998 and -0.10000000000000009, around the threshold -0.1.
+SAME_LINE = ([(-1.5, 0.25), (1.5, -1.25)], [(-1.5, 0.25), (-0.5, -0.25), (0.5, -0.75), (1.5, -1.25)])
 
 
 @st.composite
@@ -72,13 +76,15 @@ def shift_tables(draw):
     g2 = list(zip(KNOTS, (c2 - KNOTS).tolist()))
     g1 = list(zip(KNOTS, (c1 - KNOTS).tolist()))
     c = draw(tenths)
+    if draw(st.integers(0, 3)) == 0:
+        return SAME_LINE
     return (draw(st.sampled_from((g1, [(0.0, 2.0)], [(0.0, c)]))),
             draw(st.sampled_from((g2, FLAT_G2, [(0.0, c - 0.3)]))))
 
 
-def shift_model(alpha, beta, g1, g2):
+def shift_model(alpha, beta, g1, g2, nu=None):
     try:
-        return ShiftModel(AgentPopulation(alpha, beta, np.ones(alpha.size)),
+        return ShiftModel(AgentPopulation(alpha, beta, np.ones(alpha.size) if nu is None else nu),
                           g1=PiecewiseLinear(g1), g2=PiecewiseLinear(g2))
     except ValueError:
         # rounding in u + g(u) at the knots can make a flat composite
@@ -162,6 +168,10 @@ class TestShiftTies:
         q = seq.extrema[-1] if seq.extrema else seq.start_u
         assert to_generalized(sm).eval_irreversible(seq, q) == eval_shifted(sm, seq, q)
 
+    def test_same_line_tables_cross_in_floats(self):
+        sm = shift_model(np.array([0.0]), np.array([0.0]), *SAME_LINE)
+        assert sm.up_compare(0.8) > -0.1 > sm.down_compare(0.8)
+
     def test_resume_on_flat_composite_regression(self):
         sm = shift_model(np.array([0.3]), np.array([0.0]), [(0.0, 2.0)], FLAT_G2)
         assert sm.up_compare(0.5) == sm.up_compare(0.9) == 0.3
@@ -194,6 +204,94 @@ class TestShiftTies:
         g1, g2 = tables
         assert all(sm.down_compare(k) == k + shift for k, shift in g1)
         assert all(sm.up_compare(k) == k + shift for k, shift in g2)
+
+
+# Capacities over more than 600 decades, zero and the smallest subnormal included.
+SPREAD = (0.0, 5e-324, 3e-310, 1.5e-200, 1e-100, 0.1, 1.0, 3.0, 7.25e50, 1e200, 1e300)
+capacities = st.lists(st.one_of(st.sampled_from(SPREAD), st.floats(0.0, 1e300)),
+                      min_size=6, max_size=6)
+
+
+def relay_models(alpha, beta, nu, tables):
+    """The three relay kinds on the same thresholds (the shift model if its tables pass)."""
+    sm = shift_model(alpha, beta, *tables, nu)
+    return [AgentPopulation(alpha, beta, nu), soft_population(alpha, beta),
+            *([] if sm is None else [sm])]
+
+
+def reference_states(model, start, values):
+    """``relay_fold`` over the raw pushes, each repeated value dropped as a push drops it."""
+    steps, prev = [], start
+    for v in values:
+        if v != prev:
+            steps.append((v, v > prev))
+            prev = v
+    return steps, relay_fold(model.alpha, model.beta, steps, None,
+                             model.up_compare, model.down_compare)
+
+
+def same_bits(x: float, y: float) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+class TestRelayIndex:
+    """The sorted-index steps and the exact shifted readout against the references."""
+
+    # g(u) = -0.3 - 0.4u on both sides: up_compare(0.9) is 0.24000000000000005,
+    # down_compare(0.9) is 0.24, and a relay sits on each value
+    ULP_TABLES = ([(-1.0, 0.10000000000000003), (1.0, -0.7)],
+                  [(-1.0, 0.10000000000000003), (0.3, -0.42), (2.0, -1.1)])
+
+    def test_ulp_bounds_regression(self):
+        g1, g2 = self.ULP_TABLES
+        thresholds = np.array([0.24, 0.24000000000000005])
+        sm = ShiftModel(AgentPopulation(thresholds, thresholds, [1.0, 2.0]),
+                        g1=PiecewiseLinear(g1), g2=PiecewiseLinear(g2))
+        assert sm.up_compare(0.9) == 0.24000000000000005 and sm.down_compare(0.9) == 0.24
+        # the fall from 0.9 must switch the relay at up_compare(0.9) DOWN, and
+        # the rise from 0.9 the one at down_compare(0.9) UP
+        values = [0.9, -1.0, 2.0, 0.9, 2.0]
+        sim = sm.simulator(-1.0)
+        for k, u in enumerate(values, start=1):
+            sim.push(u)
+            steps, want = reference_states(sm, -1.0, values[:k])
+            assert sim.states.tolist() == want.tolist(), u
+            assert sm.fold(steps).tolist() == want.tolist(), u
+            assert same_bits(sim.value(), sm.band_sum(sm.nu, sim.states, u)), u
+        assert sim.states.tolist() == [1.0, 1.0]
+
+    @given(thresholds(), capacities, tenths, histories, shift_tables(), st.integers(0, 7))
+    @example((np.array([0.3, 0.0, -0.4]), np.array([-0.2, 0.0, -0.4])), [1.0] * 6, 0.0,
+             [-0.5, -0.9, 0.3, 0.3, -0.1], ([(0.0, 0.0)], [(0.0, 0.0)]), 2)  # virgin fall, rise
+    @example((np.array([-0.1, -0.1]), np.array([-0.1, -0.3])), [5e-324, 1e300, 0, 0, 0, 0], -1.0,
+             [0.8, -1.0, 1.2, 0.8, 1.2], SAME_LINE, 3)
+    @TIES
+    def test_steps_and_readout_on_tie_grid(self, th, nu, start, values, tables, split):
+        alpha, beta = th
+        for model in relay_models(alpha, beta, np.array(nu[:alpha.size]), tables):
+            def check(s, want, k):
+                assert np.array_equal(s.states, want), (model, k)
+                if isinstance(model, ShiftModel):  # also before the first push
+                    ref = model.band_sum(model.nu, s.states, s.memory.current_u)
+                    assert same_bits(s.value(), ref), (k, s.value(), ref)
+
+            sim, resumed = model.simulator(start), None
+            check(sim, np.full(alpha.size, -1.0), 0)
+            for k, u in enumerate(values, start=1):
+                if k == split:
+                    resumed = model.simulator(memory=sim.memory)
+                    check(resumed, sim.states, k)
+                steps, want = reference_states(model, start, values[:k])
+                assert np.array_equal(model.fold(steps), want), (model, k)
+                for s in (sim, resumed):
+                    if s is not None:
+                        s.push(u)
+                        check(s, want, k)
+            seq = extract_reversals(series_from_values(values), start)
+            q = seq.extrema[-1] if seq.extrema else seq.start_u
+            reference = relay_fold(alpha, beta, seq.steps_to(q), None,
+                                   model.up_compare, model.down_compare)
+            assert np.array_equal(model.fold(seq.steps_to(q)), reference)
 
 
 class TestPackedReadout:
