@@ -47,9 +47,19 @@ from .memory import (
     StaircaseMemory,
     push_extremum,
     starting_memory,
-    states_of,
 )
 from .signal import ReversalSequence, require_valid
+
+
+def require_cycle(u_minus: float, u_plus: float, n_points: int = 2) -> None:
+    """Reject a cycle that cannot be sampled: non-finite or empty bounds, or
+    fewer than two points on it."""
+    if not (math.isfinite(u_minus) and math.isfinite(u_plus)):
+        raise ValueError("cycle bounds must be finite")
+    if u_minus >= u_plus:
+        raise ValueError(f"empty cycle: [{u_minus!r}, {u_plus!r}]")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
 
 
 def _require_in_cycle(u_minus: float, u_plus: float, u: float) -> None:
@@ -82,6 +92,9 @@ class _RelayModel:
         lo = float(min(self.beta.min(), self.alpha.min()))
         hi = float(max(self.alpha.max(), self.beta.max()))
         return lo, hi
+
+    def __len__(self) -> int:
+        return int(self.alpha.size)
 
     def weight(self, u: float) -> np.ndarray:
         """What each relay's state counts for in the output at ``u``."""
@@ -140,6 +153,11 @@ class _RelayModel:
             & (self.beta >= self.down_compare(u_minus))
             & (self.beta < self.down_compare(u))
         )
+
+    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        """Vertical gap of the steady cycle at ``u``: twice the weight at ``u``
+        of the relays the cycle flips (``flipped``)."""
+        return 2.0 * math.fsum(self.weight(u)[self.flipped(u_minus, u_plus, u)])
 
 
 class _RelayIndex:
@@ -261,17 +279,16 @@ class _ExactCapacities:
 class _RelaySimulator:
     """Relay states of one input path, kept with the path's staircase memory.
 
-    A push switches only the relays its leg crosses (``_RelayIndex``). The
-    per-kind subclasses exist so that each kind is a type of its own; all
-    of them read out through their model's ``output`` and ``parts``.
+    It starts from ``fold`` of its memory's steps, and a push switches only
+    the relays its leg crosses (``_RelayIndex``). The per-kind subclasses
+    exist so that each kind is a type of its own; all of them read out
+    through their model's ``output`` and ``parts``.
     """
 
     def __init__(self, model: _RelayModel, memory: StaircaseMemory):
         self.model = model
         self.memory = memory
-        self.states = states_of(
-            memory, model.alpha, model.beta, model.up_compare, model.down_compare
-        ).astype(float)
+        self.states = model.fold(memory.steps())
 
     def push(self, u) -> None:
         u = float(u)
@@ -327,9 +344,6 @@ class AgentPopulation(_RelayModel):
         self.beta = beta
         self.nu = nu
 
-    def __len__(self) -> int:
-        return int(self.alpha.size)
-
     @property
     def total_capacity(self) -> float:
         return float(self.nu.sum())
@@ -341,6 +355,7 @@ class AgentPopulation(_RelayModel):
         return PopulationSimulator(self, starting_memory(start_u, memory))
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
+        # np.sum, not fsum: fsum changes the bits of 103 in 300 random chords at 5e4 agents
         return 2.0 * float(self.nu[self.flipped(u_minus, u_plus, u)].sum())
 
 
@@ -660,12 +675,7 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
     ``model`` is anything with a ``simulator(start_u)`` -- a population, a
     weight grid, or their generalized counterparts.
     """
-    if not (math.isfinite(u_minus) and math.isfinite(u_plus)):
-        raise ValueError("cycle bounds must be finite")
-    if u_minus >= u_plus:
-        raise ValueError(f"empty cycle: [{u_minus!r}, {u_plus!r}]")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+    require_cycle(u_minus, u_plus, n_points)
     require_valid(history)
 
     sim = model.simulator(history.start_u)

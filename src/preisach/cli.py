@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import fileio
-from .classical import SupportError, from_agents, minor_loop
+from .classical import SupportError, from_agents, minor_loop, require_cycle
 from .memory import load_memory, save_memory
 from .signal import ReversalSequence, SampledSeries, extract_reversals, require_valid
 from .verify import run_suite
@@ -175,6 +176,7 @@ def cmd_loop(args) -> int:
 
 def cmd_chord(args) -> int:
     model = _load_model(args)
+    require_cycle(args.u_minus, args.u_plus, args.n_points)
     if args.at is not None:
         us = [args.at]
     else:
@@ -227,6 +229,8 @@ def main(argv=None) -> int:
             parser.error("--grid-n and --bounds apply to --model classical only")
         if args.bounds is not None and args.grid_n is None:
             parser.error("--bounds applies only with --grid-n")
+        if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # nan fails too
+            parser.error("--tol must be finite and at least 0")
         for name, (other, default) in _OVERRIDDEN.items():
             if getattr(args, name, default) is None:
                 setattr(args, name, default)

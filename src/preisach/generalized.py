@@ -25,8 +25,8 @@ both halves of that statement on sampled loops).
 with the input: the up threshold is crossed where ``u + g2(u)`` reaches
 ``alpha``, the down threshold where ``u + g1(u)`` falls to ``beta``. Both
 composite maps must be non-decreasing so each monotone input leg crosses an
-effective threshold at most once; its cycle chords come from
-``ShiftModel.chord``. Relabeling each agent by its momentary effective
+effective threshold at most once, and its cycle chords are bounded through
+the same maps. Relabeling each agent by its momentary effective
 thresholds turns the shift model into a soft-weight model whose weight
 rides with the input; ``to_generalized`` returns that relabeled view, whose
 band output (``eval_irreversible``) equals ``eval_shifted`` exactly. This is
@@ -98,9 +98,6 @@ class GeneralizedPopulation(_RelayModel):
                                  for table in (gpop.f_plus, gpop.f_minus) for us in table.us)]
         return gpop if all((gpop.f_minus(u) >= gpop.f_plus(u)).all() for u in probes) else None
 
-    def __len__(self) -> int:
-        return int(self.alpha.size)
-
     def loop_gap_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) - self.f_plus(u))
 
@@ -167,9 +164,7 @@ def chord_generalized(gpop: GeneralizedPopulation, u_minus: float,
     cycle: up-threshold in ``(u, u_plus]``, down-threshold in
     ``[u_minus, u)``. History before the cycle does not enter.
     """
-    mask = gpop.flipped(u_minus, u_plus, u)
-    gap = gpop.loop_gap_at(u)
-    return 2.0 * math.fsum(gap[mask])
+    return _RelayModel.chord(gpop, u_minus, u_plus, u)
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,8 @@ class ShiftModel(_RelayModel):
         self.alpha, self.beta, self.nu = base.alpha, base.beta, base.nu
         self.g1 = g1
         self.g2 = g2
-        self._down = _composite_map(g1, "g1")
-        self._up = _composite_map(g2, "g2")
+        self.down_compare = _composite_map(g1, "g1")
+        self.up_compare = _composite_map(g2, "g2")
         probes = np.concatenate(
             (
                 [min(g1.us[0], g2.us[0]) - 1.0],
@@ -257,14 +252,6 @@ class ShiftModel(_RelayModel):
             u_bad = float(probes[np.argmin(gap)])
             raise ValueError(f"shift functions must satisfy g2 <= g1 (fails at u={u_bad})")
 
-    def up_compare(self, u: float) -> float:
-        """The value compared against up-thresholds when the input is at ``u``."""
-        return self._up(u)
-
-    def down_compare(self, u: float) -> float:
-        """The value compared against down-thresholds at ``u``."""
-        return self._down(u)
-
     def output(self, states: np.ndarray, u: float) -> float:
         return self.band_sum(self.nu, states, u)
 
@@ -273,19 +260,7 @@ class ShiftModel(_RelayModel):
         return _ExactCapacities(self.nu, self._index)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        # The dominant-extrema record compresses raw inputs; both composite
-        # maps are non-decreasing, so domination survives the transform and
-        # the compressed replay reproduces the full-history states.
         return ShiftedSimulator(self, starting_memory(start_u, memory))
-
-    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
-        """Vertical gap of the steady cycle at ``u``.
-
-        The flipped set is bounded by the composite maps: up-thresholds in
-        ``(u + g2(u), u_plus + g2(u_plus)]``, down-thresholds in
-        ``[u_minus + g1(u_minus), u + g1(u))``.
-        """
-        return 2.0 * math.fsum(self.nu[self.flipped(u_minus, u_plus, u)])
 
 
 def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float:
@@ -340,10 +315,9 @@ class ShiftedWeightView:
         ``beta < u + g1(u)`` and ``alpha > u + g2(u)``. Switching and band
         membership are decided on those base-side values, as in the base
         model: comparing ``alpha - g2(u)`` with ``u`` rounds differently and
-        disagrees with it at exact ties.
+        disagrees with it at exact ties, so this is :func:`eval_shifted`.
         """
-        states = self.sm.fold(seq.steps_to(query_u))
-        return self.sm.band_sum(self.sm.nu, states, query_u)
+        return eval_shifted(self.sm, seq, query_u)
 
 
 def to_generalized(sm: ShiftModel) -> ShiftedWeightView:

@@ -34,7 +34,7 @@ def relay_fold(alpha, beta, steps, states=None, up_compare=None,
                down_compare=None) -> np.ndarray:
     """Relay states after a stream of ``(value, rising)`` input legs.
 
-    This is the one switching rule of the package. A rise to ``value``
+    This is the reference switching rule of the package. A rise to ``value``
     switches UP every relay whose up-threshold is <= the compared value, a
     fall switches DOWN every relay whose down-threshold is >= it, and all
     other relays keep their state. ``up_compare``/``down_compare`` map the

@@ -192,21 +192,21 @@ def starting_memory(start_u=None, memory: StaircaseMemory | None = None) -> Stai
     return initial_memory(start_u)
 
 
-def states_of(mem: StaircaseMemory, alphas, betas, up_compare=None,
-              down_compare=None) -> np.ndarray:
+def states_of(mem: StaircaseMemory, alphas, betas) -> np.ndarray:
     """Relay states (+1/-1) for arrays of thresholds under this memory.
 
-    Replays the stored dominant extrema plus the live link through the
-    switching rule, starting from all-DOWN. Cost is O(number of stored
-    pairs) vectorized operations. The optional compare maps are those of
-    :func:`~preisach.hysteron.relay_fold`; compression stays exact for any
-    non-decreasing map.
+    The reference replay: the stored dominant extrema plus the live link go
+    through :func:`~preisach.hysteron.relay_fold` from all-DOWN, in
+    O(stored pairs x relays). Simulators start from their model's ``fold``
+    of the same steps instead, which touches only the relays each leg
+    crosses; this replay is what erasure soundness and the tests check
+    compression against.
     """
     alphas, betas = np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
     )
     states = np.full(alphas.shape, -1, dtype=np.int8)
-    return relay_fold(alphas, betas, mem.steps(), states, up_compare, down_compare)
+    return relay_fold(alphas, betas, mem.steps(), states)
 
 
 def to_dict(mem: StaircaseMemory) -> dict:

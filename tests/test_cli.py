@@ -504,6 +504,40 @@ class TestChord:
         assert rows[0][1] == 0.0 and rows[-1][1] == 0.0
 
 
+# Each bad cycle, the stderr line it gets, and whether it can go with --at.
+BAD_CYCLES = {
+    "reversed": (["--u-minus", "0.9", "--u-plus", "0.1"], "empty cycle: [0.9, 0.1]", True),
+    "point": (["--u-minus", "0.5", "--u-plus", "0.5"], "empty cycle: [0.5, 0.5]", True),
+    "nan": (["--u-minus", "nan", "--u-plus", "0.9"], "cycle bounds must be finite", True),
+    "inf": (["--u-minus", "0.1", "--u-plus", "inf"], "cycle bounds must be finite", True),
+    "zero-points": (["--u-minus", "0.1", "--u-plus", "0.9", "--n-points", "0"],
+                    "n_points must be at least 2", False),
+    "one-point": (["--u-minus", "0.1", "--u-plus", "0.9", "--n-points", "1"],
+                  "n_points must be at least 2", False),
+    "negative-points": (["--u-minus", "0.1", "--u-plus", "0.9", "--n-points", "-1"],
+                        "n_points must be at least 2", False),
+}
+
+
+class TestBadCycle:
+    @pytest.mark.parametrize("case", sorted(BAD_CYCLES))
+    @pytest.mark.parametrize("command", [["chord"], ["chord", "--grid-n", "8"], ["loop"],
+                                         ["loop", "--grid-n", "8"]], ids=" ".join)
+    def test_rejected_with_exit_2(self, agents_csv, tmp_path, capsys, command, case):
+        bounds, message, _ = BAD_CYCLES[case]
+        out = tmp_path / "out.csv"
+        code = main([*command, "--agents", agents_csv, *bounds, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"preisach: error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(k for k, v in BAD_CYCLES.items() if v[2]))
+    @pytest.mark.parametrize("grid", [[], ["--grid-n", "8"]], ids=["direct", "grid"])
+    def test_rejected_with_a_probe(self, agents_csv, capsys, grid, case):
+        bounds, message, _ = BAD_CYCLES[case]
+        code = main(["chord", "--agents", agents_csv, *grid, *bounds, "--at", "0.5"])
+        assert (code, capsys.readouterr().err) == (2, f"preisach: error: {message}\n")
+
+
 class TestDecompose:
     def test_rows_reconstruct_total(self, agents_csv, tmp_path):
         out = tmp_path / "dec.csv"
@@ -664,11 +698,28 @@ class TestVerify:
 
     def test_shift_equivalence_catches_a_resume_without_compare_maps(self, shift_json,
                                                                      monkeypatch, capsys):
-        states_of = preisach.classical.states_of
-        monkeypatch.setattr(preisach.classical, "states_of",
-                            lambda mem, alphas, betas, *maps: states_of(mem, alphas, betas))
+        start = preisach.classical._RelaySimulator.__init__
+
+        def start_with_identity_maps(sim, model, memory):
+            start(sim, model, memory)
+            sim.states = model.base.fold(memory.steps())  # only the resumed route breaks
+
+        monkeypatch.setattr(preisach.classical._RelaySimulator, "__init__",
+                            start_with_identity_maps)
         assert main(["verify", "--model", "shifted", "--agents", shift_json]) == 3
         assert "FAIL  shift-equivalence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["verify", "loop"])
+    def test_tolerance_must_be_finite_and_non_negative(self, agents_csv, capsys, command, tol):
+        cycle = ["--u-minus", "0.5", "--u-plus", "2.5"] if command == "loop" else []
+        code = main([command, "--agents", agents_csv, *cycle, f"--tol={tol}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith("preisach: error: --tol must be finite and at least 0\n")
+
+    def test_zero_tolerance_is_allowed(self, agents_csv):
+        assert main(["verify", "--agents", agents_csv, "--tol", "0"]) == 0
 
     def test_impossible_tolerance_fails_with_exit_3(self, generalized_json, capsys):
         code = main(

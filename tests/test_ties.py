@@ -293,6 +293,39 @@ class TestRelayIndex:
                                    model.up_compare, model.down_compare)
             assert np.array_equal(model.fold(seq.steps_to(q)), reference)
 
+    def test_deep_staircase_resume(self):
+        # 120 nested pairs (1 - k/128, -1 + k/128) and a live rise to 0; every
+        # threshold sits on a stored value or on one moved by the shift below,
+        # which is wider than the innermost pairs
+        tops = [1 - k / 128 for k in range(120)]
+        bottoms = [-1 + k / 128 for k in range(120)]
+        path = [v for pair in zip(tops, bottoms) for v in pair] + [0.0]
+        mem = memory_from_sequence(RS(-2.0, tuple(path)))
+        assert len(mem.vertex_pairs) == 120
+        values = np.array(path)
+        on_values = np.concatenate((values, values - 0.125, values + 0.125))
+        rng = np.random.default_rng(3)
+        pairs = np.sort(rng.choice(on_values, (300, 2)), axis=1)
+        alpha, beta = pairs[:, 1], pairs[:, 0]
+        nu = rng.choice(SPREAD, 300)
+        models = relay_models(alpha, beta, nu, ([(0.0, 0.125)], [(0.0, -0.125)]))
+        assert len(models) == 3
+
+        def check(sim, n_pairs):
+            assert len(sim.memory.vertex_pairs) == n_pairs
+            want = relay_fold(alpha, beta, sim.memory.steps(), None,
+                              sim.model.up_compare, sim.model.down_compare)
+            assert np.array_equal(sim.states, want), (sim.model, n_pairs)
+            if isinstance(sim.model, ShiftModel):
+                ref = sim.model.band_sum(sim.model.nu, sim.states, sim.memory.current_u)
+                assert same_bits(sim.value(), ref), n_pairs
+
+        for model in models:
+            sim = model.simulator(memory=mem)
+            check(sim, 120)
+            sim.push(bottoms[60])  # swallows the 60 innermost pairs
+            check(sim, 61)
+
 
 class TestPackedReadout:
     @given(st.lists(soft_agents(), min_size=1, max_size=8),
