@@ -52,7 +52,6 @@ from .generalized import (
     EqualChordsReport,
     GeneralizedPopulation,
     ShiftModel,
-    ShiftedWeightView,
     check_equal_chords,
     chord_generalized,
     eval_generalized,
@@ -60,7 +59,6 @@ from .generalized import (
     eval_shifted,
     midline_offset,
     saturation_term,
-    to_generalized,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "ReversalSequence",
     "SampledSeries",
     "ShiftModel",
-    "ShiftedWeightView",
     "StaircaseMemory",
     "WeightGrid",
     "apply_sequence",
@@ -105,7 +102,6 @@ __all__ = [
     "saturation_term",
     "save_memory",
     "states_of",
-    "to_generalized",
     "uniform_grid",
     "validate",
     "vertical_chord",

@@ -105,9 +105,16 @@ class _RelayModel:
         return 0.0
 
     def parts(self, states: np.ndarray, u: float) -> tuple[float, float, float]:
-        """The output at ``u`` as its band, forced and offset parts, which add up to it."""
+        """The output at ``u`` as its band, forced and offset parts, which add up to it.
+
+        The forced part counts each relay outside the band in its own state,
+        which ``u`` alone fixes only after the input first rises, away from ties."""
         w = self.weight(u)
-        return self.band_sum(w, states, u), self.forced_sum(w, u), self.offset(u)
+        up = self.alpha <= self.up_compare(u)
+        down = ~up & (self.beta >= self.down_compare(u))
+        signed = w * states
+        forced = math.fsum(signed[up]) + math.fsum(signed[down])
+        return self.band_sum(w, states, u), forced, self.offset(u)
 
     @functools.cached_property
     def _index(self) -> _RelayIndex:
@@ -134,11 +141,6 @@ class _RelayModel:
         only ones whose state depends on the history."""
         band = (self.alpha > self.up_compare(u)) & (self.beta < self.down_compare(u))
         return math.fsum(weight[band] * states[band])
-
-    def forced_sum(self, weight: np.ndarray, u: float) -> float:
-        """Signed ``weight`` of the relays whose state ``u`` alone forces."""
-        return (math.fsum(weight[self.alpha <= self.up_compare(u)])
-                - math.fsum(weight[self.beta >= self.down_compare(u)]))
 
     def flipped(self, u_minus: float, u_plus: float, u: float) -> np.ndarray:
         """Mask of the relays the steady cycle ``[u_minus, u_plus]`` flips at ``u``.
@@ -392,8 +394,7 @@ class WeightGrid:
     """
 
     def __init__(self, beta0: float, alpha0: float, cell_mass):
-        if not (math.isfinite(beta0) and math.isfinite(alpha0)) or alpha0 <= beta0:
-            raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
+        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0)
         cell_mass = np.asarray(cell_mass, dtype=float)
         if cell_mass.ndim != 2 or cell_mass.shape[0] != cell_mass.shape[1]:
             raise ValueError("cell_mass must be a square matrix")
@@ -404,8 +405,6 @@ class WeightGrid:
             raise ValueError("grid needs at least 2 cells per axis")
         if np.triu(cell_mass, 1).any():
             raise ValueError("cells with alpha < beta must carry zero mass")
-        self.beta0 = float(beta0)
-        self.alpha0 = float(alpha0)
         self.n = n
         self.cell_mass = cell_mass
         self.cell_width = (self.alpha0 - self.beta0) / n
@@ -505,15 +504,21 @@ class GridSimulator:
         return (*decompose_classical(self.grid, self.memory), 0.0)
 
 
+def _grid_bounds(beta0: float, alpha0: float) -> tuple[float, float]:
+    """Grid bounds as floats; they must be finite with ``beta0 < alpha0``."""
+    beta0, alpha0 = float(beta0), float(alpha0)
+    if not -math.inf < beta0 < alpha0 < math.inf:  # nan fails too
+        raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
+    return beta0, alpha0
+
+
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
     """Bin a population into an n x n grid over ``bounds = (beta0, alpha0)``.
 
     Binning is conservative: the total grid mass equals the summed agent
     capacity. Agents must lie inside the bounds.
     """
-    beta0, alpha0 = float(bounds[0]), float(bounds[1])
-    if alpha0 <= beta0:
-        raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
+    beta0, alpha0 = _grid_bounds(*bounds)
     outside = np.flatnonzero(
         (pop.alpha > alpha0)
         | (pop.alpha < beta0)
@@ -628,7 +633,8 @@ def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition
     alone (up-thresholds at or below ``u`` minus down-thresholds at or above
     ``u``); the irreversible part is the signed mass of the bistable band,
     the only region where history matters. The two parts add back to
-    ``eval_geometric`` exactly for any memory produced by an input path.
+    ``eval_geometric`` for any memory of an input path: every cell is DOWN
+    until the input first rises, and a cell centered at ``u`` is UP only after a rise.
     """
     _require_in_support(grid, mem)
     u = mem.current_u
@@ -636,6 +642,10 @@ def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition
     b = grid.jcut_down(u)
     n = grid.n
     forced_up = grid.rect_mass(0, a, 0, n)
+    if not mem.risen:
+        forced_up = -forced_up
+    elif mem.trend != RISING:
+        forced_up -= 2.0 * grid.rect_mass(b, a, b, a)  # the cell centered at u, if any
     forced_down = grid.rect_mass(0, n, b, n) - grid.rect_mass(0, a, b, n)
     reversible = forced_up - forced_down
     band_mass = grid.rect_mass(a, n, 0, b)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import fileio
 from .classical import SupportError, from_agents, minor_loop, require_cycle
 from .memory import load_memory, save_memory
 from .signal import ReversalSequence, SampledSeries, extract_reversals, require_valid
-from .verify import run_suite
+from .verify import residual_limit, run_suite
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -62,6 +63,23 @@ _CYCLE_OPTIONS = {*_SHARED_OPTIONS, "u-minus", "u-plus", "n-points"}
 # Defaults of options that another option overrides; they are filled in
 # after parsing, so giving one alongside its overrider is a usage error.
 _OVERRIDDEN = {"start": ("memory_in", 0.0), "n_points": ("at", 101)}
+_DASH_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Each ``--option VALUE`` whose VALUE starts with ``-`` and a number, as
+    ``--option=VALUE``: argparse takes a token such as ``-1.5,1.2`` or
+    ``-inf,1`` for an option unless it is a plain negative number. Every
+    option in ``_OPTIONS`` takes one value; its name may be abbreviated."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev[:2] == "--" and prev[2:] and _DASH_NUMBER.match(token) \
+                and any(f"--{name}".startswith(prev) for name in _OPTIONS):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _load_model(args):
@@ -158,8 +176,7 @@ def cmd_loop(args) -> int:
         [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
     )
     mismatch = float(np.abs(chord_loop - chord_formula).max())
-    scale = max(1.0, *(float(np.abs(f).max()) for f in (trace.f_ascending, trace.f_descending)))
-    if mismatch <= args.tol * scale:
+    if mismatch <= residual_limit(args.tol, (trace.f_ascending, trace.f_descending)):
         header = ["u", "f_ascending", "f_descending", "chord"]
         rows = zip(trace.us, trace.f_ascending, trace.f_descending, chord_loop)
     else:
@@ -224,7 +241,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         if args.model != "classical" and (args.grid_n is not None or args.bounds is not None):
             parser.error("--grid-n and --bounds apply to --model classical only")
         if args.bounds is not None and args.grid_n is None:

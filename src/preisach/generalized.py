@@ -11,7 +11,7 @@ bistable band (agents with beta < u < alpha -- the only history-dependent
 piece) and a pure function of u from the agents whose state the current
 input forces. ``eval_irreversible``, ``saturation_term`` and
 ``midline_offset`` compute the three pieces; their sum reconstructs
-``eval_generalized`` identically.
+``eval_generalized`` identically after the input first rises, away from ties.
 
 Because the loop gap moves with the input, cycles traced after different
 histories are generally *not* congruent: agents outside the cycle band
@@ -27,10 +27,12 @@ with the input: the up threshold is crossed where ``u + g2(u)`` reaches
 composite maps must be non-decreasing so each monotone input leg crosses an
 effective threshold at most once, and its cycle chords are bounded through
 the same maps. Relabeling each agent by its momentary effective
-thresholds turns the shift model into a soft-weight model whose weight
-rides with the input; ``to_generalized`` returns that relabeled view, whose
-band output (``eval_irreversible``) equals ``eval_shifted`` exactly. This is
-the moving Preisach model of Della Torre and Vajda.
+thresholds, ``(alpha - g2(u), beta - g1(u))``, would turn the shift model
+into a soft-weight model whose weight rides with the input; switching and
+band membership are decided on the base side instead (``alpha`` against
+``u + g2(u)``), because comparing ``alpha - g2(u)`` with ``u`` rounds
+differently and disagrees at exact ties. This is the moving Preisach model
+of Della Torre and Vajda.
 
 ``ShiftModel.output`` sums the band with ``math.fsum`` in O(agents) and is
 the reference. ``ShiftedSimulator`` reads the same bits in O(log n) from the
@@ -136,9 +138,12 @@ def saturation_term(gpop: GeneralizedPopulation, u: float) -> float:
 
     Agents with up-threshold at or below ``u`` count positively, agents
     with down-threshold at or above ``u`` negatively, each with its loop
-    gap evaluated at ``u``.
+    gap evaluated at ``u``; a tie agent counts both ways. A pure function of
+    ``u``, it is the forced part of an input path (``simulator(...).parts()``)
+    only after the path first rises, away from ties.
     """
-    return gpop.forced_sum(gpop.weight(u), u)
+    gap = gpop.weight(u)
+    return math.fsum(gap[gpop.alpha <= u]) - math.fsum(gap[gpop.beta >= u])
 
 
 def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
@@ -146,7 +151,8 @@ def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
     """History-carrying part: signed gaps over the bistable band only.
 
     Adding ``saturation_term`` and ``midline_offset`` at the same input
-    reconstructs ``eval_generalized`` exactly.
+    reconstructs ``eval_generalized`` exactly after the input first rises,
+    away from ties.
     """
     states = gpop.fold(seq.steps_to(query_u))
     return gpop.band_sum(gpop.weight(query_u), states, query_u)
@@ -294,32 +300,3 @@ class ShiftedSimulator(_RelaySimulator):
         mem = self.memory
         return self.model._exact.band(self.total, self.states, mem.current_u, mem.risen)
 
-
-class ShiftedWeightView:
-    """The shift model relabeled by momentary effective thresholds.
-
-    At input ``u`` every base agent ``(alpha, beta, nu)`` sits at the primed
-    position ``(alpha - g2(u), beta - g1(u))`` carrying its capacity: an
-    input-dependent point weight. Evaluating the band output of that weight
-    reproduces :func:`eval_shifted` -- the relabeling is a change of
-    variables, not a different model.
-    """
-
-    def __init__(self, sm: ShiftModel):
-        self.sm = sm
-
-    def eval_irreversible(self, seq: ReversalSequence, query_u: float) -> float:
-        """Band output of the relabeled weight at ``query_u``.
-
-        A primed agent is bistable while ``beta' < u < alpha'``, i.e. while
-        ``beta < u + g1(u)`` and ``alpha > u + g2(u)``. Switching and band
-        membership are decided on those base-side values, as in the base
-        model: comparing ``alpha - g2(u)`` with ``u`` rounds differently and
-        disagrees with it at exact ties, so this is :func:`eval_shifted`.
-        """
-        return eval_shifted(self.sm, seq, query_u)
-
-
-def to_generalized(sm: ShiftModel) -> ShiftedWeightView:
-    """Relabel a shift model as an input-dependent weight over primed labels."""
-    return ShiftedWeightView(sm)

@@ -11,13 +11,14 @@ seeded fixtures and reports the worst deviation it observed:
   even where the branches themselves do not (the incongruence witness),
 * reconstruction (generalized) -- band + saturation + midline parts add
   back to the full output,
-* shift equivalence -- the relabeled weight (``to_generalized``) folded
-  over the raw history, summed with ``math.fsum``, gives the band output of
-  the moving-threshold simulator resumed from the history's compressed
+* shift equivalence -- the shift model folded over the raw history and
+  summed with ``math.fsum`` (``eval_shifted``) gives the band output of the
+  moving-threshold simulator resumed from the history's compressed
   staircase memory, read from its exact integer total.
 
-All but erasure soundness pass when their worst deviation is within ``tol``
-times the largest ``|output|`` they evaluated, or ``tol`` if that is below 1.
+All but erasure soundness pass when their worst deviation is within
+``residual_limit``: ``tol`` times the largest ``|output|`` they evaluated,
+or ``tol`` if that is below 1.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .generalized import (
     check_equal_chords,
     eval_generalized,
     eval_irreversible,
+    eval_shifted,
     midline_offset,
     saturation_term,
-    to_generalized,
 )
 from .hysteron import relay_fold
 from .memory import memory_from_sequence, states_of
@@ -54,29 +55,32 @@ class CheckResult:
         return f"{status}  {self.name}: max deviation {self.max_deviation:.3e}  ({self.detail})"
 
 
-def random_history(rng, lo: float, hi: float, max_reversals: int,
-                   start_u: float | None = None) -> ReversalSequence:
-    """A random alternating history inside [lo, hi]."""
-    if start_u is None:
-        start_u = lo
+def residual_limit(tol: float, outputs) -> float:
+    """Pass limit for a dual-path residual: ``tol`` times max(1, the largest
+    ``|output|`` among ``outputs``, each an array or a number)."""
+    return tol * max([1.0, *(float(np.abs(f).max()) for f in outputs)])
+
+
+def random_history(rng, lo: float, hi: float, max_reversals: int) -> ReversalSequence:
+    """A random alternating history inside [lo, hi], starting at ``lo``."""
     k = int(rng.integers(1, max_reversals + 1))
     vals = rng.uniform(lo, hi, k)
     series = SampledSeries.from_pairs([(i, v) for i, v in enumerate(vals)])
-    return extract_reversals(series, start_u)
+    return extract_reversals(series, lo)
 
 
-def check_erasure(bounds: tuple[float, float], rng, n_histories: int = 200,
-                  max_reversals: int = 100, probe_n: int = 50) -> CheckResult:
+def check_erasure(bounds: tuple[float, float], rng) -> CheckResult:
     """Compressed-memory states vs. brute-force replay on a probe lattice."""
+    n_histories = 200
     lo, hi = bounds
     pad = 0.05 * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, probe_n)
+    grid = np.linspace(lo - pad, hi + pad, 50)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
     keep = aa >= bb
     alphas, betas = aa[keep], bb[keep]
     mismatches = 0
     for _ in range(n_histories):
-        seq = random_history(rng, lo, hi, max_reversals)
+        seq = random_history(rng, lo, hi, 100)
         mem = memory_from_sequence(seq)
         got = states_of(mem, alphas, betas)
         want = relay_fold(alphas, betas, seq.steps())  # the uncompressed history
@@ -96,13 +100,12 @@ def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def _loop_pairs(model, rng, n_pairs: int, n_cycles: int, max_reversals: int,
-                n_points: int, pad: float, tol: float):
-    """Two steady loops per random cycle, traced after two random histories.
+def _loop_pairs(model, rng, n_pairs: int, max_reversals: int, pad: float, tol: float):
+    """Two steady loops of 61 points per random cycle, 3 cycles traced after
+    each of ``n_pairs`` pairs of random histories.
 
     Histories range over the model's support widened by ``pad`` times its
-    width on each side. Also returns the pass limit for deviations between
-    loops: ``tol`` times max(1, the largest ``|output|`` on any branch).
+    width on each side. Also returns the ``residual_limit`` of the branches.
     """
     lo, hi = model.support_bounds()
     h_lo, h_hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
@@ -110,35 +113,33 @@ def _loop_pairs(model, rng, n_pairs: int, n_cycles: int, max_reversals: int,
     for _ in range(n_pairs):
         h1 = random_history(rng, h_lo, h_hi, max_reversals)
         h2 = random_history(rng, h_lo, h_hi, max_reversals)
-        for _ in range(n_cycles):
+        for _ in range(3):
             um, up = _random_cycle(rng, lo, hi)
-            pairs.append((minor_loop(model, h1, um, up, n_points),
-                          minor_loop(model, h2, um, up, n_points)))
+            pairs.append((minor_loop(model, h1, um, up, 61),
+                          minor_loop(model, h2, um, up, 61)))
     branches = (f for pair in pairs for loop in pair
                 for f in (loop.f_ascending, loop.f_descending))
-    return pairs, tol * max(1.0, *(float(np.abs(f).max()) for f in branches))
+    return pairs, residual_limit(tol, branches)
 
 
-def check_classical_congruency(model, rng, n_pairs: int = 10, n_cycles: int = 3,
-                               tol: float = 1e-12, n_points: int = 61) -> CheckResult:
+def check_classical_congruency(model, rng, tol: float = 1e-12) -> CheckResult:
     """Steady cycles from different histories must be congruent."""
     # grid evaluation is only defined inside the binned support
     pad = 0.0 if isinstance(model, WeightGrid) else 0.4
-    pairs, limit = _loop_pairs(model, rng, n_pairs, n_cycles, 40, n_points, pad, tol)
+    pairs, limit = _loop_pairs(model, rng, 10, 40, pad, tol)
     worst = max(check_congruency(l1, l2, tol).max_deviation for l1, l2 in pairs)
     return CheckResult(
         name="congruency",
         passed=worst <= limit,
         max_deviation=worst,
-        detail=f"{n_pairs} history pairs x {n_cycles} cycles, translation-adjusted",
+        detail="10 history pairs x 3 cycles, translation-adjusted",
     )
 
 
 def check_generalized_equal_chords(gpop: GeneralizedPopulation, rng,
-                                   n_pairs: int = 8, n_cycles: int = 3,
-                                   tol: float = 1e-12, n_points: int = 61) -> CheckResult:
+                                   tol: float = 1e-12) -> CheckResult:
     """Branch gaps must agree across histories; congruency usually fails."""
-    pairs, limit = _loop_pairs(gpop, rng, n_pairs, n_cycles, 30, n_points, 0.4, tol)
+    pairs, limit = _loop_pairs(gpop, rng, 8, 30, 0.4, tol)
     reports = [check_equal_chords(l1, l2, limit) for l1, l2 in pairs]
     worst = max(rep.max_chord_deviation for rep in reports)
     incongruent_seen = not all(rep.congruent for rep in reports)
@@ -147,53 +148,50 @@ def check_generalized_equal_chords(gpop: GeneralizedPopulation, rng,
         name="equal-chords",
         passed=worst <= limit,
         max_deviation=worst,
-        detail=f"{n_pairs} history pairs x {n_cycles} cycles; {witness}",
+        detail=f"8 history pairs x 3 cycles; {witness}",
     )
 
 
-def _two_routes(name: str, model, rng, n_cases: int, tol: float, pad: float,
-                routes, detail: str) -> CheckResult:
-    """Compare two routes to one output after random histories, padded as in ``_loop_pairs``.
+def _two_routes(name: str, model, rng, tol: float, pad: float, routes,
+                detail: str) -> CheckResult:
+    """Compare two routes to one output after 100 random histories, padded as in ``_loop_pairs``.
 
     ``routes(seq, q)`` gives each route's output at ``q`` after ``seq``, then any terms one summed.
     """
     lo, hi = model.support_bounds()
     span = hi - lo
-    worst, scale = 0.0, 1.0
-    for _ in range(n_cases):
+    worst, outputs = 0.0, []
+    for _ in range(100):
         seq = random_history(rng, lo - pad * span, hi + pad * span, 30)
         q = seq.extrema[-1] if seq.extrema else seq.start_u
         first, second, *terms = routes(seq, q)
         worst = max(worst, abs(first - second))
-        scale = max(scale, *(abs(v) for v in (first, second, *terms)))
+        outputs += (first, second, *terms)
     return CheckResult(
         name=name,
-        passed=worst <= tol * scale,
+        passed=worst <= residual_limit(tol, outputs),
         max_deviation=worst,
-        detail=f"{n_cases} random histories{detail}",
+        detail=f"100 random histories{detail}",
     )
 
 
-def check_reconstruction(gpop: GeneralizedPopulation, rng, n_cases: int = 100,
-                         tol: float = 1e-12) -> CheckResult:
+def check_reconstruction(gpop: GeneralizedPopulation, rng, tol: float = 1e-12) -> CheckResult:
     """Band + saturation + midline must re-assemble the full output."""
     def routes(seq, q):
         irr, sat, mid = (eval_irreversible(gpop, seq, q), saturation_term(gpop, q),
                          midline_offset(gpop, q))
         return eval_generalized(gpop, seq, q), irr + sat + mid, irr, sat, mid
 
-    return _two_routes("reconstruction", gpop, rng, n_cases, tol, 0.2, routes, "")
+    return _two_routes("reconstruction", gpop, rng, tol, 0.2, routes, "")
 
 
-def check_shift_equivalence(sm: ShiftModel, rng, n_cases: int = 100,
-                            tol: float = 1e-12) -> CheckResult:
-    """Relabeled weight on the raw history vs. the moving-threshold simulator
-    resumed, as a ``--memory-in`` run is, from the history's staircase memory."""
+def check_shift_equivalence(sm: ShiftModel, rng, tol: float = 1e-12) -> CheckResult:
+    """The shift model folded over the raw history vs. the moving-threshold
+    simulator resumed, as a ``--memory-in`` run is, from the history's staircase memory."""
     def routes(seq, q):
-        relabeled = to_generalized(sm).eval_irreversible(seq, q)
-        return relabeled, sm.simulator(memory=memory_from_sequence(seq)).value()
+        return eval_shifted(sm, seq, q), sm.simulator(memory=memory_from_sequence(seq)).value()
 
-    return _two_routes("shift-equivalence", sm, rng, n_cases, tol, 0.5, routes,
+    return _two_routes("shift-equivalence", sm, rng, tol, 0.5, routes,
                        ", dual evaluation paths")
 
 

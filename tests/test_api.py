@@ -6,6 +6,7 @@ would read as zero work instead of failing; these tests make it fail.
 """
 
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 import preisach
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 def tracer_targets():
@@ -29,6 +31,25 @@ def test_tracer_target_resolves(owner, attr):
     if cls_name:
         obj = getattr(obj, cls_name)
     assert hasattr(obj, attr), f"{owner} has no {attr}"
+
+
+def console_scripts():
+    """``name = "module:attr"`` lines of ``[project.scripts]`` (no tomllib on 3.10)."""
+    table = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+    table = table.split("\n[", 1)[0]
+    return re.findall(r'^(\S+)\s*=\s*"([\w.]+):(\w+)"', table, flags=re.M)
+
+
+def test_console_scripts_declared():
+    assert [name for name, _, _ in console_scripts()] == ["preisach"]
+
+
+@pytest.mark.parametrize("name, module, attr", console_scripts())
+def test_console_script_target_runs(name, module, attr, capsys):
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target)
+    assert target(["--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: {name} ")
 
 
 def test_every_exported_name_resolves():

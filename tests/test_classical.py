@@ -333,6 +333,24 @@ class TestDecomposition:
                         total -= m
             assert abs(part.reversible - total) <= 1e-12 * max(1.0, unit_grid.total_mass)
 
+    @pytest.mark.parametrize("start, extrema", [
+        (0.0, (1.0, 0.375)),  # falls onto a cell center
+        (0.0, (0.375,)),  # rises onto it
+        (0.5, (0.375,)),  # falls before any rise
+        (0.5, ()),  # never moves
+    ])
+    def test_parts_add_up_at_a_tie_and_before_the_first_rise(self, start, extrema):
+        # cells centered at 0.125, 0.375, 0.625 and 0.875, one agent on each center
+        grid = WeightGrid(0.0, 1.0, np.tril(np.random.default_rng(7).random((4, 4))))
+        rows, cols = np.nonzero(grid.cell_mass)
+        pop = AgentPopulation(grid.centers[rows], grid.centers[cols], grid.cell_mass[rows, cols])
+        mem = memory_from_sequence(RS(start, extrema))
+        limit = 1e-12 * max(1.0, grid.total_mass)
+        part = decompose_classical(grid, mem)
+        assert abs(part.irreversible + part.reversible - eval_geometric(grid, mem)) <= limit
+        irreversible, reversible, _ = pop.simulator(memory=mem).parts()
+        assert abs(irreversible + reversible - eval_direct(pop, RS(start, extrema))[-1]) <= limit
+
     def test_direct_matches_grid_on_center_population(self, unit_grid, center_population):
         rng = np.random.default_rng(18)
         scale = max(1.0, unit_grid.total_mass)

@@ -5,7 +5,7 @@ import pytest
 
 import preisach.classical
 import preisach.verify
-from preisach import ShiftedWeightView, uniform_grid
+from preisach import uniform_grid
 from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
@@ -282,6 +282,17 @@ class TestGridOptions:
         assert code == 2
         assert "bad --bounds value '': expected LO,HI" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # numpy warns on binning with a non-finite bound
+    @pytest.mark.parametrize("bounds, shown", [
+        ("nan,1", "nan, 1.0"), ("0,nan", "0.0, nan"), ("-inf,1", "-inf, 1.0"),
+        ("-inf,5", "-inf, 5.0"),
+    ])
+    def test_non_finite_bounds_rejected_before_binning(self, agents_csv, capsys, bounds, shown):
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", f"--bounds={bounds}",
+                     "--history", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"preisach: error: invalid bounds ({shown})\n"
+
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
@@ -361,6 +372,30 @@ class TestOptionsPerSubcommand:
         code = main(["simulate", "--agents", agents_csv, "--bounds", "0,1", "--history", "2.5"])
         assert code == 1
         assert "--grid-n" in capsys.readouterr().err
+
+
+class TestValuesStartingWithADash:
+    @pytest.mark.parametrize("option, value, rest", [
+        ("--history", "-1.5,1.2", []),
+        ("--hist", "-1.5,1.2", []),
+        ("--bounds", "-1,5", ["--grid-n", "8", "--history", "2,1"]),
+        ("--start", "-5e-1", ["--history", "2,1"]),
+    ])
+    def test_space_form_equals_the_equals_form(self, agents_csv, tmp_path, option, value, rest):
+        outs = []
+        for form in ([option, value], [f"{option}={value}"]):
+            out = tmp_path / f"run{len(outs)}.csv"
+            assert main(["simulate", "--agents", agents_csv, *rest, *form,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_an_option_is_not_taken_as_a_value(self, agents_csv, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code = main(["simulate", "--agents", agents_csv, "--history", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "argument --history: expected one argument" in capsys.readouterr().err
 
 
 class TestLoop:
@@ -686,7 +721,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("model, owner, name, check", [
         ("generalized", preisach.verify, "eval_generalized", "reconstruction"),
-        ("shifted", ShiftedWeightView, "eval_irreversible", "shift-equivalence"),
+        ("shifted", preisach.verify, "eval_shifted", "shift-equivalence"),
     ])
     def test_relative_error_in_one_route_fails(self, generalized_json, shift_json, model,
                                                owner, name, check, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from preisach import (
     midline_offset,
     minor_loop,
     saturation_term,
-    to_generalized,
     vertical_chord,
 )
 
@@ -193,12 +192,10 @@ class TestShiftModel:
         rng = np.random.default_rng(41)
         for _ in range(30):
             sm = random_shift_model(rng, n_agents=25)
-            view = to_generalized(sm)
             seq = random_history(rng, -2.0, 2.0, 20, start_u=-2.0)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            assert eval_shifted(sm, seq, q) == pytest.approx(
-                view.eval_irreversible(seq, q), abs=1e-12
-            )
+            resumed = sm.simulator(memory=memory_from_sequence(seq))
+            assert eval_shifted(sm, seq, q) == pytest.approx(resumed.value(), abs=1e-12)
 
     def test_effective_threshold_oracle(self):
         # With strictly increasing composite maps the moving-threshold relay
@@ -244,7 +241,7 @@ class TestShiftModel:
         # alpha with up_compare(u) = u + g2(u) is comparing alpha' with u
         pop = AgentPopulation([0.5, 0.7], [-0.5, -0.1], [1.0, 2.0])
         zero = PiecewiseLinear([(0.0, 0.0)])
-        sm = to_generalized(ShiftModel(pop, g1=zero, g2=zero)).sm
+        sm = ShiftModel(pop, g1=zero, g2=zero)
         assert sm.up_compare(0.3) == 0.3
         assert sm.down_compare(0.3) == 0.3
         assert np.array_equal(sm.nu, pop.nu)
@@ -253,7 +250,7 @@ class TestShiftModel:
         pop = AgentPopulation([0.5, 0.7], [-0.5, -0.1], [1.0, 2.0])
         g1 = PiecewiseLinear([(0.0, 0.25)])
         g2 = PiecewiseLinear([(0.0, 0.1)])
-        sm = to_generalized(ShiftModel(pop, g1=g1, g2=g2)).sm
+        sm = ShiftModel(pop, g1=g1, g2=g2)
         for u in (-1.0, 0.0, 2.0):
             assert sm.up_compare(u) == u + 0.1
             assert sm.down_compare(u) == u + 0.25

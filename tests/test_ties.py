@@ -32,7 +32,6 @@ from preisach import (
     memory_from_sequence,
     relay_fold,
     states_of,
-    to_generalized,
 )
 from preisach.cli import main
 
@@ -156,7 +155,8 @@ class TestShiftTies:
         pop = AgentPopulation([0.5, 0.1, 0.6, 0.9, 0.6], [0.1, 0.1, 0.3, 0.5, 0.5], np.ones(5))
         sm = ShiftModel(pop, g1=PiecewiseLinear([(0.0, -0.2)]), g2=PiecewiseLinear([(0.0, -0.5)]))
         seq = RS(-1.0, (1.5, 1.0, 1.4, -0.4, 1.4))
-        assert to_generalized(sm).eval_irreversible(seq, 1.4) == eval_shifted(sm, seq, 1.4)
+        resumed = sm.simulator(memory=memory_from_sequence(seq))
+        assert resumed.value() == eval_shifted(sm, seq, 1.4)
 
     @given(thresholds(), tenths, histories, shift_tables())
     @TIES
@@ -166,7 +166,8 @@ class TestShiftTies:
             return
         seq = extract_reversals(series_from_values(values), start)
         q = seq.extrema[-1] if seq.extrema else seq.start_u
-        assert to_generalized(sm).eval_irreversible(seq, q) == eval_shifted(sm, seq, q)
+        resumed = sm.simulator(memory=memory_from_sequence(seq))
+        assert resumed.value() == eval_shifted(sm, seq, q)
 
     def test_same_line_tables_cross_in_floats(self):
         sm = shift_model(np.array([0.0]), np.array([0.0]), *SAME_LINE)
@@ -482,3 +483,30 @@ def test_split_run_is_byte_identical(kind, command, th, start, values, tables):
             assert main([*base, "--input", path("b.csv"), "--memory-in", path("m.json"),
                          "--out", path("2.csv")]) == 0
             assert _rows(path("1.csv")) + _rows(path("2.csv")) == _rows(path("full.csv"))
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_ARGS))
+@given(th=thresholds(), start=tenths, values=st.lists(tenths, min_size=1, max_size=6),
+       tables=shift_tables())
+@settings(TIES, max_examples=25)
+def test_decompose_rows_reassemble_simulate(kind, th, start, values, tables):
+    # decompose's f_total rounds its three parts' sum, so it matches simulate's
+    # f only to 1e-12 relative; a shifted f is the band part itself, f_irreversible
+    alpha, beta = th
+    if kind == "shifted" and shift_model(alpha, beta, *tables) is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = functools.partial(os.path.join, tmp)
+        _write_series(path("in.csv"), values)
+        base = ["--agents", _agent_file(kind, alpha, beta, tables, tmp), *MODEL_ARGS[kind],
+                "--start", repr(start), "--input", path("in.csv")]
+        assert main(["simulate", *base, "--out", path("f.csv")]) == 0
+        assert main(["decompose", *base, "--out", path("parts.csv")]) == 0
+        for f_row, parts_row in zip(_rows(path("f.csv")), _rows(path("parts.csv")), strict=True):
+            f = f_row.split(",")[1]
+            f_irreversible, _, _, f_total = parts_row.split(",")
+            if kind == "shifted":
+                assert f_irreversible == f, (f_row, parts_row)
+            else:
+                assert abs(float(f_total) - float(f)) <= 1e-12 * max(1.0, abs(float(f))), \
+                    (f_row, parts_row)
