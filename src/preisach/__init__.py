@@ -55,10 +55,7 @@ from .generalized import (
     check_equal_chords,
     chord_generalized,
     eval_generalized,
-    eval_irreversible,
     eval_shifted,
-    midline_offset,
-    saturation_term,
 )
 
 __version__ = "0.1.0"
@@ -87,19 +84,16 @@ __all__ = [
     "eval_direct",
     "eval_generalized",
     "eval_geometric",
-    "eval_irreversible",
     "eval_shifted",
     "extract_reversals",
     "from_agents",
     "initial_memory",
     "load_memory",
     "memory_from_sequence",
-    "midline_offset",
     "minor_loop",
     "push_extremum",
     "relay_fold",
     "require_valid",
-    "saturation_term",
     "save_memory",
     "states_of",
     "uniform_grid",

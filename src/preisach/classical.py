@@ -535,8 +535,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     width = (alpha0 - beta0) / n
     rows = np.clip(((pop.alpha - beta0) / width).astype(int), 0, n - 1)
     cols = np.clip(((pop.beta - beta0) / width).astype(int), 0, n - 1)
-    cell_mass = np.zeros((n, n))
-    np.add.at(cell_mass, (rows, cols), pop.nu)
+    cell_mass = np.bincount(rows * n + cols, weights=pop.nu, minlength=n * n).reshape(n, n)
     return WeightGrid(beta0, alpha0, cell_mass)
 
 

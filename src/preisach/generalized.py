@@ -4,14 +4,13 @@ The aggregate output of soft-branch agents splits, per agent, into a relay
 part weighted by the loop gap at the *current* input plus the branch
 midline. Summed over the population this yields
 
-    f(u) = sum_k gap_k(u) * s_k  +  midline_offset(u)
+    f(u) = sum_k gap_k(u) * s_k  +  sum_k midline_k(u)
 
 and the relay sum itself splits further into the contribution of the
 bistable band (agents with beta < u < alpha -- the only history-dependent
-piece) and a pure function of u from the agents whose state the current
-input forces. ``eval_irreversible``, ``saturation_term`` and
-``midline_offset`` compute the three pieces; their sum reconstructs
-``eval_generalized`` identically after the input first rises, away from ties.
+piece) and that of the agents whose state the current input forces, each
+counted in its own state. A simulator's ``parts`` returns the band, forced
+and midline pieces; they add up to ``eval_generalized`` of the same history.
 
 Because the loop gap moves with the input, cycles traced after different
 histories are generally *not* congruent: agents outside the cycle band
@@ -126,36 +125,6 @@ def eval_generalized(gpop: GeneralizedPopulation, seq: ReversalSequence,
                      query_u: float) -> float:
     """Aggregate soft-branch output after ``seq`` at input ``query_u``."""
     return gpop.output(gpop.fold(seq.steps_to(query_u)), query_u)
-
-
-def midline_offset(gpop: GeneralizedPopulation, u: float) -> float:
-    """Fully reversible part: the summed branch midlines at ``u``."""
-    return gpop.offset(u)
-
-
-def saturation_term(gpop: GeneralizedPopulation, u: float) -> float:
-    """Reversible relay part from agents whose state ``u`` forces.
-
-    Agents with up-threshold at or below ``u`` count positively, agents
-    with down-threshold at or above ``u`` negatively, each with its loop
-    gap evaluated at ``u``; a tie agent counts both ways. A pure function of
-    ``u``, it is the forced part of an input path (``simulator(...).parts()``)
-    only after the path first rises, away from ties.
-    """
-    gap = gpop.weight(u)
-    return math.fsum(gap[gpop.alpha <= u]) - math.fsum(gap[gpop.beta >= u])
-
-
-def eval_irreversible(gpop: GeneralizedPopulation, seq: ReversalSequence,
-                      query_u: float) -> float:
-    """History-carrying part: signed gaps over the bistable band only.
-
-    Adding ``saturation_term`` and ``midline_offset`` at the same input
-    reconstructs ``eval_generalized`` exactly after the input first rises,
-    away from ties.
-    """
-    states = gpop.fold(seq.steps_to(query_u))
-    return gpop.band_sum(gpop.weight(query_u), states, query_u)
 
 
 class GeneralizedSimulator(_RelaySimulator):

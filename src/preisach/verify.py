@@ -9,8 +9,9 @@ seeded fixtures and reports the worst deviation it observed:
   to a vertical translation no matter the prior history,
 * equal chords (generalized) -- cycle branch gaps match across histories
   even where the branches themselves do not (the incongruence witness),
-* reconstruction (generalized) -- band + saturation + midline parts add
-  back to the full output,
+* reconstruction (generalized) -- the soft model folded over the raw
+  history (``eval_generalized``) gives the sum of the band, forced and
+  midline parts of the simulator resumed from the history's staircase memory,
 * shift equivalence -- the shift model folded over the raw history and
   summed with ``math.fsum`` (``eval_shifted``) gives the band output of the
   moving-threshold simulator resumed from the history's compressed
@@ -33,10 +34,7 @@ from .generalized import (
     ShiftModel,
     check_equal_chords,
     eval_generalized,
-    eval_irreversible,
     eval_shifted,
-    midline_offset,
-    saturation_term,
 )
 from .hysteron import relay_fold
 from .memory import memory_from_sequence, states_of
@@ -176,11 +174,11 @@ def _two_routes(name: str, model, rng, tol: float, pad: float, routes,
 
 
 def check_reconstruction(gpop: GeneralizedPopulation, rng, tol: float = 1e-12) -> CheckResult:
-    """Band + saturation + midline must re-assemble the full output."""
+    """The soft model folded over the raw history vs. the parts of the
+    simulator resumed from the history's staircase memory, summed as ``decompose`` sums them."""
     def routes(seq, q):
-        irr, sat, mid = (eval_irreversible(gpop, seq, q), saturation_term(gpop, q),
-                         midline_offset(gpop, q))
-        return eval_generalized(gpop, seq, q), irr + sat + mid, irr, sat, mid
+        band, forced, offset = gpop.simulator(memory=memory_from_sequence(seq)).parts()
+        return eval_generalized(gpop, seq, q), band + forced + offset, band, forced, offset
 
     return _two_routes("reconstruction", gpop, rng, tol, 0.2, routes, "")
 

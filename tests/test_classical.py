@@ -94,6 +94,24 @@ class TestWeightGrid:
         grid = from_agents(pop, 128, (0.0, 1.0))
         assert grid.total_mass == pytest.approx(pop.total_capacity, rel=1e-13)
 
+    def test_binning_matches_add_at_byte_for_byte(self):
+        # many agents per cell, thresholds on cell edges and both bounds, zero
+        # capacities, and magnitudes where the order of the additions shows
+        n, lo, hi = 8, -1.0, 1.0
+        rng = np.random.default_rng(6)
+        on_edges = np.linspace(lo, hi, n + 1)
+        values = np.concatenate((on_edges, rng.uniform(lo, hi, 4)))
+        pairs = np.sort(rng.choice(values, (2000, 2)), axis=1)
+        nu = rng.choice([0.0, 0.0, 1e-17, 0.1, 1.0, 3.0, 1e16], 2000)
+        pop = AgentPopulation(pairs[:, 1], pairs[:, 0], nu)
+        width = (hi - lo) / n
+        rows = np.clip(((pop.alpha - lo) / width).astype(int), 0, n - 1)
+        cols = np.clip(((pop.beta - lo) / width).astype(int), 0, n - 1)
+        want = np.zeros((n, n))
+        np.add.at(want, (rows, cols), pop.nu)
+        got = from_agents(pop, n, (lo, hi)).cell_mass
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_agent_out_of_range(self):
         pop = AgentPopulation([1.5], [0.5], [1.0])
         with pytest.raises(ValueError, match="agent out of range"):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from helpers import (
     random_shift_model,
     random_soft_agent,
     random_soft_population,
+    raw_relay_states,
     varying_gap_agents,
     varying_gap_population,
 )
@@ -24,14 +26,12 @@ from preisach import (
     chord_generalized,
     eval_direct,
     eval_generalized,
-    eval_irreversible,
     eval_shifted,
     memory_from_sequence,
-    midline_offset,
     minor_loop,
-    saturation_term,
     vertical_chord,
 )
+from preisach.cli import main
 
 RS = ReversalSequence
 DOWN = -1.0
@@ -47,6 +47,11 @@ def rectangular_embedding(pop: AgentPopulation) -> GeneralizedPopulation:
 
 
 varying_gap_fixture = varying_gap_population
+
+
+def resumed_parts(gpop: GeneralizedPopulation, seq: ReversalSequence):
+    """Band, forced and midline parts of the simulator resumed from ``seq``'s memory."""
+    return gpop.simulator(memory=memory_from_sequence(seq)).parts()
 
 
 class TestEvalGeneralized:
@@ -96,36 +101,38 @@ class TestReversibleTerms:
         gpop = rectangular_embedding(pop)
         for u in (-1.0, 0.1, 2.0):
             assert np.array_equal(gpop.loop_gap_at(u), pop.nu)
-            assert midline_offset(gpop, u) == 0.0
+            assert gpop.offset(u) == 0.0
 
     def test_below_every_band_all_agents_count_negative(self):
         gpop = varying_gap_fixture()
         u = -3.0
         want = -math.fsum(gpop.loop_gap_at(u))
-        assert saturation_term(gpop, u) == pytest.approx(want, abs=1e-15)
+        assert gpop.simulator(u).parts()[1] == want
 
     def test_terms_match_scalar_sweep_oracle(self):
         rng = np.random.default_rng(29)
         agents = [random_soft_agent(rng) for _ in range(60)]
         gpop = GeneralizedPopulation(agents)
-        for u in rng.uniform(-1.5, 1.5, 10):
-            sat = 0.0
+        for _ in range(10):
+            seq = random_history(rng, -1.5, 1.5, 3, start_u=1.5)  # often a fall alone
+            u = seq.extrema[-1] if seq.extrema else seq.start_u
+            forced = 0.0
             mid = 0.0
             for h in agents:
                 gap = 0.5 * (float(h.f_minus(u)) - float(h.f_plus(u)))
                 mid += 0.5 * (float(h.f_minus(u)) + float(h.f_plus(u)))
-                if h.alpha <= u:
-                    sat += gap
-                if h.beta >= u:
-                    sat -= gap
-            assert saturation_term(gpop, float(u)) == pytest.approx(sat, abs=1e-12)
-            assert midline_offset(gpop, float(u)) == pytest.approx(mid, abs=1e-12)
+                if h.alpha <= u or h.beta >= u:  # forced, counted in its own state
+                    forced += gap * float(raw_relay_states([h.alpha], [h.beta], seq)[0])
+            _, got_forced, got_mid = resumed_parts(gpop, seq)
+            assert got_forced == pytest.approx(forced, abs=1e-12)
+            assert got_mid == pytest.approx(mid, abs=1e-12)
+            assert gpop.offset(u) == got_mid
 
 
 class TestIrreversiblePart:
     def test_zero_outside_every_band(self):
         gpop = varying_gap_fixture()
-        assert eval_irreversible(gpop, RS(-3.0, (2.5,)), 2.5) == 0.0
+        assert resumed_parts(gpop, RS(-3.0, (2.5,)))[0] == 0.0
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(31)
@@ -134,12 +141,7 @@ class TestIrreversiblePart:
             seq = random_history(rng, -1.4, 1.4, 25, start_u=-1.4)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
             whole = eval_generalized(gpop, seq, q)
-            parts = (
-                eval_irreversible(gpop, seq, q)
-                + saturation_term(gpop, q)
-                + midline_offset(gpop, q)
-            )
-            assert parts == pytest.approx(whole, abs=1e-12)
+            assert sum(resumed_parts(gpop, seq)) == pytest.approx(whole, abs=1e-12)
 
     def test_rectangular_agents_match_classical_band(self):
         rng = np.random.default_rng(33)
@@ -147,20 +149,30 @@ class TestIrreversiblePart:
         gpop = rectangular_embedding(pop)
         for _ in range(20):
             seq = random_history(rng, 0.0, 1.0, 20, start_u=0.0)
-            q = seq.extrema[-1] if seq.extrema else seq.start_u
             want = pop.simulator(memory=memory_from_sequence(seq)).parts()[0]
-            assert eval_irreversible(gpop, seq, q) == pytest.approx(want, abs=1e-12)
+            assert resumed_parts(gpop, seq)[0] == pytest.approx(want, abs=1e-12)
 
-    def test_memory_driven_decomposition_agrees(self):
-        rng = np.random.default_rng(35)
-        gpop = random_soft_population(rng, 40)
-        for _ in range(15):
-            seq = random_history(rng, -1.2, 1.2, 20, start_u=-1.2)
-            q = seq.extrema[-1] if seq.extrema else seq.start_u
-            irr, sat, mid = gpop.simulator(memory=memory_from_sequence(seq)).parts()
-            assert irr == pytest.approx(eval_irreversible(gpop, seq, q), abs=1e-12)
-            assert sat == saturation_term(gpop, q)
-            assert mid == midline_offset(gpop, q)
+    # One rectangular agent of gap 1.5, DOWN throughout: the input never rises,
+    # so it counts -1.5 although u is at or past its up-threshold.
+    @pytest.mark.parametrize("alpha, beta, start, values", [
+        pytest.param(0.0, 0.0, 0.0, (), id="never-moves-at-a-tie"),
+        pytest.param(0.1, -0.1, 0.5, (0.2,), id="falls-before-the-first-rise"),
+    ])
+    def test_forced_part_before_the_first_rise(self, tmp_path, alpha, beta, start, values):
+        agent = GeneralizedHysteron.rectangular(alpha, beta, 1.5)
+        gpop = GeneralizedPopulation([agent])
+        seq = RS(start, values)
+        q = values[-1] if values else start
+        whole = eval_generalized(gpop, seq, q)
+        assert whole == -1.5 and sum(resumed_parts(gpop, seq)) == whole
+        agents, series, out = (tmp_path / name for name in ("agent.json", "in.csv", "out.csv"))
+        agents.write_text(json.dumps([{"alpha": alpha, "beta": beta,
+                                       "f_plus": agent.f_plus.breakpoints(),
+                                       "f_minus": agent.f_minus.breakpoints()}]))
+        series.write_text(f"time,u\n0,{q!r}\n")
+        assert main(["decompose", "--model", "generalized", "--agents", str(agents),
+                     "--start", repr(start), "--input", str(series), "--out", str(out)]) == 0
+        assert float(out.read_text().splitlines()[-1].split(",")[-1]) == -1.5
 
 
 class TestShiftModel:

@@ -26,6 +26,7 @@ from preisach import (
     ShiftModel,
     WeightGrid,
     eval_direct,
+    eval_generalized,
     eval_geometric,
     eval_shifted,
     extract_reversals,
@@ -131,11 +132,16 @@ class TestFoldAgreesWithRawRelays:
     @TIES
     def test_direct_and_soft_simulators(self, th, start, values, resume):
         alpha, beta = th
-        want = raw_relay_states(alpha, beta, extract_reversals(series_from_values(values), start))
-        for model in (AgentPopulation(alpha, beta, np.ones(alpha.size)),
-                      soft_population(alpha, beta)):
+        seq = extract_reversals(series_from_values(values), start)
+        want = raw_relay_states(alpha, beta, seq)
+        gpop = soft_population(alpha, beta)
+        for model in (AgentPopulation(alpha, beta, np.ones(alpha.size)), gpop):
             sim = driven(model, start, values, resume)
             assert np.array_equal(sim.states, want)
+        # the soft split read from the compressed memory adds up to the raw fold
+        whole = eval_generalized(gpop, seq, seq.extrema[-1] if seq.extrema else seq.start_u)
+        parts = gpop.simulator(memory=memory_from_sequence(seq)).parts()
+        assert abs(sum(parts) - whole) <= 1e-12 * max(1.0, abs(whole), *map(abs, parts))
 
     @given(thresholds(), tenths, histories, tenths, st.booleans())
     @TIES
