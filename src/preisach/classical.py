@@ -361,20 +361,14 @@ class AgentPopulation(_RelayModel):
         return 2.0 * float(self.nu[self.flipped(u_minus, u_plus, u)].sum())
 
 
-def eval_direct(pop: AgentPopulation, seq: ReversalSequence, init=None) -> np.ndarray:
+def eval_direct(pop: AgentPopulation, seq: ReversalSequence) -> np.ndarray:
     """Aggregate output along a reversal sequence, one relay per agent.
 
-    Returns an array of length ``len(seq) + 1``: entry 0 is the output in
-    the initial state (all agents DOWN unless ``init`` provides per-agent
-    states as +/-1 values), followed by the output after each reversal.
+    Returns ``len(seq) + 1`` outputs: in the initial state, all agents
+    DOWN, then after each reversal.
     """
     require_valid(seq)
-    if init is None:
-        states = np.full(len(pop), -1.0)
-    else:
-        states = np.asarray(init, dtype=float).copy()
-        if states.shape != (len(pop),):
-            raise ValueError("states must have one entry per agent")
+    states = np.full(len(pop), -1.0)
     out = [pop.output(states, seq.start_u)]
     for value, rising in seq.steps():
         relay_fold(pop.alpha, pop.beta, [(value, rising)], states)

@@ -1,7 +1,7 @@
 """File formats: CSV series and agent tables, JSON agents and shift models.
 
-CSV tables and soft-branch agents are read in one numpy pass; if it or a
-check fails, a loop over the rows or agents names the line or agent at fault.
+CSV tables are read in one numpy pass; if it or a check fails, a row loop
+names the line at fault. Soft-branch agents are read in one pass, with no fallback.
 
 All real numbers are written with ``repr`` (shortest round-trip form) so
 identical inputs always produce byte-identical output files.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import AgentPopulation
 from .generalized import GeneralizedPopulation, ShiftModel
-from .hysteron import BranchFunction, GeneralizedHysteron, PiecewiseLinear
+from .hysteron import BranchFunction, PiecewiseLinear
 from .memory import read_json
 from .signal import SampledSeries
 
@@ -110,28 +110,25 @@ def read_generalized_json(path) -> GeneralizedPopulation:
     data = read_json(path)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a non-empty JSON array of agents")
+    fields = [], [], [], []  # alpha, beta, f_plus and f_minus of the agents read
     try:
-        gpop = GeneralizedPopulation.from_knots(
-            *(np.array([float(e[key]) for e in data]) for key in ("alpha", "beta")),
-            *((np.array([len(e[key]) for e in data]),
-               np.array([(float(u), float(f)) for e in data for u, f in e[key]]))
-              for key in ("f_plus", "f_minus")))
-    except (KeyError, TypeError, ValueError, OverflowError):  # the agent loop reports it
-        gpop = None
-    return gpop if gpop is not None else _generalized_by_agent(path, data)
-
-
-def _generalized_by_agent(path, data) -> GeneralizedPopulation:
-    agents = []
-    for k, entry in enumerate(data):
-        try:
-            alpha, beta = float(entry["alpha"]), float(entry["beta"])
-            f_plus, f_minus = (BranchFunction([(float(u), float(f)) for u, f in entry[key]])
-                               for key in ("f_plus", "f_minus"))
-            agents.append(GeneralizedHysteron(alpha, beta, f_plus, f_minus))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: agent {k}: {exc}") from exc
-    return GeneralizedPopulation(agents)
+        for k, entry in enumerate(data):
+            try:
+                for key, values in zip(("alpha", "beta", "f_plus", "f_minus"), fields):
+                    values.append([(float(u), float(f)) for u, f in entry[key]]
+                                  if key.startswith("f_") else float(entry[key]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # a fault of an earlier agent, then of this agent's f_plus, is named first
+                GeneralizedPopulation.from_knots(*(values[:k] for values in fields))
+                try:
+                    if len(fields[2]) > k:
+                        BranchFunction(fields[2][k])
+                except ValueError as fault:
+                    exc = fault
+                raise ValueError(f"agent {k}: {exc}") from exc
+        return GeneralizedPopulation.from_knots(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_shift_json(path) -> ShiftModel:

@@ -57,7 +57,7 @@ from .classical import (
     _require_comparable,
     check_congruency,
 )
-from .hysteron import BranchTable, GeneralizedHysteron, PiecewiseLinear
+from .hysteron import BranchTable, GeneralizedHysteron, PiecewiseLinear, _packed, _soft_fault
 from .memory import StaircaseMemory, starting_memory
 from .signal import ReversalSequence
 
@@ -72,32 +72,22 @@ class GeneralizedPopulation(_RelayModel):
         for k, h in enumerate(agents):
             if not isinstance(h, GeneralizedHysteron):
                 raise ValueError(f"agent {k} is not a GeneralizedHysteron")
-        self.alpha = np.array([h.alpha for h in agents])
-        self.beta = np.array([h.beta for h in agents])
-        self.f_plus = BranchTable.from_maps([h.f_plus for h in agents])
-        self.f_minus = BranchTable.from_maps([h.f_minus for h in agents])
+        vars(self).update(vars(self.from_knots(
+            [h.alpha for h in agents], [h.beta for h in agents],
+            [h.f_plus.breakpoints() for h in agents], [h.f_minus.breakpoints() for h in agents])))
 
     @classmethod
     def from_knots(cls, alpha, beta, f_plus, f_minus):
-        """Agents packed from ``(sizes, knots)`` per branch (knot counts, then all
-        ``(u, f)`` rows agent after agent), or None if one fails a check that
-        ``BranchFunction`` or ``GeneralizedHysteron`` makes."""
-        if not (np.isfinite(alpha) & np.isfinite(beta) & (alpha >= beta)).all():
-            return None
-        for sizes, knots in (f_plus, f_minus):
-            if sizes.min() < 1 or not np.isfinite(knots).all():
-                return None
-            step = np.diff(knots, axis=0)
-            step[np.cumsum(sizes)[:-1] - 1] = 1.0  # a step between two agents passes
-            if not ((step[:, 0] > 0).all() and (step[:, 1] >= 0).all()):
-                return None
+        """Agents from their thresholds and each branch's ``(u, f)`` knots. Raises
+        ``agent k: <message>`` for the first agent at fault (``hysteron._soft_fault``)."""
         gpop = cls.__new__(cls)
-        gpop.alpha, gpop.beta = alpha, beta
-        gpop.f_plus, gpop.f_minus = (BranchTable(s, *k.T) for s, k in (f_plus, f_minus))
-        # GeneralizedHysteron's gap probes: both band edges and every knot inside the band
-        probes = [beta, alpha, *(np.where((us >= beta) & (us <= alpha), us, beta)
-                                 for table in (gpop.f_plus, gpop.f_minus) for us in table.us)]
-        return gpop if all((gpop.f_minus(u) >= gpop.f_plus(u)).all() for u in probes) else None
+        gpop.alpha, gpop.beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+        packed = _packed(f_plus), _packed(f_minus)
+        fault = _soft_fault(gpop.alpha, gpop.beta, *packed)
+        if fault is not None:
+            raise ValueError("agent %d: %s" % fault)
+        gpop.f_plus, gpop.f_minus = (BranchTable(s, *k.T) for s, k in packed)
+        return gpop
 
     def loop_gap_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) - self.f_plus(u))

@@ -10,7 +10,8 @@ Two kinds of binary agent live here:
 * the soft-branch agent (``GeneralizedHysteron``): the same two-state
   relay, but the two output levels are replaced by monotone curves
   ``f_plus`` (taken while the state is down) and ``f_minus`` (taken while
-  up). ``BranchTable`` evaluates many such curves in one numpy pass.
+  up). ``BranchTable`` evaluates many such curves in one numpy pass, and
+  ``_soft_fault`` is the one validity rule every soft agent is checked by.
 
 ``relay_fold`` costs O(agents) per step and is the reference: the relay
 models' sorted-threshold steps (``classical._RelayIndex``), which touch only
@@ -25,7 +26,7 @@ match these tie-breaks.
 
 from __future__ import annotations
 
-import math
+import itertools
 
 import numpy as np
 
@@ -52,6 +53,55 @@ def relay_fold(alpha, beta, steps, states=None, up_compare=None,
     return states
 
 
+_KNOT_RULES = ("at least one breakpoint is required", "breakpoints must be finite",
+               "breakpoint abscissae must be strictly increasing",
+               "branch values must be non-decreasing")
+
+
+def _packed(maps) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, knots)`` of ``(u, f)`` knot lists: the counts, then all knots as rows."""
+    knots = itertools.chain.from_iterable(itertools.chain.from_iterable(maps))
+    return np.fromiter(map(len, maps), int, len(maps)), np.fromiter(knots, float).reshape(-1, 2)
+
+
+def _knot_faults(sizes, knots) -> np.ndarray:
+    """Which maps of ``(sizes, knots)`` break each of ``_KNOT_RULES``, a row per rule."""
+    ends = np.cumsum(sizes)
+    prev = np.vstack([knots[:1], knots[:-1]])
+    prev[(ends - sizes)[sizes > 0]] = -np.inf  # no step into a map's first knot
+    bad = np.c_[~np.isfinite(knots).all(1), knots[:, 0] <= prev[:, 0], knots[:, 1] < prev[:, 1]]
+    seen = np.vstack([np.zeros((1, 3)), np.cumsum(bad, 0)])
+    return np.vstack([sizes < 1, (seen[ends] > seen[ends - sizes]).T])
+
+
+def _soft_fault(alpha, beta, f_plus, f_minus):
+    """``(k, message)`` for the first soft agent at fault and its first failed check,
+    or None: the knot rules of ``f_plus``, then of ``f_minus``; finite thresholds;
+    ``alpha >= beta``; ``f_minus >= f_plus`` at the band edges and knots in the band."""
+    rules = np.vstack([_knot_faults(*f_plus), _knot_faults(*f_minus),
+                       ~(np.isfinite(alpha) & np.isfinite(beta)), alpha < beta])
+    m = int(np.argmax(rules.any(0))) if rules.any() else len(alpha)
+    # the agents before m pass all other checks, so a gap fault among them comes first
+    heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
+    agent = np.concatenate([np.arange(m), np.arange(m),
+                            *(np.repeat(np.arange(m), sizes) for sizes, _ in heads)])
+    u = np.concatenate([beta[:m], alpha[:m], *(knots[:, 0] for _, knots in heads)])
+    keep = (u >= beta[agent]) & (u <= alpha[agent])
+    agent, u = agent[keep], u[keep]
+    plus, minus = (BranchTable(sizes, *knots.T) for sizes, knots in heads)
+    low = minus(u, agent) < plus(u, agent)
+    if low.any():
+        # its lowest faulty probe; of equal ones the first listed, as a set keeps it
+        at = np.flatnonzero(low & (agent == agent[low].min()))
+        k, u = agent[at[0]], u[at[np.argmin(u[at])]]
+        return int(k), f"descending branch below ascending branch at u={float(u)}"
+    if m == len(alpha):
+        return None
+    messages = (*_KNOT_RULES, *_KNOT_RULES, "thresholds must be finite",
+                f"alpha must be >= beta, got alpha={float(alpha[m])}, beta={float(beta[m])}")
+    return m, messages[int(np.argmax(rules[:, m]))]
+
+
 class PiecewiseLinear:
     """A piecewise-linear map, clamped to its end values outside the knots.
 
@@ -59,18 +109,14 @@ class PiecewiseLinear:
     A single knot gives a constant map.
     """
 
+    _rules = 3  # the first three of _KNOT_RULES, in order; a branch keeps all four
+
     def __init__(self, points):
-        pts = [(float(u), float(f)) for u, f in points]
-        if not pts:
-            raise ValueError("at least one breakpoint is required")
-        us = np.array([u for u, _ in pts], dtype=float)
-        fs = np.array([f for _, f in pts], dtype=float)
-        if not (np.isfinite(us).all() and np.isfinite(fs).all()):
-            raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(us) <= 0):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
-        self.us = us
-        self.fs = fs
+        sizes, knots = _packed([[(float(u), float(f)) for u, f in points]])
+        broken = _knot_faults(sizes, knots)[:self._rules, 0]
+        if broken.any():
+            raise ValueError(_KNOT_RULES[int(np.argmax(broken))])
+        self.us, self.fs = knots.T.copy()
 
     def __call__(self, u):
         # np.interp clamps to the end values, which is exactly the contract
@@ -94,23 +140,24 @@ class BranchTable:
     """
 
     def __init__(self, sizes, us, fs):
-        knots = np.arange(sizes.max() + 1)[:, None]
+        knots = np.arange(sizes.max(initial=0) + 1)[:, None]
         idx = np.minimum(knots, sizes - 1) + (np.cumsum(sizes) - sizes)
         self.us = np.where(knots < sizes, us[idx], np.inf)
         self.fs = fs[idx]
         self.cols = np.arange(len(sizes))
 
-    @classmethod
-    def from_maps(cls, maps) -> "BranchTable":
-        return cls(np.array([m.us.size for m in maps]), np.concatenate([m.us for m in maps]),
-                   np.concatenate([m.fs for m in maps]))
-
-    def __call__(self, u) -> np.ndarray:
+    def __call__(self, u, cols=None) -> np.ndarray:
         # j: flat index of each column's last knot at or below u (its first
         # knot below them all); np.interp returns fs[j] there, at a knot and
         # past the last knot, and otherwise interpolates towards the next row
-        n = len(self.cols)
-        j = np.clip((self.us <= u).sum(0) - 1, 0, len(self.us) - 2) * n + self.cols
+        n, rows = len(self.cols), len(self.us)
+        if cols is None:
+            cols, below = self.cols, (self.us <= u).sum(0)
+        else:  # map cols[i] at u[i]; complex keys sort as (column, u) pairs
+            keys = np.empty(self.us.size, dtype=complex)
+            keys.real, keys.imag = np.repeat(self.cols, rows), self.us.T.ravel()
+            below = np.searchsorted(keys, cols + 1j * u, side="right") - cols * rows
+        j = np.clip(below - 1, 0, rows - 2) * n + cols
         us, fs = self.us.ravel(), self.fs.ravel()
         x0, x1, y0, y1 = us[j], us[j + n], fs[j], fs[j + n]
         return np.where((u <= x0) | np.isinf(x1), y0, (y1 - y0) / (x1 - x0) * (u - x0) + y0)
@@ -119,10 +166,7 @@ class BranchTable:
 class BranchFunction(PiecewiseLinear):
     """A monotone (non-decreasing) piecewise-linear output branch."""
 
-    def __init__(self, points):
-        super().__init__(points)
-        if np.any(np.diff(self.fs) < 0):
-            raise ValueError("branch values must be non-decreasing")
+    _rules = 4
 
     @classmethod
     def constant(cls, value: float) -> "BranchFunction":
@@ -138,33 +182,13 @@ class GeneralizedHysteron:
     loop has a non-negative vertical gap.
     """
 
-    def __init__(
-        self,
-        alpha: float,
-        beta: float,
-        f_plus: BranchFunction,
-        f_minus: BranchFunction,
-    ):
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise ValueError("thresholds must be finite")
-        if alpha < beta:
-            raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.f_plus = f_plus
-        self.f_minus = f_minus
-        # Piecewise-linear branches: checking the gap at every knot inside
-        # the switching band plus the band edges is exact.
-        probes = sorted(
-            {self.beta, self.alpha}
-            | {u for u in f_plus.us.tolist() if self.beta <= u <= self.alpha}
-            | {u for u in f_minus.us.tolist() if self.beta <= u <= self.alpha}
-        )
-        for u in probes:
-            if float(f_minus(u)) < float(f_plus(u)):
-                raise ValueError(
-                    f"descending branch below ascending branch at u={u}"
-                )
+    def __init__(self, alpha: float, beta: float, f_plus: BranchFunction, f_minus: BranchFunction):
+        self.alpha, self.beta = float(alpha), float(beta)
+        self.f_plus, self.f_minus = f_plus, f_minus
+        fault = _soft_fault(np.array([self.alpha]), np.array([self.beta]),
+                            *(_packed([f.breakpoints()]) for f in (f_plus, f_minus)))
+        if fault is not None:
+            raise ValueError(fault[1])
 
     @classmethod
     def rectangular(cls, alpha: float, beta: float, nu: float = 1.0):

@@ -91,6 +91,11 @@ def check_erasure(bounds: tuple[float, float], rng) -> CheckResult:
     )
 
 
+def _support(model) -> tuple[float, float]:
+    lo, hi = model.support_bounds()  # widened by 0.5 on each side if it is one value
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
 def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
     a, b = np.sort(rng.uniform(lo, hi, 2))
     if a == b:
@@ -105,7 +110,7 @@ def _loop_pairs(model, rng, n_pairs: int, max_reversals: int, pad: float, tol: f
     Histories range over the model's support widened by ``pad`` times its
     width on each side. Also returns the ``residual_limit`` of the branches.
     """
-    lo, hi = model.support_bounds()
+    lo, hi = _support(model)
     h_lo, h_hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
     pairs = []
     for _ in range(n_pairs):
@@ -156,7 +161,7 @@ def _two_routes(name: str, model, rng, tol: float, pad: float, routes,
 
     ``routes(seq, q)`` gives each route's output at ``q`` after ``seq``, then any terms one summed.
     """
-    lo, hi = model.support_bounds()
+    lo, hi = _support(model)
     span = hi - lo
     worst, outputs = 0.0, []
     for _ in range(100):
@@ -208,5 +213,5 @@ def run_suite(model, seed: int = 0, tol: float = 1e-12) -> list[CheckResult]:
     if checks is None:
         raise ValueError(f"unsupported model type: {type(model).__name__}")
     rng = np.random.default_rng(seed)
-    return [check_erasure(model.support_bounds(), rng),
+    return [check_erasure(_support(model), rng),
             *(globals()[name](model, rng, tol=tol) for name in checks)]

@@ -8,6 +8,8 @@ the fast paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from preisach import (
@@ -67,6 +69,45 @@ def gen_apply(
         np.array([float(state)]),
     )
     return gen_output(h, states[0], query_u)
+
+
+def soft_agents_by_loop(path, data):
+    """The soft-agent JSON reader as a loop over agents, written out in plain
+    Python and ``np.interp``: the thresholds, then ``(sizes, us, fs)`` per
+    branch, or the ``ValueError`` naming the first agent at fault."""
+    alphas, betas, branches = [], [], ([], [])
+    for k, entry in enumerate(data):
+        try:
+            alpha, beta = float(entry["alpha"]), float(entry["beta"])
+            for key, knots in zip(("f_plus", "f_minus"), branches):
+                pts = [(float(u), float(f)) for u, f in entry[key]]
+                if not pts:
+                    raise ValueError("at least one breakpoint is required")
+                if not all(math.isfinite(x) for pt in pts for x in pt):
+                    raise ValueError("breakpoints must be finite")
+                if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
+                    raise ValueError("breakpoint abscissae must be strictly increasing")
+                if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
+                    raise ValueError("branch values must be non-decreasing")
+                knots.append(pts)
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise ValueError("thresholds must be finite")
+            if alpha < beta:
+                raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
+            f_plus, f_minus = (list(zip(*knots[-1])) for knots in branches)
+            probes = sorted({beta, alpha}
+                            | {u for u in f_plus[0] if beta <= u <= alpha}
+                            | {u for u in f_minus[0] if beta <= u <= alpha})
+            for u in probes:
+                if np.interp(u, *f_minus) < np.interp(u, *f_plus):
+                    raise ValueError(f"descending branch below ascending branch at u={u}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: agent {k}: {exc}") from exc
+        alphas.append(alpha)
+        betas.append(beta)
+    return (np.array(alphas), np.array(betas),
+            *((np.array([len(pts) for pts in knots]),
+               *np.array([pt for pts in knots for pt in pts]).T) for knots in branches))
 
 
 def random_history(rng, lo, hi, max_reversals, start_u=None) -> ReversalSequence:

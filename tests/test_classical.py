@@ -50,11 +50,6 @@ class TestEvalDirect:
         pop = AgentPopulation([2, 3], [1, 0], [1, 2])
         assert eval_direct(pop, RS(0.0, (2.5, 0.5))).tolist() == [-3.0, -1.0, -3.0]
 
-    def test_explicit_initial_states(self):
-        pop = AgentPopulation([2, 3], [1, 0], [1, 2])
-        assert eval_direct(pop, RS(0.0, ()), init=[1, 1]).tolist() == [3.0]
-        assert eval_direct(pop, RS(0.0, ()), init=[1, -1]).tolist() == [-1.0]
-
     def test_dominated_subcycle_leaves_later_outputs_unchanged(self):
         # Model-level erasure: once a later maximum wipes an inserted
         # sub-cycle, everything downstream is as if it never happened.

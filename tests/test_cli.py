@@ -6,7 +6,7 @@ import pytest
 import preisach.classical
 import preisach.generalized
 import preisach.verify
-from preisach import uniform_grid
+from preisach import BranchFunction, GeneralizedHysteron, PiecewiseLinear, uniform_grid
 from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
@@ -256,6 +256,93 @@ class TestDataErrors:
         err = self.run(capsys, "simulate", "--model", model,
                        *(arg for item in files.items() for arg in item))
         assert err == f"preisach: error: {path}: {message}\n"
+
+
+# The soft-agent rules, each with its exact message: what the CLI prints after
+# "agent k: " and what the single-agent constructors raise.
+SOFT_RULES = {
+    "empty": "at least one breakpoint is required",
+    "finite-knots": "breakpoints must be finite",
+    "increasing-abscissae": "breakpoint abscissae must be strictly increasing",
+    "non-decreasing-values": "branch values must be non-decreasing",
+    "finite-thresholds": "thresholds must be finite",
+    "ordered-thresholds": "alpha must be >= beta, got alpha=0.25, beta=0.5",
+    "gap-at-band-edge": "descending branch below ascending branch at u=1.0",
+    "gap-at-inner-knot": "descending branch below ascending branch at u=0.5",
+}
+GOOD_SOFT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
+             "f_minus": [[0.0, 0.0], [1.0, 1.0]]}
+# f_minus falls below f_plus at alpha = 1.0 only; no knot lies inside the band
+GAP_AT_EDGE = {"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
+               "f_minus": [[-1.0, 0.5], [2.0, 0.8]]}
+# f_minus falls below f_plus at the knot u = 0.5 only
+GAP_AT_KNOT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, 0.0], [0.5, 1.0]],
+               "f_minus": [[0.5, 0.9], [1.0, 2.0]]}
+
+
+def without(agent, key):
+    return {k: v for k, v in agent.items() if k != key}
+
+
+# (agents, the agent named, its message)
+BAD_SOFT_FILES = {
+    "missing-key": ([GOOD_SOFT, without(GOOD_SOFT, "beta")], 1, "'beta'"),
+    "nan-alpha": ([{**GOOD_SOFT, "alpha": float("nan")}], 0, SOFT_RULES["finite-thresholds"]),
+    "alpha-below-beta": ([GOOD_SOFT, {**GOOD_SOFT, "alpha": 0.25, "beta": 0.5}], 1,
+                         SOFT_RULES["ordered-thresholds"]),
+    "empty-f_plus": ([{**GOOD_SOFT, "f_plus": []}], 0, SOFT_RULES["empty"]),
+    "unsorted-abscissae": ([GOOD_SOFT, {**GOOD_SOFT, "f_minus": [[1.0, 0.0], [0.0, 1.0]]}], 1,
+                           SOFT_RULES["increasing-abscissae"]),
+    "decreasing-f_minus": ([{**GOOD_SOFT, "f_minus": [[0.0, 1.0], [1.0, 0.5]]}], 0,
+                           SOFT_RULES["non-decreasing-values"]),
+    "gap-at-band-edge": ([GAP_AT_EDGE], 0, SOFT_RULES["gap-at-band-edge"]),
+    "gap-at-inner-knot": ([GOOD_SOFT, GAP_AT_KNOT], 1, SOFT_RULES["gap-at-inner-knot"]),
+    "string-knot-value": ([{**GOOD_SOFT, "f_plus": [[0.0, "x"]]}], 0,
+                          "could not convert string to float: 'x'"),
+    "knot-not-a-pair": ([{**GOOD_SOFT, "f_minus": [[0.0, 0.0], [1.0]]}], 0,
+                        "not enough values to unpack (expected 2, got 1)"),
+    # the f_plus rule is named before the missing f_minus
+    "decreasing-f_plus-and-no-f_minus": (
+        [{"alpha": 1, "beta": 0, "f_plus": [[0, 1], [1, 0]]}], 0,
+        SOFT_RULES["non-decreasing-values"]),
+    # agent 0's fault is named before agent 1's missing alpha
+    "gap-fault-then-missing-alpha": ([GAP_AT_EDGE, without(GOOD_SOFT, "alpha")], 0,
+                                     SOFT_RULES["gap-at-band-edge"]),
+}
+
+
+def soft_agent(entry):
+    return GeneralizedHysteron(entry["alpha"], entry["beta"],
+                               *(BranchFunction(entry[key]) for key in ("f_plus", "f_minus")))
+
+
+class TestBadSoftAgentFiles:
+    @pytest.mark.parametrize("case", BAD_SOFT_FILES)
+    def test_message_names_the_agent_and_the_rule(self, tmp_path, capsys, case):
+        agents, k, message = BAD_SOFT_FILES[case]
+        path = tmp_path / "soft.json"
+        path.write_text(json.dumps(agents))
+        assert main(["simulate", "--model", "generalized", "--agents", str(path),
+                     "--history", "0.9"]) == 2
+        assert capsys.readouterr().err == f"preisach: error: {path}: agent {k}: {message}\n"
+
+    @pytest.mark.parametrize("rule, build", [
+        ("empty", lambda: PiecewiseLinear([])),
+        ("empty", lambda: BranchFunction([])),
+        ("finite-knots", lambda: PiecewiseLinear([(0.0, 1.0), (float("inf"), 2.0)])),
+        ("finite-knots", lambda: BranchFunction([(0.0, float("nan"))])),
+        ("increasing-abscissae", lambda: PiecewiseLinear([(1.0, 0.0), (0.0, 1.0)])),
+        ("increasing-abscissae", lambda: BranchFunction([(0.0, 0.0), (0.0, 1.0)])),
+        ("non-decreasing-values", lambda: BranchFunction([(0.0, 1.0), (1.0, 0.5)])),
+        ("finite-thresholds", lambda: soft_agent({**GOOD_SOFT, "alpha": float("nan")})),
+        ("ordered-thresholds", lambda: soft_agent({**GOOD_SOFT, "alpha": 0.25, "beta": 0.5})),
+        ("gap-at-band-edge", lambda: soft_agent(GAP_AT_EDGE)),
+        ("gap-at-inner-knot", lambda: soft_agent(GAP_AT_KNOT)),
+    ])
+    def test_single_agent_constructors_raise_the_same_text(self, rule, build):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == SOFT_RULES[rule]
 
 
 class TestGridOptions:
@@ -755,6 +842,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert err.endswith("preisach: error: --tol must be finite and at least 0\n")
+
+    @pytest.mark.parametrize("model, name, text", [
+        ("classical", "agents.csv", "alpha,beta,nu\n0.5,0.5,1\n0.5,0.5,2\n"),
+        ("generalized", "soft.json",
+         '[{"alpha": 0.5, "beta": 0.5, "f_plus": [[0.5, -1.0]], "f_minus": [[0.5, 1.0]]}]'),
+        ("shifted", "shift.json", '{"agents": [{"alpha": 0.5, "beta": 0.5, "nu": 1.0}], '
+                                  '"g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}'),
+    ], ids=["classical", "generalized", "shifted"])
+    def test_thresholds_at_one_value_pass(self, tmp_path, capsys, model, name, text):
+        # the support is one point; random cycles and histories need a span
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["verify", "--model", model, "--agents", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) >= 2 and all(line.startswith("PASS  ") for line in lines)
 
     def test_zero_tolerance_is_allowed(self, agents_csv):
         assert main(["verify", "--agents", agents_csv, "--tol", "0"]) == 0

@@ -1,8 +1,10 @@
-"""The one-pass readers against their row and agent loops.
+"""The one-pass readers against loops over their rows or agents.
 
-``read_agents_csv``, ``read_series_csv`` and ``read_generalized_json`` parse
-a whole file at once and fall back to a loop over its rows or agents, which
-names the line or agent at fault. Whatever the file, the public reader must
+``read_agents_csv`` and ``read_series_csv`` parse a whole file at once and
+fall back to a loop over its rows, which names the line at fault.
+``read_generalized_json`` reads each agent's fields in one loop and checks
+them all with one rule; its oracle is a loop over agents in plain Python
+(``helpers.soft_agents_by_loop``). Whatever the file, the public reader must
 return exactly what the loop returns, or raise exactly its message. The
 draws are derandomized one-decimal values with odd cells, lines and knots
 mixed in.
@@ -16,7 +18,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preisach import AgentPopulation, SampledSeries, fileio
+from helpers import soft_agents_by_loop
+from preisach import AgentPopulation, GeneralizedPopulation, SampledSeries, fileio
 
 LOADERS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -26,6 +29,9 @@ ODD_CELLS = ("nan", "inf", "-inf", "1_000", "١٢", "１２", '"0.5"', "#0.5", "
 ODD_LINES = ("", "   ", "# note", ",,", "0.5,0.1,1 # note")
 AGENT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
          "f_minus": [[0.0, 0.0], [1.0, 1.0]]}
+LONG = {"alpha": 0.5, "beta": -0.5,
+        **{key: [[u, u + lift] for u in np.linspace(-1.0, 1.0, 2000).tolist()]
+           for key, lift in (("f_plus", -1.0), ("f_minus", 1.0))}}
 ODD_VALUES = ("0.5", None, True, False, [0.5], {"u": 0.5})
 
 
@@ -73,8 +79,13 @@ def outcome(read, *args):
         return np.array(result.times).tobytes(), np.array(result.values).tobytes()
     if isinstance(result, AgentPopulation):
         return tuple(a.tobytes() for a in (result.alpha, result.beta, result.nu))
-    return (result.alpha.tobytes(), result.beta.tobytes(), *(
-        (a.shape, a.tobytes()) for t in (result.f_plus, result.f_minus) for a in (t.us, t.fs)))
+    if isinstance(result, GeneralizedPopulation):
+        # each branch table as knot counts and knots, agent after agent
+        knots = [np.isfinite(t.us.T) for t in (result.f_plus, result.f_minus)]
+        result = (result.alpha, result.beta, *((k.sum(1), t.us.T[k], t.fs.T[k]) for k, t in
+                                               zip(knots, (result.f_plus, result.f_minus))))
+    alpha, beta, *branches = result
+    return alpha.tobytes(), beta.tobytes(), *(a.tobytes() for branch in branches for a in branch)
 
 
 def same_outcome(text, read, by_row):
@@ -114,7 +125,7 @@ def test_clean_files_skip_the_row_loops(tmp_path, monkeypatch):
     def no_loop(*args):
         raise AssertionError("the row loop ran")
 
-    for name in ("_agents_by_row", "_series_by_row", "_generalized_by_agent"):
+    for name in ("_agents_by_row", "_series_by_row"):
         monkeypatch.setattr(fileio, name, no_loop)
     (tmp_path / "a.csv").write_text("alpha,beta,nu\n0.5,0.1,1\n0.7,0.7,0\n")
     (tmp_path / "s.csv").write_text("time,u,note\n0,0.5,1\n1,-0.5,2\n")
@@ -170,6 +181,18 @@ def soft_agent(draw):
 @example(agents=[{"alpha": 0.5, "beta": 0.5, "f_plus": [[0.5, -1.0]], "f_minus": [[0.5, 1.0]]},
                  {"alpha": 0.5, "beta": -0.5, "f_plus": [[-0.5, 0.0], [0.5, 0.0]],
                   "f_minus": [[-0.5, 0.0], [0.5, 0.0]]}])
+# a fault of f_plus is named before a missing f_minus, and one of agent 0
+# before agent 1's missing alpha
+@example(agents=[{"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, 1.0], [1.0, 0.0]]}])
+@example(agents=[{"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
+                  "f_minus": [[-1.0, 0.5], [2.0, 0.8]]},
+                 {key: value for key, value in AGENT.items() if key != "alpha"}])
+# one long branch among short ones, valid and with a gap fault from u = 0.45 up
+@example(agents=[AGENT, LONG, AGENT])
+@example(agents=[AGENT, {**LONG, "f_plus": [[u, f if u < 0.45 else 2.0]
+                                            for u, f in LONG["f_plus"]]}, AGENT])
+# signed zeros: the probe named is the first listed of equal ones
+@example(agents=[{"alpha": 0.0, "beta": -0.0, "f_plus": [[-0.0, 1.0]], "f_minus": [[0.0, 0.5]]}])
 @LOADERS
 def test_soft_json_matches_agent_loop(agents):
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,4 +202,4 @@ def test_soft_json_matches_agent_loop(agents):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         assert (outcome(fileio.read_generalized_json, path)
-                == outcome(fileio._generalized_by_agent, path, data))
+                == outcome(soft_agents_by_loop, path, data))

@@ -167,7 +167,7 @@ class TestStateOf:
 
 class TestInvariantsAndProperties:
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=60))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     def test_invariants_hold_after_any_value_stream(self, values):
         mem = initial_memory(0.0)
         for v in values:

@@ -62,7 +62,7 @@ class TestExtractReversals:
         assert again == seq
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     def test_output_always_validates(self, values):
         seq = extract_reversals(series_from_values(values), 0.0)
         assert validate(seq) is None
