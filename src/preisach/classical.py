@@ -19,7 +19,8 @@ cycle bounds and the probe input, a history-independent quantity), and the
 split of the output into its history-carrying band contribution and the
 part forced by the current input (``decompose_classical``). What every
 relay model and its simulator share lives here as well (``_RelayModel``,
-``_RelaySimulator``).
+``_RelaySimulator``), and so does ``_relay_fault``, the one validity rule
+every relay agent is checked by.
 
 A relay simulator does not pay O(agents) per move: each relay model sorts
 its thresholds once (``_RelayIndex``), and a leg switches only the relays
@@ -89,9 +90,7 @@ class _RelayModel:
 
     def support_bounds(self) -> tuple[float, float]:
         """Smallest closed interval containing every threshold."""
-        lo = float(min(self.beta.min(), self.alpha.min()))
-        hi = float(max(self.alpha.max(), self.beta.max()))
-        return lo, hi
+        return float(self.beta.min()), float(self.alpha.max())  # alpha >= beta
 
     def __len__(self) -> int:
         return int(self.alpha.size)
@@ -315,6 +314,19 @@ class PopulationSimulator(_RelaySimulator):
     """Relay-state tracker for one input path over a population."""
 
 
+def _relay_fault(alpha, beta, nu):
+    """``(k, message)`` for the first relay agent at fault and its first failed
+    check, or None: finite ``alpha``, ``beta`` and ``nu``; ``alpha >= beta``; ``nu >= 0``."""
+    rules = np.vstack([~np.isfinite([alpha, beta, nu]), alpha < beta, nu < 0])
+    if not rules.any():
+        return None
+    k = int(np.argmax(rules.any(0)))
+    rule = int(np.argmax(rules[:, k]))
+    a, b, v = float(alpha[k]), float(beta[k]), float(nu[k])
+    return k, (*(f"non-finite {name}" for name in ("alpha", "beta", "nu")),
+               f"alpha < beta ({a!r} < {b!r})", f"negative capacity {v!r}")[rule]
+
+
 class AgentPopulation(_RelayModel):
     """A finite set of rectangular agents stored as parallel arrays.
 
@@ -323,32 +335,13 @@ class AgentPopulation(_RelayModel):
     """
 
     def __init__(self, alpha, beta, nu):
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
+        alpha, beta, nu = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (alpha, beta, nu))
         if not (alpha.shape == beta.shape == nu.shape) or alpha.ndim != 1:
             raise ValueError("alpha, beta, nu must be 1-d arrays of equal length")
-        for name, arr in (("alpha", alpha), ("beta", beta), ("nu", nu)):
-            if not np.isfinite(arr).all():
-                k = int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise ValueError(f"agent {k}: non-finite {name}")
-        bad = np.flatnonzero(alpha < beta)
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"agent {k}: alpha < beta ({float(alpha[k])!r} < {float(beta[k])!r})"
-            )
-        bad = np.flatnonzero(nu < 0)
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"agent {k}: negative capacity {float(nu[k])!r}")
-        self.alpha = alpha
-        self.beta = beta
-        self.nu = nu
-
-    @property
-    def total_capacity(self) -> float:
-        return float(self.nu.sum())
+        fault = _relay_fault(alpha, beta, nu)
+        if fault is not None:
+            raise ValueError(f"agent {fault[0]}: {fault[1]}")
+        self.alpha, self.beta, self.nu = alpha, beta, nu
 
     def output(self, states: np.ndarray, u: float) -> float:
         return float(self.nu @ states)
@@ -416,10 +409,6 @@ class WeightGrid:
         np.cumsum(body, axis=0, out=body)  # in place: no table-sized temporaries
         np.cumsum(body, axis=1, out=body)
         return prefix
-
-    def prefix_is_consistent(self) -> bool:
-        """Rebuild check: the stored table matches a fresh cumulative sum."""
-        return bool(np.array_equal(self.prefix, self._build_prefix(self.cell_mass)))
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
     # whose center alpha is <= v; a fall to v leaves up only centers < v.
@@ -513,12 +502,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     capacity. Agents must lie inside the bounds.
     """
     beta0, alpha0 = _grid_bounds(*bounds)
-    outside = np.flatnonzero(
-        (pop.alpha > alpha0)
-        | (pop.alpha < beta0)
-        | (pop.beta < beta0)
-        | (pop.beta > alpha0)
-    )
+    outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
     if outside.size:
         k = int(outside[0])
         raise ValueError(

@@ -1,7 +1,8 @@
 """File formats: CSV series and agent tables, JSON agents and shift models.
 
-CSV tables are read in one numpy pass; if it or a check fails, a row loop
-names the line at fault. Soft-branch agents are read in one pass, with no fallback.
+Each file is parsed once and checked by its model's one validity rule. A CSV
+table is parsed by numpy, or where numpy cannot, by a row loop that only parses.
+An agent at fault is named by its CSV line or JSON index, a shift table by name.
 
 All real numbers are written with ``repr`` (shortest round-trip form) so
 identical inputs always produce byte-identical output files.
@@ -10,12 +11,12 @@ identical inputs always produce byte-identical output files.
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 import warnings
 
 import numpy as np
 
-from .classical import AgentPopulation
+from .classical import AgentPopulation, _relay_fault
 from .generalized import GeneralizedPopulation, ShiftModel
 from .hysteron import BranchFunction, PiecewiseLinear
 from .memory import read_json
@@ -28,18 +29,26 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _columns(path, k: int):
-    """The first ``k`` columns under the header row as contiguous float arrays,
-    or None if numpy cannot parse them or one is short or not finite."""
+def _columns(path, names: tuple[str, ...], check=lambda cols: None):
+    """The columns ``names`` under the header row as contiguous float arrays: one
+    ``np.loadtxt`` pass, or the row loop where that fails. Before the loop names a
+    line it cannot read, ``check`` runs on the columns above, so their faults come first."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns about a file without rows
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
                                encoding="utf-8")
-    except (ValueError, OSError):  # whatever numpy cannot read, the row loop reports
-        return None
-    ok = len(table) and table.shape[1] >= k and np.isfinite(table[:, :k]).all()
-    return [np.ascontiguousarray(col) for col in table.T[:k]] if ok else None
+    except (ValueError, OSError):  # whatever numpy cannot read, the row loop reads
+        table = np.empty((0, 0))
+    if not len(table) or table.shape[1] < len(names):
+        rows = []
+        try:
+            rows.extend(values for _, values in _rows(path, names))
+        except ValueError:
+            check(np.reshape(rows, (-1, len(names))).T)
+            raise
+        table = np.reshape(rows, (-1, len(names)))
+    return [np.ascontiguousarray(col) for col in table.T[:len(names)]]
 
 
 def _rows(path, names: tuple[str, ...]):
@@ -60,45 +69,28 @@ def _rows(path, names: tuple[str, ...]):
 
 def read_series_csv(path) -> SampledSeries:
     """Parse a ``time,u`` CSV (header row required) into a series."""
-    cols = _columns(path, 2)
-    if cols is not None and (np.diff(cols[0]) > 0).all():
-        return SampledSeries(tuple(cols[0].tolist()), tuple(cols[1].tolist()))
-    return _series_by_row(path)
-
-
-def _series_by_row(path) -> SampledSeries:
-    rows = [values for _, values in _rows(path, ("time", "u"))]
-    if not rows:
-        raise ValueError(f"{path}: empty series")
+    times, values = _columns(path, ("time", "u"))
     try:
-        return SampledSeries.from_pairs(rows)
+        return SampledSeries(tuple(times.tolist()), tuple(values.tolist()))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_agents_csv(path) -> AgentPopulation:
     """Parse an ``alpha,beta,nu`` CSV (header row required) into a population."""
-    cols = _columns(path, 3)
-    if cols is not None and (cols[0] >= cols[1]).all() and (cols[2] >= 0).all():
-        return AgentPopulation(*cols)
-    return _agents_by_row(path)
-
-
-def _agents_by_row(path) -> AgentPopulation:
     names = ("alpha", "beta", "nu")
-    rows = []
-    for lineno, (a, b, v) in _rows(path, names):
-        for name, x in zip(names, (a, b, v)):
-            if not math.isfinite(x):
-                raise ValueError(f"{path}:{lineno}: non-finite {name}")
-        if a < b:
-            raise ValueError(f"{path}:{lineno}: alpha < beta ({a!r} < {b!r})")
-        if v < 0:
-            raise ValueError(f"{path}:{lineno}: negative capacity {v!r}")
-        rows.append((a, b, v))
-    if not rows:
+
+    def check(cols):
+        fault = _relay_fault(*cols)
+        if fault is not None:
+            lineno, _ = next(itertools.islice(_rows(path, names), fault[0], None))
+            raise ValueError(f"{path}:{lineno}: {fault[1]}")
+
+    cols = _columns(path, names, check)
+    if not len(cols[0]):
         raise ValueError(f"{path}: empty agent file")
-    return AgentPopulation(*zip(*rows))
+    check(cols)
+    return AgentPopulation(*cols)
 
 
 def read_generalized_json(path) -> GeneralizedPopulation:
@@ -139,18 +131,35 @@ def read_shift_json(path) -> ShiftModel:
     """
     data = read_json(path)
     try:
-        rows = data["agents"]
-        alphas = [float(r["alpha"]) for r in rows]
-        betas = [float(r["beta"]) for r in rows]
-        nus = [float(r["nu"]) for r in rows]
-        g1 = PiecewiseLinear([(float(u), float(s)) for u, s in data["g1"]])
-        g2 = PiecewiseLinear([(float(u), float(s)) for u, s in data["g2"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed shift model: {exc}") from exc
-    try:
-        return ShiftModel(AgentPopulation(alphas, betas, nus), g1=g1, g2=g2)
+        maps = []
+        try:
+            fields = _relay_fields(data["agents"])
+            for name in ("g1", "g2"):
+                knots = data[name]
+                try:
+                    maps.append(PiecewiseLinear(knots))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed shift model: {exc}") from exc
+        return ShiftModel(AgentPopulation(*fields), *maps)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _relay_fields(rows) -> tuple[list, list, list]:
+    """``alpha``, ``beta`` and ``nu`` of JSON relay agents, in one pass; an agent
+    with a field that cannot be read is named after a fault of an earlier agent."""
+    fields = alphas, betas, nus = [], [], []
+    for k, row in enumerate(rows):
+        try:
+            alphas.append(float(row["alpha"]))
+            betas.append(float(row["beta"]))
+            nus.append(float(row["nu"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            AgentPopulation(*(values[:k] for values in fields))
+            raise ValueError(f"agent {k}: {exc}") from exc
+    return fields
 
 
 def write_rows_csv(path_or_file, header: list[str], rows) -> None:

@@ -170,9 +170,11 @@ def _composite_map(g: PiecewiseLinear, name: str):
     the knots and for a constant shift are exactly ``u + g(u)``.
     """
     us = g.us.tolist()
-    cs = (g.us + g.fs).tolist()
+    cs = [u + f for u, f in zip(us, g.fs.tolist())]  # past the float range: inf, no warning
     if any(b < a for a, b in zip(cs, cs[1:])):
         raise ValueError(f"ill-posed shift: u + {name}(u) must be non-decreasing")
+    if not all(map(math.isfinite, cs)):
+        raise ValueError(f"ill-posed shift: u + {name}(u) must be finite at every knot")
     first, last = float(g.fs[0]), float(g.fs[-1])
 
     def compare(u: float) -> float:

@@ -55,7 +55,8 @@ def relay_fold(alpha, beta, steps, states=None, up_compare=None,
 
 _KNOT_RULES = ("at least one breakpoint is required", "breakpoints must be finite",
                "breakpoint abscissae must be strictly increasing",
-               "branch values must be non-decreasing")
+               "branch values must be non-decreasing",
+               "consecutive breakpoints must differ by finite amounts")
 
 
 def _packed(maps) -> tuple[np.ndarray, np.ndarray]:
@@ -68,18 +69,21 @@ def _knot_faults(sizes, knots) -> np.ndarray:
     """Which maps of ``(sizes, knots)`` break each of ``_KNOT_RULES``, a row per rule."""
     ends = np.cumsum(sizes)
     prev = np.vstack([knots[:1], knots[:-1]])
-    prev[(ends - sizes)[sizes > 0]] = -np.inf  # no step into a map's first knot
-    bad = np.c_[~np.isfinite(knots).all(1), knots[:, 0] <= prev[:, 0], knots[:, 1] < prev[:, 1]]
-    seen = np.vstack([np.zeros((1, 3)), np.cumsum(bad, 0)])
+    prev[(ends - sizes)[sizes > 0]] = np.nan  # no step into a map's first knot
+    with np.errstate(over="ignore", invalid="ignore"):  # a step past the float range is a fault
+        bad = np.c_[~np.isfinite(knots).all(1), knots[:, 0] <= prev[:, 0],
+                    knots[:, 1] < prev[:, 1], np.isinf(knots - prev).any(1)]
+    seen = np.vstack([np.zeros((1, bad.shape[1])), np.cumsum(bad, 0)])
     return np.vstack([sizes < 1, (seen[ends] > seen[ends - sizes]).T])
 
 
 def _soft_fault(alpha, beta, f_plus, f_minus):
-    """``(k, message)`` for the first soft agent at fault and its first failed check,
-    or None: the knot rules of ``f_plus``, then of ``f_minus``; finite thresholds;
-    ``alpha >= beta``; ``f_minus >= f_plus`` at the band edges and knots in the band."""
-    rules = np.vstack([_knot_faults(*f_plus), _knot_faults(*f_minus),
-                       ~(np.isfinite(alpha) & np.isfinite(beta)), alpha < beta])
+    """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
+    ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
+    the finite steps of each branch; ``f_minus >= f_plus`` at band edges and knots in the band."""
+    plus, minus = _knot_faults(*f_plus), _knot_faults(*f_minus)
+    rules = np.vstack([plus[:4], minus[:4], ~(np.isfinite(alpha) & np.isfinite(beta)),
+                       alpha < beta, plus[4], minus[4]])
     m = int(np.argmax(rules.any(0))) if rules.any() else len(alpha)
     # the agents before m pass all other checks, so a gap fault among them comes first
     heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
@@ -97,25 +101,26 @@ def _soft_fault(alpha, beta, f_plus, f_minus):
         return int(k), f"descending branch below ascending branch at u={float(u)}"
     if m == len(alpha):
         return None
-    messages = (*_KNOT_RULES, *_KNOT_RULES, "thresholds must be finite",
-                f"alpha must be >= beta, got alpha={float(alpha[m])}, beta={float(beta[m])}")
+    messages = (*_KNOT_RULES[:4], *_KNOT_RULES[:4], "thresholds must be finite",
+                f"alpha must be >= beta, got alpha={float(alpha[m])}, beta={float(beta[m])}",
+                _KNOT_RULES[4], _KNOT_RULES[4])
     return m, messages[int(np.argmax(rules[:, m]))]
 
 
 class PiecewiseLinear:
     """A piecewise-linear map, clamped to its end values outside the knots.
 
-    Knot abscissae must be strictly increasing and all knot data finite.
-    A single knot gives a constant map.
+    Knot abscissae must be strictly increasing, all knot data finite, and so
+    must the steps between consecutive knots. A single knot gives a constant map.
     """
 
-    _rules = 3  # the first three of _KNOT_RULES, in order; a branch keeps all four
+    _rules = (0, 1, 2, 4)  # of _KNOT_RULES, in order; a branch keeps all five
 
     def __init__(self, points):
         sizes, knots = _packed([[(float(u), float(f)) for u, f in points]])
-        broken = _knot_faults(sizes, knots)[:self._rules, 0]
+        broken = _knot_faults(sizes, knots)[self._rules, 0]
         if broken.any():
-            raise ValueError(_KNOT_RULES[int(np.argmax(broken))])
+            raise ValueError(_KNOT_RULES[self._rules[int(np.argmax(broken))]])
         self.us, self.fs = knots.T.copy()
 
     def __call__(self, u):
@@ -166,7 +171,7 @@ class BranchTable:
 class BranchFunction(PiecewiseLinear):
     """A monotone (non-decreasing) piecewise-linear output branch."""
 
-    _rules = 4
+    _rules = range(5)
 
     @classmethod
     def constant(cls, value: float) -> "BranchFunction":

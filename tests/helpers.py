@@ -8,6 +8,7 @@ the fast paths.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -94,6 +95,10 @@ def soft_agents_by_loop(path, data):
                 raise ValueError("thresholds must be finite")
             if alpha < beta:
                 raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
+            for knots in branches:
+                if any(not math.isfinite(b[i] - a[i])
+                       for a, b in zip(knots[-1], knots[-1][1:]) for i in (0, 1)):
+                    raise ValueError("consecutive breakpoints must differ by finite amounts")
             f_plus, f_minus = (list(zip(*knots[-1])) for knots in branches)
             probes = sorted({beta, alpha}
                             | {u for u in f_plus[0] if beta <= u <= alpha}
@@ -108,6 +113,57 @@ def soft_agents_by_loop(path, data):
     return (np.array(alphas), np.array(betas),
             *((np.array([len(pts) for pts in knots]),
                *np.array([pt for pts in knots for pt in pts]).T) for knots in branches))
+
+
+def csv_rows(path, names):
+    """``(line number, values)`` of each non-blank row under the header of a CSV
+    file, or the ``ValueError`` naming the first line that cannot be read."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for lineno, row in enumerate(rows, start=2):
+        if all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(names):
+            raise ValueError(f"{path}:{lineno}: expected {','.join(names)} columns")
+        try:
+            yield lineno, [float(cell) for cell in row[:len(names)]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+
+
+def agents_by_row(path) -> AgentPopulation:
+    """The agent CSV reader as a loop over rows: the population, or the
+    ``ValueError`` naming the first line at fault and its first failed check."""
+    names = ("alpha", "beta", "nu")
+    rows = []
+    for lineno, (a, b, v) in csv_rows(path, names):
+        for name, x in zip(names, (a, b, v)):
+            if not math.isfinite(x):
+                raise ValueError(f"{path}:{lineno}: non-finite {name}")
+        if a < b:
+            raise ValueError(f"{path}:{lineno}: alpha < beta ({a!r} < {b!r})")
+        if v < 0:
+            raise ValueError(f"{path}:{lineno}: negative capacity {v!r}")
+        rows.append((a, b, v))
+    if not rows:
+        raise ValueError(f"{path}: empty agent file")
+    return AgentPopulation(*zip(*rows))
+
+
+def series_by_row(path) -> SampledSeries:
+    """The series CSV reader as a loop over rows: the series, or the
+    ``ValueError`` naming the first line it cannot read, else the first
+    non-finite sample, else the first time that does not increase."""
+    rows = [values for _, values in csv_rows(path, ("time", "u"))]
+    if not rows:
+        raise ValueError(f"{path}: empty series")
+    for i, (t, u) in enumerate(rows):
+        if not (math.isfinite(t) and math.isfinite(u)):
+            raise ValueError(f"{path}: invalid sample at row {i}: ({t!r}, {u!r})")
+    for i in range(1, len(rows)):
+        if rows[i][0] <= rows[i - 1][0]:
+            raise ValueError(f"{path}: unordered series: time at row {i} does not increase")
+    return SampledSeries.from_pairs(rows)
 
 
 def random_history(rng, lo, hi, max_reversals, start_u=None) -> ReversalSequence:

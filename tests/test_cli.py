@@ -219,7 +219,7 @@ class TestDataErrors:
         path.write_text(f'{{"agents": [{{"alpha": 0.5, "beta": 0.0, "nu": {self.HUGE}}}], '
                         '"g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}')
         err = self.run(capsys, "simulate", "--model", "shifted", "--agents", str(path))
-        assert err == (f"preisach: error: {path}: malformed shift model: "
+        assert err == (f"preisach: error: {path}: agent 0: "
                        "int too large to convert to float\n")
 
     def test_huge_memory_input(self, agents_csv, tmp_path, capsys):
@@ -269,6 +269,7 @@ SOFT_RULES = {
     "ordered-thresholds": "alpha must be >= beta, got alpha=0.25, beta=0.5",
     "gap-at-band-edge": "descending branch below ascending branch at u=1.0",
     "gap-at-inner-knot": "descending branch below ascending branch at u=0.5",
+    "finite-steps": "consecutive breakpoints must differ by finite amounts",
 }
 GOOD_SOFT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
              "f_minus": [[0.0, 0.0], [1.0, 1.0]]}
@@ -308,6 +309,9 @@ BAD_SOFT_FILES = {
     # agent 0's fault is named before agent 1's missing alpha
     "gap-fault-then-missing-alpha": ([GAP_AT_EDGE, without(GOOD_SOFT, "alpha")], 0,
                                      SOFT_RULES["gap-at-band-edge"]),
+    # f_plus climbs from -1.7e308 to 1.7e308: its step is past the float range
+    "overflowing-step": ([{"alpha": 1, "beta": 0, "f_plus": [[0, -1.7e308], [1, 1.7e308]],
+                           "f_minus": [[0, 1.7e308]]}], 0, SOFT_RULES["finite-steps"]),
 }
 
 
@@ -338,11 +342,83 @@ class TestBadSoftAgentFiles:
         ("ordered-thresholds", lambda: soft_agent({**GOOD_SOFT, "alpha": 0.25, "beta": 0.5})),
         ("gap-at-band-edge", lambda: soft_agent(GAP_AT_EDGE)),
         ("gap-at-inner-knot", lambda: soft_agent(GAP_AT_KNOT)),
+        ("finite-steps", lambda: PiecewiseLinear([(-1.7e308, 0.0), (1.7e308, 0.0)])),
+        ("finite-steps", lambda: BranchFunction([(0.0, -1.7e308), (1.0, 1.7e308)])),
     ])
     def test_single_agent_constructors_raise_the_same_text(self, rule, build):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == SOFT_RULES[rule]
+
+
+# (rows under the header "alpha,beta,nu", the line named, its message); the
+# line is None where the whole file is at fault. A non-finite cell in each
+# column is TestDataErrors.test_non_finite_agent_cell.
+BAD_AGENT_CSVS = {
+    "alpha-below-beta": (["0.5,0.1,1", "0.1,0.5,1"], 3, "alpha < beta (0.1 < 0.5)"),
+    "negative-nu": (["0.5,0.1,-1"], 2, "negative capacity -1.0"),
+    "unreadable-cell": (["0.5,0.1,1", "0.5,x,1"], 3, "could not convert string to float: 'x'"),
+    "short-row": (["0.5,0.1"], 2, "expected alpha,beta,nu columns"),
+    "fault-after-blank-lines": (["0.5,0.1,1", "", "", "0.1,0.5,1"], 5,
+                                "alpha < beta (0.1 < 0.5)"),
+    "empty": ([""], None, "empty agent file"),
+    # two faulty rows: the first is named, whatever its fault
+    "negative-nu-then-nan-alpha": (["0.5,0.1,-1", "nan,0.1,1"], 2, "negative capacity -1.0"),
+    "alpha-below-beta-then-unreadable": (["0.1,0.5,1", "0.5,x,1"], 2,
+                                         "alpha < beta (0.1 < 0.5)"),
+    "unreadable-then-alpha-below-beta": (["0.5,x,1", "0.1,0.5,1"], 2,
+                                         "could not convert string to float: 'x'"),
+}
+GOOD_SHIFT = {"agents": [{"alpha": 0.5, "beta": 0.0, "nu": 1.0},
+                         {"alpha": 0.8, "beta": -0.2, "nu": 2.0}],
+              "g1": [[-1.0, 0.1], [1.0, 0.3]], "g2": [[-1.0, 0.0], [1.0, 0.1]]}
+# (the shift model, its message after the file name)
+BAD_SHIFT_FILES = {
+    "agent-without-nu": ({**GOOD_SHIFT, "agents": [GOOD_SHIFT["agents"][0],
+                                                   without(GOOD_SHIFT["agents"][1], "nu")]},
+                         "agent 1: 'nu'"),
+    # agent 0's fault is named before agent 1's missing nu
+    "negative-nu-then-no-nu": ({**GOOD_SHIFT, "agents": [
+        {"alpha": 0.5, "beta": 0.0, "nu": -1.0}, {"alpha": 0.5, "beta": 0.0}]},
+        "agent 0: negative capacity -1.0"),
+    "repeated-g1-abscissa": ({**GOOD_SHIFT, "g1": [[0.0, 0.1], [0.0, 0.2]]},
+                             "g1: breakpoint abscissae must be strictly increasing"),
+    "string-in-g2": ({**GOOD_SHIFT, "g2": [[0.0, "x"]]},
+                     "g2: could not convert string to float: 'x'"),
+    "no-g1": (without(GOOD_SHIFT, "g1"), "malformed shift model: 'g1'"),
+    "g1-step-overflows": ({**GOOD_SHIFT, "g1": [[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]},
+                          f"g1: {SOFT_RULES['finite-steps']}"),
+    "composite-knot-overflows": ({**GOOD_SHIFT, "g1": [[0.0, 1.7e308], [1e308, 1.7e308]]},
+                                 "ill-posed shift: u + g1(u) must be finite at every knot"),
+}
+
+
+class TestBadRelayAgentFiles:
+    def run(self, capsys, *argv):
+        assert main([*argv, "--history", "0.9"]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", BAD_AGENT_CSVS)
+    def test_csv_message_names_the_line_and_the_rule(self, tmp_path, capsys, case):
+        rows, line, message = BAD_AGENT_CSVS[case]
+        path = tmp_path / "agents.csv"
+        path.write_text("".join(f"{row}\n" for row in ["alpha,beta,nu", *rows]))
+        where = path if line is None else f"{path}:{line}"
+        assert self.run(capsys, "simulate", "--agents", str(path)) == (
+            f"preisach: error: {where}: {message}\n")
+
+    @pytest.mark.parametrize("case", BAD_SHIFT_FILES)
+    def test_shift_message_names_the_agent_or_the_table(self, tmp_path, capsys, case):
+        model, message = BAD_SHIFT_FILES[case]
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps(model))
+        assert self.run(capsys, "simulate", "--model", "shifted", "--agents", str(path)) == (
+            f"preisach: error: {path}: {message}\n")
+
+    def test_population_names_the_first_agent_at_fault(self):
+        with pytest.raises(ValueError) as exc:
+            preisach.classical.AgentPopulation([1.0, float("nan")], [0.0, 0.0], [-1.0, 1.0])
+        assert str(exc.value) == "agent 0: negative capacity -1.0"
 
 
 class TestGridOptions:

@@ -1,13 +1,14 @@
 """The one-pass readers against loops over their rows or agents.
 
-``read_agents_csv`` and ``read_series_csv`` parse a whole file at once and
-fall back to a loop over its rows, which names the line at fault.
-``read_generalized_json`` reads each agent's fields in one loop and checks
-them all with one rule; its oracle is a loop over agents in plain Python
-(``helpers.soft_agents_by_loop``). Whatever the file, the public reader must
-return exactly what the loop returns, or raise exactly its message. The
-draws are derandomized one-decimal values with odd cells, lines and knots
-mixed in.
+``read_agents_csv`` and ``read_series_csv`` parse a whole file once and check
+it with the model's one rule, naming the line at fault; their oracles are
+loops over rows in plain Python (``helpers.agents_by_row`` and
+``helpers.series_by_row``). ``read_generalized_json`` reads each agent's
+fields in one loop and checks them all with one rule; its oracle is a loop
+over agents in plain Python (``helpers.soft_agents_by_loop``). Whatever the
+file, the public reader must return exactly what the loop returns, or raise
+exactly its message. The draws are derandomized one-decimal values with odd
+cells, lines and knots mixed in.
 """
 
 import json
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import soft_agents_by_loop
+from helpers import agents_by_row, series_by_row, soft_agents_by_loop
 from preisach import AgentPopulation, GeneralizedPopulation, SampledSeries, fileio
 
 LOADERS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -106,9 +107,14 @@ def same_outcome(text, read, by_row):
 @example(text="alpha,beta,nu\n1_000,0.1,1\n")
 @example(text="alpha,beta,nu\n0.5,0.1,1,extra\n")
 @example(text='alpha,beta,nu\n"0.5",0.1,1\n#0.7,0.1,1\n')
+# two faulty rows: the first is named, whatever its fault
+@example(text="alpha,beta,nu\n0.5,0.1,-1\nnan,0.1,1\n")
+@example(text="alpha,beta,nu\n0.1,0.5,1\n0.5,x,1\n")
+@example(text="alpha,beta,nu\n0.5,x,1\n0.1,0.5,1\n")
+@example(text="alpha,beta,nu\n0.5,0.1,1\n\n\n0.1,0.5,1\n")
 @LOADERS
 def test_agents_csv_matches_row_loop(text):
-    same_outcome(text, fileio.read_agents_csv, fileio._agents_by_row)
+    same_outcome(text, fileio.read_agents_csv, agents_by_row)
 
 
 @given(text=csv_text(series_row, "time,u"))
@@ -118,15 +124,14 @@ def test_agents_csv_matches_row_loop(text):
 @example(text="time,u\n0,0.5\n1,١٢\n")
 @LOADERS
 def test_series_csv_matches_row_loop(text):
-    same_outcome(text, fileio.read_series_csv, fileio._series_by_row)
+    same_outcome(text, fileio.read_series_csv, series_by_row)
 
 
 def test_clean_files_skip_the_row_loops(tmp_path, monkeypatch):
     def no_loop(*args):
         raise AssertionError("the row loop ran")
 
-    for name in ("_agents_by_row", "_series_by_row"):
-        monkeypatch.setattr(fileio, name, no_loop)
+    monkeypatch.setattr(fileio, "_rows", no_loop)
     (tmp_path / "a.csv").write_text("alpha,beta,nu\n0.5,0.1,1\n0.7,0.7,0\n")
     (tmp_path / "s.csv").write_text("time,u,note\n0,0.5,1\n1,-0.5,2\n")
     (tmp_path / "g.json").write_text(json.dumps([AGENT, {**AGENT, "f_plus": [[0.3, -1.0]]}]))
