@@ -10,7 +10,9 @@ memory is a union of one rectangle per stored vertex pair, so the output
 is assembled from O(stored pairs) summed-area-table lookups, independent of
 the agent count. Grid cells act as point masses at their centers, which
 makes the two routes agree exactly whenever no history extremum needs to
-split a cell.
+split a cell. No cell above the diagonal carries mass, so the table entry
+``P[i, j]`` equals ``P[i, i]`` for ``j >= i``: only the lower triangle is
+kept, packed row by row, and ``_strip`` reads any entry from it.
 
 Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
 comparison (``check_congruency``), the vertical-chord formula
@@ -377,7 +379,9 @@ class WeightGrid:
     must be empty. Queries treat each cell as a point mass at its center.
     The summed-area table is kept in extended precision so that region sums
     stay exact to ~1 ulp of the double-precision masses even at fine
-    resolutions.
+    resolutions. ``prefix`` holds its lower triangle, ``P[i, j]`` for
+    ``j <= i`` with row i at offset ``i*(i+1)//2``: (n+1)(n+2)/2 entries, as
+    the rest equals the diagonal (``P[i, j] == P[i, i]`` for ``j >= i``).
     """
 
     def __init__(self, beta0: float, alpha0: float, cell_mass):
@@ -390,24 +394,30 @@ class WeightGrid:
         n = cell_mass.shape[0]
         if n < 2:
             raise ValueError("grid needs at least 2 cells per axis")
-        if np.triu(cell_mass, 1).any():
-            raise ValueError("cells with alpha < beta must carry zero mass")
         self.n = n
         self.cell_mass = cell_mass
         self.cell_width = (self.alpha0 - self.beta0) / n
         self.centers = self.beta0 + (np.arange(n) + 0.5) * self.cell_width
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.prefix = self._build_prefix(cell_mass)
-        self.total_mass = float(self.prefix[n, n])
+        self.total_mass = float(self.prefix[-1])  # P[n, n]
 
     @staticmethod
     def _build_prefix(cell_mass: np.ndarray) -> np.ndarray:
+        """The packed lower triangle, checking that no mass lies above the diagonal.
+
+        These are the additions of ``cumsum(0).cumsum(1)`` on the square table,
+        in the same order, so each entry has the same bits (but ``-0.0`` masses
+        may sum to ``+0.0``)."""
         n = cell_mass.shape[0]
-        prefix = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-        body = prefix[1:, 1:]
-        body[...] = cell_mass
-        np.cumsum(body, axis=0, out=body)  # in place: no table-sized temporaries
-        np.cumsum(body, axis=1, out=body)
+        prefix = np.zeros((n + 1) * (n + 2) // 2, dtype=np.longdouble)
+        cols = np.zeros(n, dtype=np.longdouble)  # column sums of the rows so far
+        for i, row in enumerate(cell_mass, 1):
+            if row[i:].any():
+                raise ValueError("cells with alpha < beta must carry zero mass")
+            cols[:i] += row[:i]
+            start = i * (i + 1) // 2
+            np.cumsum(cols[:i], out=prefix[start + 1:start + i + 1])
         return prefix
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
@@ -549,8 +559,16 @@ def _require_in_support(grid: WeightGrid, mem: StaircaseMemory) -> None:
 
 
 def _strip(p: np.ndarray, rows, col_lo, col_up, row_lo=0):
-    """Mass of rows [row_lo, rows) x cols [col_lo, col_up) on the summed-area table ``p``."""
-    return p[rows, col_up] - p[row_lo, col_up] - p[rows, col_lo] + p[row_lo, col_lo]
+    """Mass of rows [row_lo, rows) x cols [col_lo, col_up) on the packed summed-area table ``p``.
+
+    ``P[i, j]`` is ``p[i*(i+1)//2 + min(i, j)]``. Inline ``j - (j - i) * (j > i)``
+    is that min for ints and int arrays alike, with no ufunc or function call
+    on the step path (a call per entry adds about 3% to a grid step)."""
+    r1, r0 = rows * (rows + 1) // 2, row_lo * (row_lo + 1) // 2  # where the two rows start
+    return (p[r1 + col_up - (col_up - rows) * (col_up > rows)]
+            - p[r0 + col_up - (col_up - row_lo) * (col_up > row_lo)]
+            - p[r1 + col_lo - (col_lo - rows) * (col_lo > rows)]
+            + p[r0 + col_lo - (col_lo - row_lo) * (col_lo > row_lo)])
 
 
 def _up_mass(grid: WeightGrid, mem: StaircaseMemory, row_lo: int = 0, col_hi=None) -> float:

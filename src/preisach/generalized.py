@@ -175,6 +175,9 @@ def _composite_map(g: PiecewiseLinear, name: str):
         raise ValueError(f"ill-posed shift: u + {name}(u) must be non-decreasing")
     if not all(map(math.isfinite, cs)):
         raise ValueError(f"ill-posed shift: u + {name}(u) must be finite at every knot")
+    slopes = [(c1 - c0) / (u1 - u0) for u0, u1, c0, c1 in zip(us, us[1:], cs, cs[1:])]
+    if not all(map(math.isfinite, slopes)):
+        raise ValueError(f"ill-posed shift: u + {name}(u) must have finite slopes")
     first, last = float(g.fs[0]), float(g.fs[-1])
 
     def compare(u: float) -> float:
@@ -184,8 +187,7 @@ def _composite_map(g: PiecewiseLinear, name: str):
         if u >= us[-1]:
             return u + last
         j = bisect.bisect_right(us, u) - 1
-        slope = (cs[j + 1] - cs[j]) / (us[j + 1] - us[j])
-        return min(cs[j] + slope * (u - us[j]), cs[j + 1])
+        return min(cs[j] + slopes[j] * (u - us[j]), cs[j + 1])
 
     return compare
 
@@ -214,7 +216,8 @@ class ShiftModel(_RelayModel):
                 [max(g1.us[-1], g2.us[-1]) + 1.0],
             )
         )
-        gap = np.asarray(g1(probes)) - np.asarray(g2(probes))
+        with np.errstate(over="ignore"):  # a gap past the float range is still >= 0
+            gap = np.asarray(g1(probes)) - np.asarray(g2(probes))
         if np.any(gap < 0):
             u_bad = float(probes[np.argmin(gap)])
             raise ValueError(f"shift functions must satisfy g2 <= g1 (fails at u={u_bad})")

@@ -56,7 +56,8 @@ def relay_fold(alpha, beta, steps, states=None, up_compare=None,
 _KNOT_RULES = ("at least one breakpoint is required", "breakpoints must be finite",
                "breakpoint abscissae must be strictly increasing",
                "branch values must be non-decreasing",
-               "consecutive breakpoints must differ by finite amounts")
+               "consecutive breakpoints must differ by finite amounts",
+               "slopes between consecutive breakpoints must be finite")
 
 
 def _packed(maps) -> tuple[np.ndarray, np.ndarray]:
@@ -70,9 +71,12 @@ def _knot_faults(sizes, knots) -> np.ndarray:
     ends = np.cumsum(sizes)
     prev = np.vstack([knots[:1], knots[:-1]])
     prev[(ends - sizes)[sizes > 0]] = np.nan  # no step into a map's first knot
-    with np.errstate(over="ignore", invalid="ignore"):  # a step past the float range is a fault
+    # a step or a slope past the float range is a fault
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = knots - prev
         bad = np.c_[~np.isfinite(knots).all(1), knots[:, 0] <= prev[:, 0],
-                    knots[:, 1] < prev[:, 1], np.isinf(knots - prev).any(1)]
+                    knots[:, 1] < prev[:, 1], np.isinf(step).any(1),
+                    np.isinf(step[:, 1] / step[:, 0])]
     seen = np.vstack([np.zeros((1, bad.shape[1])), np.cumsum(bad, 0)])
     return np.vstack([sizes < 1, (seen[ends] > seen[ends - sizes]).T])
 
@@ -80,10 +84,11 @@ def _knot_faults(sizes, knots) -> np.ndarray:
 def _soft_fault(alpha, beta, f_plus, f_minus):
     """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
     ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
-    the finite steps of each branch; ``f_minus >= f_plus`` at band edges and knots in the band."""
+    the finite steps and slopes of ``f_plus``, then of ``f_minus``; ``f_minus >= f_plus`` at
+    band edges and knots in the band."""
     plus, minus = _knot_faults(*f_plus), _knot_faults(*f_minus)
     rules = np.vstack([plus[:4], minus[:4], ~(np.isfinite(alpha) & np.isfinite(beta)),
-                       alpha < beta, plus[4], minus[4]])
+                       alpha < beta, plus[4:], minus[4:]])
     m = int(np.argmax(rules.any(0))) if rules.any() else len(alpha)
     # the agents before m pass all other checks, so a gap fault among them comes first
     heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
@@ -103,7 +108,7 @@ def _soft_fault(alpha, beta, f_plus, f_minus):
         return None
     messages = (*_KNOT_RULES[:4], *_KNOT_RULES[:4], "thresholds must be finite",
                 f"alpha must be >= beta, got alpha={float(alpha[m])}, beta={float(beta[m])}",
-                _KNOT_RULES[4], _KNOT_RULES[4])
+                *_KNOT_RULES[4:], *_KNOT_RULES[4:])
     return m, messages[int(np.argmax(rules[:, m]))]
 
 
@@ -111,10 +116,11 @@ class PiecewiseLinear:
     """A piecewise-linear map, clamped to its end values outside the knots.
 
     Knot abscissae must be strictly increasing, all knot data finite, and so
-    must the steps between consecutive knots. A single knot gives a constant map.
+    must the steps and slopes between consecutive knots. A single knot gives a
+    constant map.
     """
 
-    _rules = (0, 1, 2, 4)  # of _KNOT_RULES, in order; a branch keeps all five
+    _rules = (0, 1, 2, 4, 5)  # of _KNOT_RULES, in order; a branch keeps all six
 
     def __init__(self, points):
         sizes, knots = _packed([[(float(u), float(f)) for u, f in points]])
@@ -171,7 +177,7 @@ class BranchTable:
 class BranchFunction(PiecewiseLinear):
     """A monotone (non-decreasing) piecewise-linear output branch."""
 
-    _rules = range(5)
+    _rules = range(6)
 
     @classmethod
     def constant(cls, value: float) -> "BranchFunction":

@@ -96,9 +96,11 @@ def soft_agents_by_loop(path, data):
             if alpha < beta:
                 raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
             for knots in branches:
-                if any(not math.isfinite(b[i] - a[i])
-                       for a, b in zip(knots[-1], knots[-1][1:]) for i in (0, 1)):
+                steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(knots[-1], knots[-1][1:])]
+                if not all(math.isfinite(x) for step in steps for x in step):
                     raise ValueError("consecutive breakpoints must differ by finite amounts")
+                if not all(math.isfinite(df / du) for du, df in steps):
+                    raise ValueError("slopes between consecutive breakpoints must be finite")
             f_plus, f_minus = (list(zip(*knots[-1])) for knots in branches)
             probes = sorted({beta, alpha}
                             | {u for u in f_plus[0] if beta <= u <= alpha}

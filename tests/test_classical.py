@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,27 @@ from preisach import (
     uniform_grid,
     vertical_chord,
 )
+from preisach.classical import _strip
 
 RS = ReversalSequence
+
+
+def square_sat(mass):
+    """The whole (n+1) x (n+1) summed-area table of ``mass``, columns summed first."""
+    n = mass.shape[0]
+    want = np.zeros((n + 1, n + 1), dtype=np.longdouble)
+    want[1:, 1:] = mass.astype(np.longdouble).cumsum(0).cumsum(1)
+    return want
+
+
+def assert_sat_matches(grid, want):
+    """Every ``P[i, j]``, looked up in the packed table as int arrays and as ints
+    (the strip of rows [0, i) and cols [0, j)), equals ``want``. Values, not
+    bytes: a long double's padding bytes may differ."""
+    i, j = np.indices(want.shape)
+    assert np.array_equal(_strip(grid.prefix, i, 0, j), want)
+    assert all(_strip(grid.prefix, a, 0, b) == want[a, b]
+               for a, b in zip(i.ravel().tolist(), j.ravel().tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +134,13 @@ class TestWeightGrid:
             from_agents(pop, 8, (0.0, 1.0))
 
     def test_rejects_mass_above_diagonal(self):
-        mass = np.zeros((4, 4))
-        mass[0, 3] = 1.0
-        with pytest.raises(ValueError, match="zero mass"):
-            WeightGrid(0.0, 1.0, mass)
+        # the far corner and the last cell just above the diagonal
+        n = 4
+        for cell in ((0, n - 1), (n - 2, n - 1)):
+            mass = np.zeros((n, n))
+            mass[cell] = 1.0
+            with pytest.raises(ValueError, match="zero mass"):
+                WeightGrid(0.0, 1.0, mass)
 
     def test_rejects_negative_mass(self):
         mass = np.zeros((4, 4))
@@ -126,11 +150,37 @@ class TestWeightGrid:
 
     @pytest.mark.parametrize("n", [2, 5, 64, 129])
     def test_prefix_matches_independent_cumsum(self, n):
-        # Values, not bytes: a long double's padding bytes may differ.
         mass = np.tril(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
-        want = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-        want[1:, 1:] = mass.astype(np.longdouble).cumsum(0).cumsum(1)
-        assert np.array_equal(WeightGrid(0.0, 1.0, mass).prefix, want)
+        assert_sat_matches(WeightGrid(0.0, 1.0, mass), square_sat(mass))
+
+    def test_prefix_keeps_the_addition_order(self):
+        # with these magnitudes the bits of a sum depend on its order: summing
+        # rows first changes 186 entries, so the columns must go first
+        n = 129
+        mass = np.tril(np.random.default_rng(1).choice([0.0, 1e-17, 1.0, 1e16], (n, n)))
+        want = square_sat(mass)
+        assert not np.array_equal(mass.astype(np.longdouble).cumsum(1).cumsum(0), want[1:, 1:])
+        assert_sat_matches(WeightGrid(0.0, 1.0, mass), want)
+
+    @pytest.mark.parametrize("n", [2, 7, 512])
+    def test_prefix_keeps_only_the_lower_triangle(self, n):
+        prefix = uniform_grid(1.0, n, (0.0, 1.0)).prefix
+        assert prefix.nbytes == (n + 1) * (n + 2) // 2 * prefix.itemsize
+
+    def test_from_agents_peak_memory(self):
+        # binning allocates the cell masses, the packed table and at most 1 MiB
+        # more; a whole square table would take twice the packed one
+        n, rng = 512, np.random.default_rng(4)
+        pairs = np.sort(rng.uniform(0.0, 1.0, (20_000, 2)), axis=1)
+        pop = AgentPopulation(pairs[:, 1], pairs[:, 0], rng.uniform(0.0, 1.0, 20_000))
+        tracemalloc.start()
+        try:
+            grid = from_agents(pop, n, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = (n + 1) * (n + 2) // 2 * np.dtype(np.longdouble).itemsize
+        assert peak <= grid.cell_mass.nbytes + packed + 2**20
 
 
 class TestEvalGeometric:

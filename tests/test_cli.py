@@ -158,6 +158,16 @@ class TestSimulate:
         assert main(["simulate", "--agents", agents_csv, "--history", "1,2"]) == 2
         assert "invalid reversal sequence" in capsys.readouterr().err
 
+    def test_shift_gap_past_the_float_range(self, tmp_path, capsys):
+        # g1 - g2 = 2e308 is past the float range, but g2 <= g1 holds: no warning
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps({"agents": [{"alpha": 0.5, "beta": 0.0, "nu": 1.0}],
+                                    "g1": [[0, 1e308]], "g2": [[0, -1e308]]}))
+        assert main(["simulate", "--model", "shifted", "--agents", str(path),
+                     "--history", "0.3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[1:] == ["1,0.3,-1.0"]
+
 
 class TestDataErrors:
     """Bad values are printed as plain floats, whatever numpy prints for its scalars."""
@@ -270,6 +280,7 @@ SOFT_RULES = {
     "gap-at-band-edge": "descending branch below ascending branch at u=1.0",
     "gap-at-inner-knot": "descending branch below ascending branch at u=0.5",
     "finite-steps": "consecutive breakpoints must differ by finite amounts",
+    "finite-slopes": "slopes between consecutive breakpoints must be finite",
 }
 GOOD_SOFT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
              "f_minus": [[0.0, 0.0], [1.0, 1.0]]}
@@ -312,6 +323,9 @@ BAD_SOFT_FILES = {
     # f_plus climbs from -1.7e308 to 1.7e308: its step is past the float range
     "overflowing-step": ([{"alpha": 1, "beta": 0, "f_plus": [[0, -1.7e308], [1, 1.7e308]],
                            "f_minus": [[0, 1.7e308]]}], 0, SOFT_RULES["finite-steps"]),
+    # a finite step of 1e308 over 1e-10: the slope is past the float range
+    "overflowing-slope": ([{"alpha": 1, "beta": 0, "f_plus": [[0, -5e307], [1e-10, 5e307]],
+                            "f_minus": [[0, 1e308]]}], 0, SOFT_RULES["finite-slopes"]),
 }
 
 
@@ -344,6 +358,8 @@ class TestBadSoftAgentFiles:
         ("gap-at-inner-knot", lambda: soft_agent(GAP_AT_KNOT)),
         ("finite-steps", lambda: PiecewiseLinear([(-1.7e308, 0.0), (1.7e308, 0.0)])),
         ("finite-steps", lambda: BranchFunction([(0.0, -1.7e308), (1.0, 1.7e308)])),
+        ("finite-slopes", lambda: PiecewiseLinear([(-1.0, 0.0), (0.0, 0.0), (1e-300, 1e10)])),
+        ("finite-slopes", lambda: BranchFunction([(0.0, -5e307), (1e-10, 5e307)])),
     ])
     def test_single_agent_constructors_raise_the_same_text(self, rule, build):
         with pytest.raises(ValueError) as exc:
@@ -372,6 +388,7 @@ BAD_AGENT_CSVS = {
 GOOD_SHIFT = {"agents": [{"alpha": 0.5, "beta": 0.0, "nu": 1.0},
                          {"alpha": 0.8, "beta": -0.2, "nu": 2.0}],
               "g1": [[-1.0, 0.1], [1.0, 0.3]], "g2": [[-1.0, 0.0], [1.0, 0.1]]}
+WIDE_IDENTITY = [[-8.9e307, -8.9e307], [8.9e307, 8.9e307]]
 # (the shift model, its message after the file name)
 BAD_SHIFT_FILES = {
     "agent-without-nu": ({**GOOD_SHIFT, "agents": [GOOD_SHIFT["agents"][0],
@@ -390,6 +407,11 @@ BAD_SHIFT_FILES = {
                           f"g1: {SOFT_RULES['finite-steps']}"),
     "composite-knot-overflows": ({**GOOD_SHIFT, "g1": [[0.0, 1.7e308], [1e308, 1.7e308]]},
                                  "ill-posed shift: u + g1(u) must be finite at every knot"),
+    "g1-slope-overflows": ({**GOOD_SHIFT, "g1": [[-1, 0], [0, 0], [1e-300, 1e10]]},
+                           f"g1: {SOFT_RULES['finite-slopes']}"),
+    # the slopes of g1 = g2 are 1, but u + g(u) climbs 3.56e308 between their knots
+    "composite-slope-overflows": ({**GOOD_SHIFT, "g1": WIDE_IDENTITY, "g2": WIDE_IDENTITY},
+                                  "ill-posed shift: u + g1(u) must have finite slopes"),
 }
 
 
