@@ -12,7 +12,9 @@ the agent count. Grid cells act as point masses at their centers, which
 makes the two routes agree exactly whenever no history extremum needs to
 split a cell. No cell above the diagonal carries mass, so the table entry
 ``P[i, j]`` equals ``P[i, i]`` for ``j >= i``: only the lower triangle is
-kept, packed row by row, and ``_strip`` reads any entry from it.
+kept, packed row by row, and ``_strip`` reads any entry from it. The table
+is built one cell row at a time and is all the grid keeps: ``from_agents``
+bins each row of agents straight into it, with no matrix of cell masses.
 
 Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
 comparison (``check_congruency``), the vertical-chord formula
@@ -318,15 +320,19 @@ class PopulationSimulator(_RelaySimulator):
 
 def _relay_fault(alpha, beta, nu):
     """``(k, message)`` for the first relay agent at fault and its first failed
-    check, or None: finite ``alpha``, ``beta`` and ``nu``; ``alpha >= beta``; ``nu >= 0``."""
-    rules = np.vstack([~np.isfinite([alpha, beta, nu]), alpha < beta, nu < 0])
+    check, or None: finite ``alpha``, ``beta`` and ``nu``; ``alpha >= beta``; ``nu >= 0``;
+    and a running total of ``nu`` that stays finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.cumsum(nu)
+    rules = np.vstack([~np.isfinite([alpha, beta, nu]), alpha < beta, nu < 0, ~np.isfinite(total)])
     if not rules.any():
         return None
     k = int(np.argmax(rules.any(0)))
     rule = int(np.argmax(rules[:, k]))
     a, b, v = float(alpha[k]), float(beta[k]), float(nu[k])
     return k, (*(f"non-finite {name}" for name in ("alpha", "beta", "nu")),
-               f"alpha < beta ({a!r} < {b!r})", f"negative capacity {v!r}")[rule]
+               f"alpha < beta ({a!r} < {b!r})", f"negative capacity {v!r}",
+               "total capacity overflows")[rule]
 
 
 class AgentPopulation(_RelayModel):
@@ -377,48 +383,52 @@ class WeightGrid:
     ``cell_mass[i, j]`` is the capacity whose up-threshold falls in cell row
     i and down-threshold in cell column j; cells strictly above the diagonal
     must be empty. Queries treat each cell as a point mass at its center.
-    The summed-area table is kept in extended precision so that region sums
-    stay exact to ~1 ulp of the double-precision masses even at fine
-    resolutions. ``prefix`` holds its lower triangle, ``P[i, j]`` for
-    ``j <= i`` with row i at offset ``i*(i+1)//2``: (n+1)(n+2)/2 entries, as
-    the rest equals the diagonal (``P[i, j] == P[i, i]`` for ``j >= i``).
+    The grid keeps only the summed-area table of the masses, ``prefix``, in
+    extended precision so that region sums stay exact to ~1 ulp of the
+    double-precision masses even at fine resolutions. It holds the lower
+    triangle, ``P[i, j]`` for ``j <= i`` with row i at offset ``i*(i+1)//2``:
+    (n+1)(n+2)/2 entries, as the rest equals the diagonal (``P[i, j] ==
+    P[i, i]`` for ``j >= i``). The masses themselves are not kept.
     """
 
     def __init__(self, beta0: float, alpha0: float, cell_mass):
-        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0)
         cell_mass = np.asarray(cell_mass, dtype=float)
         if cell_mass.ndim != 2 or cell_mass.shape[0] != cell_mass.shape[1]:
             raise ValueError("cell_mass must be a square matrix")
-        if not np.isfinite(cell_mass).all() or (cell_mass < 0).any():
-            raise ValueError("cell masses must be finite and non-negative")
-        n = cell_mass.shape[0]
+        self._build(beta0, alpha0, cell_mass.shape[0], cell_mass)
+
+    @classmethod
+    def _from_rows(cls, beta0: float, alpha0: float, n: int, rows) -> WeightGrid:
+        """The grid of n cell rows given one at a time, with no n x n matrix."""
+        grid = cls.__new__(cls)
+        grid._build(beta0, alpha0, n, rows)
+        return grid
+
+    def _build(self, beta0: float, alpha0: float, n: int, rows) -> None:
+        """Set up the grid and its packed table from its cell rows, in order.
+
+        Row i - 1 goes in as its first i cells or all n of them. These are the
+        additions of ``cumsum(0).cumsum(1)`` on the square table, in the same
+        order, so each entry has the same bits (but ``-0.0`` masses may sum
+        to ``+0.0``). Each row is checked as it arrives."""
+        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0)
         if n < 2:
             raise ValueError("grid needs at least 2 cells per axis")
         self.n = n
-        self.cell_mass = cell_mass
         self.cell_width = (self.alpha0 - self.beta0) / n
         self.centers = self.beta0 + (np.arange(n) + 0.5) * self.cell_width
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
-        self.prefix = self._build_prefix(cell_mass)
-        self.total_mass = float(self.prefix[-1])  # P[n, n]
-
-    @staticmethod
-    def _build_prefix(cell_mass: np.ndarray) -> np.ndarray:
-        """The packed lower triangle, checking that no mass lies above the diagonal.
-
-        These are the additions of ``cumsum(0).cumsum(1)`` on the square table,
-        in the same order, so each entry has the same bits (but ``-0.0`` masses
-        may sum to ``+0.0``)."""
-        n = cell_mass.shape[0]
-        prefix = np.zeros((n + 1) * (n + 2) // 2, dtype=np.longdouble)
+        self.prefix = prefix = np.zeros((n + 1) * (n + 2) // 2, dtype=np.longdouble)
         cols = np.zeros(n, dtype=np.longdouble)  # column sums of the rows so far
-        for i, row in enumerate(cell_mass, 1):
-            if row[i:].any():
+        for i, row in enumerate(rows, 1):
+            if not (0.0 <= row.min() and row.max() < math.inf):  # nan fails too
+                raise ValueError("cell masses must be finite and non-negative")
+            if row.size > i and row[i:].any():  # the size test: ~2 us less per row of i cells
                 raise ValueError("cells with alpha < beta must carry zero mass")
             cols[:i] += row[:i]
             start = i * (i + 1) // 2
             np.cumsum(cols[:i], out=prefix[start + 1:start + i + 1])
-        return prefix
+        self.total_mass = float(prefix[-1])  # P[n, n]
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
     # whose center alpha is <= v; a fall to v leaves up only centers < v.
@@ -522,9 +532,16 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
         )
     width = (alpha0 - beta0) / n
     rows = np.clip(((pop.alpha - beta0) / width).astype(int), 0, n - 1)
-    cols = np.clip(((pop.beta - beta0) / width).astype(int), 0, n - 1)
-    cell_mass = np.bincount(rows * n + cols, weights=pop.nu, minlength=n * n).reshape(n, n)
-    return WeightGrid(beta0, alpha0, cell_mass)
+    cols = np.clip(((pop.beta - beta0) / width).astype(int), 0, n - 1)  # <= rows
+    # a stable sort keeps each cell's additions in agent order; rows that fit
+    # 16 bits take numpy's radix sort, ~9x faster than sorting int64
+    order = np.argsort(rows.astype(np.min_scalar_type(n - 1)), kind="stable")
+    cols, nu = cols[order], pop.nu[order]
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    del rows, order  # not held while the table is built
+    return WeightGrid._from_rows(beta0, alpha0, n, (
+        np.bincount(cols[start:end], weights=nu[start:end], minlength=i)
+        for i, start, end in zip(range(1, n + 1), [0, *ends], ends)))
 
 
 def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightGrid:
@@ -536,11 +553,8 @@ def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightG
     beta0, alpha0 = float(bounds[0]), float(bounds[1])
     width = (alpha0 - beta0) / n
     cell = density * width * width
-    mass = np.zeros((n, n))
-    rows, cols = np.indices((n, n))
-    mass[rows > cols] = cell
-    mass[rows == cols] = 0.5 * cell
-    return WeightGrid(beta0, alpha0, mass)
+    return WeightGrid._from_rows(beta0, alpha0, n,
+                                 (np.append(np.full(i, cell), 0.5 * cell) for i in range(n)))
 
 
 class SupportError(ValueError):

@@ -27,6 +27,17 @@ from preisach import (
 )
 
 
+def cell_masses(grid) -> np.ndarray:
+    """The n x n cell masses a weight grid was built from, recovered from its
+    packed summed-area table by inclusion-exclusion:
+    ``m[i, j] = P[i+1, j+1] - P[i, j+1] - P[i+1, j] + P[i, j]``, where
+    ``P[i, j] = prefix[i*(i+1)//2 + min(i, j)]``. Exact wherever the table's
+    sums are, as for the uniform grids and the small grids of the tests."""
+    i, j = np.indices((grid.n + 1, grid.n + 1))
+    sat = grid.prefix[i * (i + 1) // 2 + np.minimum(i, j)]
+    return np.diff(np.diff(sat, axis=0), axis=1).astype(float)
+
+
 def raw_relay_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
     """Brute-force relay fold of the raw, uncompressed history."""
     alphas = np.asarray(alphas, dtype=float)
@@ -135,9 +146,10 @@ def csv_rows(path, names):
 
 def agents_by_row(path) -> AgentPopulation:
     """The agent CSV reader as a loop over rows: the population, or the
-    ``ValueError`` naming the first line at fault and its first failed check."""
+    ``ValueError`` naming the first line at fault and its first failed check,
+    the last being a running total of the capacities that stays finite."""
     names = ("alpha", "beta", "nu")
-    rows = []
+    rows, total = [], 0.0
     for lineno, (a, b, v) in csv_rows(path, names):
         for name, x in zip(names, (a, b, v)):
             if not math.isfinite(x):
@@ -146,6 +158,9 @@ def agents_by_row(path) -> AgentPopulation:
             raise ValueError(f"{path}:{lineno}: alpha < beta ({a!r} < {b!r})")
         if v < 0:
             raise ValueError(f"{path}:{lineno}: negative capacity {v!r}")
+        total += v
+        if not math.isfinite(total):
+            raise ValueError(f"{path}:{lineno}: total capacity overflows")
         rows.append((a, b, v))
     if not rows:
         raise ValueError(f"{path}: empty agent file")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_history, random_population, raw_relay_states
+from helpers import cell_masses, random_history, random_population, raw_relay_states
 from preisach import (
     AgentPopulation,
     ReversalSequence,
@@ -50,12 +50,9 @@ def unit_grid():
 @pytest.fixture(scope="module")
 def center_population(unit_grid):
     """One agent per occupied cell, sitting exactly at the cell center."""
-    rows, cols = np.nonzero(unit_grid.cell_mass)
-    return AgentPopulation(
-        unit_grid.centers[rows],
-        unit_grid.centers[cols],
-        unit_grid.cell_mass[rows, cols],
-    )
+    mass = cell_masses(unit_grid)
+    rows, cols = np.nonzero(mass)
+    return AgentPopulation(unit_grid.centers[rows], unit_grid.centers[cols], mass[rows, cols])
 
 
 class TestEvalDirect:
@@ -95,20 +92,33 @@ class TestEvalDirect:
             AgentPopulation([2, 0], [1, 1], [1, 1])
         with pytest.raises(ValueError, match="agent 0: negative capacity"):
             AgentPopulation([2], [1], [-1])
+        with pytest.raises(ValueError, match="agent 1: total capacity overflows"):
+            AgentPopulation([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], [1e308] * 3)
 
 
 class TestWeightGrid:
     def test_binning_single_agent(self):
         pop = AgentPopulation([0.55], [0.25], [2.5])
         grid = from_agents(pop, 10, (0.0, 1.0))
-        assert grid.cell_mass[5, 2] == 2.5
-        assert np.count_nonzero(grid.cell_mass) == 1
+        mass = cell_masses(grid)
+        assert mass[5, 2] == 2.5
+        assert np.count_nonzero(mass) == 1
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(4)
         pop = random_population(rng, 5000)
         grid = from_agents(pop, 128, (0.0, 1.0))
         assert grid.total_mass == pytest.approx(float(pop.nu.sum()), rel=1e-13)
+
+    @staticmethod
+    def add_at_grid(pop, n, lo, hi):
+        """The grid of the dense cell masses ``np.add.at`` bins ``pop`` into."""
+        width = (hi - lo) / n
+        rows = np.clip(((pop.alpha - lo) / width).astype(int), 0, n - 1)
+        cols = np.clip(((pop.beta - lo) / width).astype(int), 0, n - 1)
+        want = np.zeros((n, n))
+        np.add.at(want, (rows, cols), pop.nu)
+        return WeightGrid(lo, hi, want)
 
     def test_binning_matches_add_at_byte_for_byte(self):
         # many agents per cell, thresholds on cell edges and both bounds, zero
@@ -120,13 +130,18 @@ class TestWeightGrid:
         pairs = np.sort(rng.choice(values, (2000, 2)), axis=1)
         nu = rng.choice([0.0, 0.0, 1e-17, 0.1, 1.0, 3.0, 1e16], 2000)
         pop = AgentPopulation(pairs[:, 1], pairs[:, 0], nu)
-        width = (hi - lo) / n
-        rows = np.clip(((pop.alpha - lo) / width).astype(int), 0, n - 1)
-        cols = np.clip(((pop.beta - lo) / width).astype(int), 0, n - 1)
-        want = np.zeros((n, n))
-        np.add.at(want, (rows, cols), pop.nu)
-        got = from_agents(pop, n, (lo, hi)).cell_mass
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = from_agents(pop, n, (lo, hi)).prefix
+        assert got.tobytes() == self.add_at_grid(pop, n, lo, hi).prefix.tobytes()
+
+    @pytest.mark.parametrize("alpha, beta", [
+        ([0.9, 0.15, 0.95, 0.2], [0.6, 0.0, 0.55, 0.1]),  # at n = 8, rows 0 and 2 to 6 are empty
+        ([1.0, 0.0, 1.0, 0.5], [0.0, 0.0, 1.0, 0.5]),  # on both bounds and both diagonals
+    ])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_binning_edge_cases_match_add_at(self, alpha, beta, n):
+        pop = AgentPopulation(alpha, beta, [1e16, 1e-17, 3.0, 0.0])
+        got = from_agents(pop, n, (0.0, 1.0)).prefix
+        assert got.tobytes() == self.add_at_grid(pop, n, 0.0, 1.0).prefix.tobytes()
 
     def test_agent_out_of_range(self):
         pop = AgentPopulation([1.5], [0.5], [1.0])
@@ -148,6 +163,15 @@ class TestWeightGrid:
         with pytest.raises(ValueError, match="non-negative"):
             WeightGrid(0.0, 1.0, mass)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cell", [(2, 1), (3, 3), (0, 3)])
+    def test_rejects_non_finite_mass(self, value, cell):
+        # below, on and above the diagonal
+        mass = np.zeros((4, 4))
+        mass[cell] = value
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            WeightGrid(0.0, 1.0, mass)
+
     @pytest.mark.parametrize("n", [2, 5, 64, 129])
     def test_prefix_matches_independent_cumsum(self, n):
         mass = np.tril(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
@@ -167,20 +191,28 @@ class TestWeightGrid:
         prefix = uniform_grid(1.0, n, (0.0, 1.0)).prefix
         assert prefix.nbytes == (n + 1) * (n + 2) // 2 * prefix.itemsize
 
+    @staticmethod
+    def peak_of(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_from_agents_peak_memory(self):
-        # binning allocates the cell masses, the packed table and at most 1 MiB
-        # more; a whole square table would take twice the packed one
+        # binning allocates the packed table and at most 1 MiB more: no n x n
+        # matrix of cell masses (2 MiB here) and no square table
         n, rng = 512, np.random.default_rng(4)
         pairs = np.sort(rng.uniform(0.0, 1.0, (20_000, 2)), axis=1)
         pop = AgentPopulation(pairs[:, 1], pairs[:, 0], rng.uniform(0.0, 1.0, 20_000))
-        tracemalloc.start()
-        try:
-            grid = from_agents(pop, n, (0.0, 1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         packed = (n + 1) * (n + 2) // 2 * np.dtype(np.longdouble).itemsize
-        assert peak <= grid.cell_mass.nbytes + packed + 2**20
+        assert self.peak_of(lambda: from_agents(pop, n, (0.0, 1.0))) <= packed + 2**20
+
+    def test_uniform_grid_peak_memory(self):
+        n = 512
+        packed = (n + 1) * (n + 2) // 2 * np.dtype(np.longdouble).itemsize
+        assert self.peak_of(lambda: uniform_grid(1.0, n, (0.0, 1.0))) <= packed + 2**20
 
 
 class TestEvalGeometric:
@@ -206,10 +238,9 @@ class TestEvalGeometric:
     def test_matches_direct_on_fine_uniform_grid(self):
         # Same agreement at n=256 with a uniform weight over the triangle.
         grid = uniform_grid(1.0, 256, (0.0, 1.0))
-        rows, cols = np.nonzero(grid.cell_mass)
-        pop = AgentPopulation(
-            grid.centers[rows], grid.centers[cols], grid.cell_mass[rows, cols]
-        )
+        mass = cell_masses(grid)
+        rows, cols = np.nonzero(mass)
+        pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
         rng = np.random.default_rng(7)
         scale = max(1.0, grid.total_mass)
         for _ in range(10):
@@ -376,6 +407,7 @@ class TestDecomposition:
 
     def test_prefix_path_matches_cell_sweep(self, unit_grid):
         # Direct cell sweep oracle for the reversible term.
+        mass = cell_masses(unit_grid)
         for u in (0.25, 0.5, 0.733):
             part = decompose_classical(
                 unit_grid, memory_from_sequence(RS(0.0, (0.9, u)))
@@ -383,7 +415,7 @@ class TestDecomposition:
             total = 0.0
             for i in range(unit_grid.n):
                 for j in range(unit_grid.n):
-                    m = unit_grid.cell_mass[i, j]
+                    m = mass[i, j]
                     if m == 0.0:
                         continue
                     if unit_grid.centers[i] <= u:
@@ -401,8 +433,9 @@ class TestDecomposition:
     def test_parts_add_up_at_a_tie_and_before_the_first_rise(self, start, extrema):
         # cells centered at 0.125, 0.375, 0.625 and 0.875, one agent on each center
         grid = WeightGrid(0.0, 1.0, np.tril(np.random.default_rng(7).random((4, 4))))
-        rows, cols = np.nonzero(grid.cell_mass)
-        pop = AgentPopulation(grid.centers[rows], grid.centers[cols], grid.cell_mass[rows, cols])
+        mass = cell_masses(grid)
+        rows, cols = np.nonzero(mass)
+        pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
         mem = memory_from_sequence(RS(start, extrema))
         limit = 1e-12 * max(1.0, grid.total_mass)
         part = decompose_classical(grid, mem)

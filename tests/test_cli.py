@@ -6,6 +6,7 @@ import pytest
 import preisach.classical
 import preisach.generalized
 import preisach.verify
+from helpers import cell_masses
 from preisach import BranchFunction, GeneralizedHysteron, PiecewiseLinear, uniform_grid
 from preisach.cli import build_parser, main
 
@@ -384,6 +385,9 @@ BAD_AGENT_CSVS = {
                                          "alpha < beta (0.1 < 0.5)"),
     "unreadable-then-alpha-below-beta": (["0.5,x,1", "0.1,0.5,1"], 2,
                                          "could not convert string to float: 'x'"),
+    # each capacity is finite, but the running total is not from the second on
+    "capacity-total-overflows": (["0.9,0.1,1e308", "0.8,0.2,1e308", "0.7,0.3,1e308"], 3,
+                                 "total capacity overflows"),
 }
 GOOD_SHIFT = {"agents": [{"alpha": 0.5, "beta": 0.0, "nu": 1.0},
                          {"alpha": 0.8, "beta": -0.2, "nu": 2.0}],
@@ -403,6 +407,9 @@ BAD_SHIFT_FILES = {
     "string-in-g2": ({**GOOD_SHIFT, "g2": [[0.0, "x"]]},
                      "g2: could not convert string to float: 'x'"),
     "no-g1": (without(GOOD_SHIFT, "g1"), "malformed shift model: 'g1'"),
+    "capacity-total-overflows": ({**GOOD_SHIFT, "agents": [
+        {"alpha": 0.9 - 0.1 * k, "beta": 0.1 * k, "nu": 1e308} for k in range(3)]},
+        "agent 1: total capacity overflows"),
     "g1-step-overflows": ({**GOOD_SHIFT, "g1": [[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]},
                           f"g1: {SOFT_RULES['finite-steps']}"),
     "composite-knot-overflows": ({**GOOD_SHIFT, "g1": [[0.0, 1.7e308], [1e308, 1.7e308]]},
@@ -436,6 +443,19 @@ class TestBadRelayAgentFiles:
         path.write_text(json.dumps(model))
         assert self.run(capsys, "simulate", "--model", "shifted", "--agents", str(path)) == (
             f"preisach: error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["simulate", "--grid-n", "8", "--bounds", "0,1"], ["decompose"],
+    ])
+    def test_capacity_total_past_the_float_range(self, tmp_path, capsys, argv):
+        # each capacity is finite, but their running total overflows at line 3
+        path = tmp_path / "agents.csv"
+        path.write_text("alpha,beta,nu\n0.9,0.1,1e308\n0.8,0.2,1e308\n0.7,0.3,1e308\n")
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--agents", str(path), *argv[1:], "--history", "0.6,0.3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"preisach: error: {path}:3: total capacity overflows\n"
+        assert not out.exists()
 
     def test_population_names_the_first_agent_at_fault(self):
         with pytest.raises(ValueError) as exc:
@@ -630,9 +650,10 @@ class TestLoop:
     def test_uniform_fixture_analytic_chord_profile(self, tmp_path):
         n = 48
         grid = uniform_grid(1.0, n, (0.0, 1.0))
-        rows_idx, cols_idx = np.nonzero(grid.cell_mass)
+        mass = cell_masses(grid)
+        rows_idx, cols_idx = np.nonzero(mass)
         lines = ["alpha,beta,nu"] + [
-            f"{float(grid.centers[i])!r},{float(grid.centers[j])!r},{float(grid.cell_mass[i, j])!r}"
+            f"{float(grid.centers[i])!r},{float(grid.centers[j])!r},{float(mass[i, j])!r}"
             for i, j in zip(rows_idx, cols_idx)
         ]
         agents = tmp_path / "uniform.csv"

@@ -104,6 +104,7 @@ def same_outcome(text, read, by_row):
 @example(text="alpha,beta,nu\n0.5,0.1,1\n0.5,0.1,-inf\n")
 @example(text="alpha,beta,nu\n0.5,0.1,1\n0.1,0.5,1\n")
 @example(text="alpha,beta,nu\n0.5,0.1,1\n0.5,0.1,-1\n")
+@example(text="alpha,beta,nu\n0.5,0.1,1e308\n0.5,0.1,1\n0.5,0.1,1e308\n")
 @example(text="alpha,beta,nu\n1_000,0.1,1\n")
 @example(text="alpha,beta,nu\n0.5,0.1,1,extra\n")
 @example(text='alpha,beta,nu\n"0.5",0.1,1\n#0.7,0.1,1\n')
