@@ -16,12 +16,7 @@ from .signal import (
     require_valid,
     validate,
 )
-from .hysteron import (
-    BranchFunction,
-    GeneralizedHysteron,
-    PiecewiseLinear,
-    relay_fold,
-)
+from .hysteron import PiecewiseLinear, relay_fold
 from .memory import (
     StaircaseMemory,
     apply_sequence,
@@ -46,7 +41,6 @@ from .classical import (
     from_agents,
     minor_loop,
     uniform_grid,
-    vertical_chord,
 )
 from .generalized import (
     EqualChordsReport,
@@ -55,18 +49,15 @@ from .generalized import (
     check_equal_chords,
     chord_generalized,
     eval_generalized,
-    eval_shifted,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentPopulation",
-    "BranchFunction",
     "CongruencyReport",
     "Decomposition",
     "EqualChordsReport",
-    "GeneralizedHysteron",
     "GeneralizedPopulation",
     "LoopTrace",
     "PiecewiseLinear",
@@ -84,7 +75,6 @@ __all__ = [
     "eval_direct",
     "eval_generalized",
     "eval_geometric",
-    "eval_shifted",
     "extract_reversals",
     "from_agents",
     "initial_memory",
@@ -98,5 +88,4 @@ __all__ = [
     "states_of",
     "uniform_grid",
     "validate",
-    "vertical_chord",
 ]

@@ -17,8 +17,8 @@ is built one cell row at a time and is all the grid keeps: ``from_agents``
 bins each row of agents straight into it, with no matrix of cell masses.
 
 Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
-comparison (``check_congruency``), the vertical-chord formula
-(``vertical_chord``: twice the capacity inside the rectangle spanned by the
+comparison (``check_congruency``), the vertical-chord formula (each
+model's ``chord``: twice the capacity inside the rectangle spanned by the
 cycle bounds and the probe input, a history-independent quantity), and the
 split of the output into its history-carrying band contribution and the
 part forced by the current input (``decompose_classical``). What every
@@ -161,7 +161,8 @@ class _RelayModel:
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         """Vertical gap of the steady cycle at ``u``: twice the weight at ``u``
-        of the relays the cycle flips (``flipped``)."""
+        of the relays the cycle flips (``flipped``). Its tie-breaks are the
+        relays', so it equals the sampled branch gap; no history enters."""
         return 2.0 * math.fsum(self.weight(u)[self.flipped(u_minus, u_plus, u)])
 
 
@@ -411,9 +412,7 @@ class WeightGrid:
         additions of ``cumsum(0).cumsum(1)`` on the square table, in the same
         order, so each entry has the same bits (but ``-0.0`` masses may sum
         to ``+0.0``). Each row is checked as it arrives."""
-        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0)
-        if n < 2:
-            raise ValueError("grid needs at least 2 cells per axis")
+        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0, n)
         self.n = n
         self.cell_width = (self.alpha0 - self.beta0) / n
         self.centers = self.beta0 + (np.arange(n) + 0.5) * self.cell_width
@@ -507,11 +506,14 @@ class GridSimulator:
         return (*decompose_classical(self.grid, self.memory), 0.0)
 
 
-def _grid_bounds(beta0: float, alpha0: float) -> tuple[float, float]:
-    """Grid bounds as floats; they must be finite with ``beta0 < alpha0``."""
+def _grid_bounds(beta0: float, alpha0: float, n: int) -> tuple[float, float]:
+    """Grid bounds as floats; they must be finite with ``beta0 < alpha0``, and
+    the grid must have ``n >= 2`` cells per axis. Builders check before they divide by n."""
     beta0, alpha0 = float(beta0), float(alpha0)
     if not -math.inf < beta0 < alpha0 < math.inf:  # nan fails too
         raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
+    if n < 2:
+        raise ValueError("grid needs at least 2 cells per axis")
     return beta0, alpha0
 
 
@@ -521,7 +523,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     Binning is conservative: the total grid mass equals the summed agent
     capacity. Agents must lie inside the bounds.
     """
-    beta0, alpha0 = _grid_bounds(*bounds)
+    beta0, alpha0 = _grid_bounds(*bounds, n)
     outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
     if outside.size:
         k = int(outside[0])
@@ -550,7 +552,7 @@ def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightG
     Diagonal cells carry half a cell of mass (the triangular sliver below
     alpha = beta), so the total is density * triangle area exactly.
     """
-    beta0, alpha0 = float(bounds[0]), float(bounds[1])
+    beta0, alpha0 = _grid_bounds(*bounds, n)
     width = (alpha0 - beta0) / n
     cell = density * width * width
     return WeightGrid._from_rows(beta0, alpha0, n,
@@ -751,16 +753,3 @@ def check_congruency(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> Congru
     d_desc = np.abs((l1.f_descending - shift1) - (l2.f_descending - shift2))
     dev = float(max(d_asc.max(), d_desc.max()))
     return CongruencyReport(congruent=dev <= tol, max_deviation=dev)
-
-
-def vertical_chord(model, u_minus: float, u_plus: float, u: float) -> float:
-    """Vertical gap of the steady cycle at input ``u``, from capacities alone.
-
-    Twice the capacity of agents whose up-threshold lies in ``(u, u_plus]``
-    and down-threshold in ``[u_minus, u)`` -- the agents that flip between
-    the two branch passes. Boundary membership matches the relay
-    tie-breaks, which is what makes this equal the sampled branch gap
-    exactly. The answer does not depend on the history before the cycle.
-    ``model`` is any model kind; each answers through its ``chord``.
-    """
-    return model.chord(u_minus, u_plus, u)

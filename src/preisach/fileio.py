@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import AgentPopulation, _relay_fault
 from .generalized import GeneralizedPopulation, ShiftModel
-from .hysteron import BranchFunction, PiecewiseLinear
+from .hysteron import PiecewiseLinear, _branch_fault
 from .memory import read_json
 from .signal import SampledSeries
 
@@ -111,14 +111,10 @@ def read_generalized_json(path) -> GeneralizedPopulation:
                                   if key.startswith("f_") else float(entry[key]))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # a fault of an earlier agent, then of this agent's f_plus, is named first
-                GeneralizedPopulation.from_knots(*(values[:k] for values in fields))
-                try:
-                    if len(fields[2]) > k:
-                        BranchFunction(fields[2][k])
-                except ValueError as fault:
-                    exc = fault
-                raise ValueError(f"agent {k}: {exc}") from exc
-        return GeneralizedPopulation.from_knots(*fields)
+                GeneralizedPopulation(*(values[:k] for values in fields))
+                fault = _branch_fault(fields[2][k]) if len(fields[2]) > k else None
+                raise ValueError(f"agent {k}: {fault or exc}") from exc
+        return GeneralizedPopulation(*fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -1,5 +1,10 @@
 """Aggregation of soft-branch agents and input-dependent threshold shifts.
 
+``GeneralizedPopulation(alpha, beta, f_plus, f_minus)`` holds soft-branch
+agents as arrays: the thresholds, and each branch's ``(u, f)`` knots packed
+into one ``hysteron.BranchTable``, so the whole population's branches are
+read in one numpy pass.
+
 The aggregate output of soft-branch agents splits, per agent, into a relay
 part weighted by the loop gap at the *current* input plus the branch
 midline. Summed over the population this yields
@@ -33,10 +38,13 @@ band membership are decided on the base side instead (``alpha`` against
 differently and disagrees at exact ties. This is the moving Preisach model
 of Della Torre and Vajda.
 
-``ShiftModel.output`` sums the band with ``math.fsum`` in O(agents) and is
-the reference. ``ShiftedSimulator`` reads the same bits in O(log n) from the
-exact signed capacity total it keeps (``classical._ExactCapacities``), and
-its steps, like every relay simulator's, touch only the crossed relays.
+``eval_generalized`` is the raw-history reference for every relay model:
+it folds the uncompressed history over all relays and reads the output with
+the model's own ``output`` in O(agents); ``ShiftModel.output`` sums the
+band with ``math.fsum``. ``ShiftedSimulator`` reads the same bits in
+O(log n) from the exact signed capacity total it keeps
+(``classical._ExactCapacities``), and its steps, like every relay
+simulator's, touch only the crossed relays.
 """
 
 from __future__ import annotations
@@ -57,37 +65,29 @@ from .classical import (
     _require_comparable,
     check_congruency,
 )
-from .hysteron import BranchTable, GeneralizedHysteron, PiecewiseLinear, _packed, _soft_fault
+from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
 from .memory import StaircaseMemory, starting_memory
 from .signal import ReversalSequence
 
 
 class GeneralizedPopulation(_RelayModel):
-    """Soft-branch agents in fixed order, kept as thresholds and two branch tables."""
+    """Soft-branch agents in fixed order, kept as thresholds and two branch tables.
 
-    def __init__(self, agents):
-        agents = list(agents)
-        if not agents:
-            raise ValueError("population must contain at least one agent")
-        for k, h in enumerate(agents):
-            if not isinstance(h, GeneralizedHysteron):
-                raise ValueError(f"agent {k} is not a GeneralizedHysteron")
-        vars(self).update(vars(self.from_knots(
-            [h.alpha for h in agents], [h.beta for h in agents],
-            [h.f_plus.breakpoints() for h in agents], [h.f_minus.breakpoints() for h in agents])))
+    Agent ``k`` switches as a relay on ``alpha[k] >= beta[k]`` and emits
+    ``f_plus[k]`` while down and ``f_minus[k]`` while up: non-decreasing maps
+    given as ``(u, f)`` knots and clamped to their end values outside them.
+    ``f_minus`` must dominate ``f_plus`` on ``[beta, alpha]`` so the loop has
+    a non-negative vertical gap. Raises ``agent k: <message>`` for the first
+    agent at fault (``hysteron._soft_fault``).
+    """
 
-    @classmethod
-    def from_knots(cls, alpha, beta, f_plus, f_minus):
-        """Agents from their thresholds and each branch's ``(u, f)`` knots. Raises
-        ``agent k: <message>`` for the first agent at fault (``hysteron._soft_fault``)."""
-        gpop = cls.__new__(cls)
-        gpop.alpha, gpop.beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+    def __init__(self, alpha, beta, f_plus, f_minus):
+        self.alpha, self.beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
         packed = _packed(f_plus), _packed(f_minus)
-        fault = _soft_fault(gpop.alpha, gpop.beta, *packed)
+        fault = _soft_fault(self.alpha, self.beta, *packed)
         if fault is not None:
             raise ValueError("agent %d: %s" % fault)
-        gpop.f_plus, gpop.f_minus = (BranchTable(s, *k.T) for s, k in packed)
-        return gpop
+        self.f_plus, self.f_minus = (BranchTable(s, *k.T) for s, k in packed)
 
     def loop_gap_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) - self.f_plus(u))
@@ -111,10 +111,10 @@ class GeneralizedPopulation(_RelayModel):
         return chord_generalized(self, u_minus, u_plus, u)
 
 
-def eval_generalized(gpop: GeneralizedPopulation, seq: ReversalSequence,
-                     query_u: float) -> float:
-    """Aggregate soft-branch output after ``seq`` at input ``query_u``."""
-    return gpop.output(gpop.fold(seq.steps_to(query_u)), query_u)
+def eval_generalized(model: _RelayModel, seq: ReversalSequence, query_u: float) -> float:
+    """Output of any relay model after ``seq`` at input ``query_u``, by the reference
+    route: its relays folded over the raw history from all-DOWN, then ``model.output``."""
+    return model.output(model.fold(seq.steps_to(query_u)), query_u)
 
 
 class GeneralizedSimulator(_RelaySimulator):
@@ -231,16 +231,6 @@ class ShiftModel(_RelayModel):
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         return ShiftedSimulator(self, starting_memory(start_u, memory))
-
-
-def eval_shifted(sm: ShiftModel, seq: ReversalSequence, query_u: float) -> float:
-    """History-carrying output of the shift model at ``query_u``.
-
-    Signed capacities over the band of agents still bistable at the
-    current input: ``alpha`` above ``u + g2(u)`` and ``beta`` below
-    ``u + g1(u)``.
-    """
-    return sm.output(sm.fold(seq.steps_to(query_u)), query_u)
 
 
 class ShiftedSimulator(_RelaySimulator):

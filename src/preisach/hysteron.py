@@ -1,17 +1,17 @@
-"""Elementary hysteresis operators.
+"""Elementary hysteresis operators, kept as arrays with no per-agent class.
 
 Two kinds of binary agent live here:
 
 * the rectangular-loop relay, as the switching rule ``relay_fold`` over
-  arrays of thresholds (there is no per-agent class): the state jumps to
-  +1 when the input rises to the up-threshold ``alpha`` and to -1 when it
-  falls to the down-threshold ``beta``; in between (the range of
-  inactivity) the state is retained,
-* the soft-branch agent (``GeneralizedHysteron``): the same two-state
-  relay, but the two output levels are replaced by monotone curves
-  ``f_plus`` (taken while the state is down) and ``f_minus`` (taken while
-  up). ``BranchTable`` evaluates many such curves in one numpy pass, and
-  ``_soft_fault`` is the one validity rule every soft agent is checked by.
+  arrays of thresholds: the state jumps to +1 when the input rises to the
+  up-threshold ``alpha`` and to -1 when it falls to the down-threshold
+  ``beta``; in between (the range of inactivity) the state is retained,
+* the soft-branch agent: the same two-state relay, but the two output
+  levels are replaced by monotone piecewise-linear curves ``f_plus`` (taken
+  while the state is down) and ``f_minus`` (taken while up), each given as
+  ``(u, f)`` knots. ``BranchTable`` evaluates many such curves in one numpy
+  pass, and ``_soft_fault`` is the one validity rule every soft agent is
+  checked by; ``generalized.GeneralizedPopulation`` holds the agents.
 
 ``relay_fold`` costs O(agents) per step and is the reference: the relay
 models' sorted-threshold steps (``classical._RelayIndex``), which touch only
@@ -81,6 +81,13 @@ def _knot_faults(sizes, knots) -> np.ndarray:
     return np.vstack([sizes < 1, (seen[ends] > seen[ends - sizes]).T])
 
 
+def _branch_fault(points, rules=range(6)) -> str | None:
+    """The first of ``_KNOT_RULES`` numbered in ``rules`` that one map's ``(u, f)``
+    knots ``points`` break, or None; by default every rule a soft branch keeps."""
+    broken = _knot_faults(*_packed([points]))[list(rules), 0]
+    return _KNOT_RULES[rules[int(np.argmax(broken))]] if broken.any() else None
+
+
 def _soft_fault(alpha, beta, f_plus, f_minus):
     """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
     ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
@@ -120,24 +127,19 @@ class PiecewiseLinear:
     constant map.
     """
 
-    _rules = (0, 1, 2, 4, 5)  # of _KNOT_RULES, in order; a branch keeps all six
-
     def __init__(self, points):
-        sizes, knots = _packed([[(float(u), float(f)) for u, f in points]])
-        broken = _knot_faults(sizes, knots)[self._rules, 0]
-        if broken.any():
-            raise ValueError(_KNOT_RULES[self._rules[int(np.argmax(broken))]])
-        self.us, self.fs = knots.T.copy()
+        points = [(float(u), float(f)) for u, f in points]
+        fault = _branch_fault(points, (0, 1, 2, 4, 5))  # the values may fall
+        if fault is not None:
+            raise ValueError(fault)
+        self.us, self.fs = np.array(points).T.copy()
 
     def __call__(self, u):
         # np.interp clamps to the end values, which is exactly the contract
         return np.interp(u, self.us, self.fs)
 
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.us.tolist(), self.fs.tolist()))
-
     def __repr__(self):
-        return f"{type(self).__name__}({self.breakpoints()!r})"
+        return f"{type(self).__name__}({list(zip(self.us.tolist(), self.fs.tolist()))!r})"
 
 
 class BranchTable:
@@ -172,57 +174,3 @@ class BranchTable:
         us, fs = self.us.ravel(), self.fs.ravel()
         x0, x1, y0, y1 = us[j], us[j + n], fs[j], fs[j + n]
         return np.where((u <= x0) | np.isinf(x1), y0, (y1 - y0) / (x1 - x0) * (u - x0) + y0)
-
-
-class BranchFunction(PiecewiseLinear):
-    """A monotone (non-decreasing) piecewise-linear output branch."""
-
-    _rules = range(6)
-
-    @classmethod
-    def constant(cls, value: float) -> "BranchFunction":
-        return cls([(0.0, value)])
-
-
-class GeneralizedHysteron:
-    """A soft-branch binary agent.
-
-    The relay part switches by :func:`relay_fold` on ``(alpha, beta)``;
-    the emitted output is ``f_plus(u)`` while down and ``f_minus(u)`` while
-    up. ``f_minus`` must dominate ``f_plus`` on ``[beta, alpha]`` so the
-    loop has a non-negative vertical gap.
-    """
-
-    def __init__(self, alpha: float, beta: float, f_plus: BranchFunction, f_minus: BranchFunction):
-        self.alpha, self.beta = float(alpha), float(beta)
-        self.f_plus, self.f_minus = f_plus, f_minus
-        fault = _soft_fault(np.array([self.alpha]), np.array([self.beta]),
-                            *(_packed([f.breakpoints()]) for f in (f_plus, f_minus)))
-        if fault is not None:
-            raise ValueError(fault[1])
-
-    @classmethod
-    def rectangular(cls, alpha: float, beta: float, nu: float = 1.0):
-        """The rectangular special case: constant branches -nu and +nu."""
-        if nu < 0:
-            raise ValueError(f"capacity must be >= 0, got {nu}")
-        return cls(
-            alpha,
-            beta,
-            f_plus=BranchFunction.constant(-nu),
-            f_minus=BranchFunction.constant(+nu),
-        )
-
-    def loop_gap(self, u) -> float:
-        """Half the vertical distance between the branches at ``u``."""
-        return 0.5 * (float(self.f_minus(u)) - float(self.f_plus(u)))
-
-    def midline(self, u) -> float:
-        """The branch average at ``u`` (the reversible midline)."""
-        return 0.5 * (float(self.f_minus(u)) + float(self.f_plus(u)))
-
-    def __repr__(self):
-        return (
-            f"GeneralizedHysteron(alpha={self.alpha}, beta={self.beta}, "
-            f"f_plus={self.f_plus!r}, f_minus={self.f_minus!r})"
-        )

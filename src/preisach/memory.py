@@ -131,31 +131,36 @@ def push_extremum(mem: StaircaseMemory, u: float) -> StaircaseMemory:
     if u == mem.current_u:
         raise ValueError("not an extremum: input value did not change")
 
-    pairs = list(mem.vertex_pairs)
+    # the stored pairs stay a tuple: a push keeps a prefix of them (all of
+    # them, the same tuple, when a rise erases nothing) and may add one pair
+    pairs = mem.vertex_pairs
+    k = len(pairs)
     if u > mem.current_u:
         # Rising. A falling live pair freezes at its current minimum first.
-        while pairs and pairs[-1][0] <= u:
-            pairs.pop()
+        while k and pairs[k - 1][0] <= u:
+            k -= 1
+        pairs = pairs[:k]
         trend = RISING
     else:
         # Falling. The link drops from the most recent maximum, swallowing
         # dominated pairs from the inside out.
-        if mem.trend == FALLING and pairs:
-            live_max, _ = pairs.pop()
+        if mem.trend == FALLING and k:
+            k -= 1
+            live_max = pairs[k][0]
         elif mem.trend == RISING:
             live_max = mem.current_u
         else:
             live_max = None  # falling from a virgin state: nothing is up
         if live_max is not None:
-            while pairs and pairs[-1][1] >= u:
-                live_max = pairs[-1][0]
-                pairs.pop()
-            pairs.append((live_max, u))
+            while k and pairs[k - 1][1] >= u:
+                k -= 1
+                live_max = pairs[k][0]
+            pairs = pairs[:k] + ((live_max, u),)
         trend = FALLING
 
     return StaircaseMemory(
         start_u=mem.start_u,
-        vertex_pairs=tuple(pairs),
+        vertex_pairs=pairs,
         current_u=u,
         trend=trend,
     )

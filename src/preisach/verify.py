@@ -10,11 +10,12 @@ seeded fixtures and reports the worst deviation it observed:
 * equal chords (generalized) -- cycle branch gaps match across histories
   even where the branches themselves do not (the incongruence witness),
 * reconstruction (generalized) -- the soft model folded over the raw
-  history (``eval_generalized``) gives the sum of the band, forced and
-  midline parts of the simulator resumed from the history's staircase memory,
+  history (``eval_generalized``, the raw-history reference of every relay
+  model) gives the sum of the band, forced and midline parts of the
+  simulator resumed from the history's staircase memory,
 * shift equivalence -- the shift model folded over the raw history and
-  summed with ``math.fsum`` (``eval_shifted``) gives the band output of the
-  moving-threshold simulator resumed from the history's compressed
+  summed with ``math.fsum`` (``eval_generalized``) gives the band output of
+  the moving-threshold simulator resumed from the history's compressed
   staircase memory, read from its exact integer total.
 
 All but erasure soundness pass when their worst deviation is within
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import AgentPopulation, WeightGrid, check_congruency, minor_loop
-from .generalized import (
-    GeneralizedPopulation,
-    ShiftModel,
-    check_equal_chords,
-    eval_generalized,
-    eval_shifted,
-)
+from .generalized import GeneralizedPopulation, ShiftModel, check_equal_chords, eval_generalized
 from .hysteron import relay_fold
 from .memory import memory_from_sequence, states_of
 from .signal import ReversalSequence, SampledSeries, extract_reversals
@@ -192,7 +187,7 @@ def check_shift_equivalence(sm: ShiftModel, rng, tol: float = 1e-12) -> CheckRes
     """The shift model folded over the raw history vs. the moving-threshold
     simulator resumed, as a ``--memory-in`` run is, from the history's staircase memory."""
     def routes(seq, q):
-        return eval_shifted(sm, seq, q), sm.simulator(memory=memory_from_sequence(seq)).value()
+        return eval_generalized(sm, seq, q), sm.simulator(memory=memory_from_sequence(seq)).value()
 
     return _two_routes("shift-equivalence", sm, rng, tol, 0.5, routes,
                        ", dual evaluation paths")

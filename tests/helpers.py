@@ -15,13 +15,12 @@ import numpy as np
 
 from preisach import (
     AgentPopulation,
-    BranchFunction,
-    GeneralizedHysteron,
     GeneralizedPopulation,
     PiecewiseLinear,
     ReversalSequence,
     SampledSeries,
     ShiftModel,
+    StaircaseMemory,
     extract_reversals,
     relay_fold,
 )
@@ -53,34 +52,67 @@ def raw_relay_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
     return states
 
 
-def gen_output(h: GeneralizedHysteron, state: float, u: float) -> float:
-    """Output of a soft-branch agent in the given state at input ``u``.
+def branch_at(knots, u) -> float:
+    """A branch given by its ``(u, f)`` knots at input ``u``, by ``np.interp``."""
+    us, fs = zip(*knots)
+    return float(np.interp(u, us, fs))
+
+
+def gen_output(f_plus, f_minus, state: float, u: float) -> float:
+    """Output of a soft-branch agent with these branch knots in the given state at ``u``.
 
     Equals ``loop_gap(u) * state + midline(u)``; evaluated by branch
     selection so the reductions to ``f_plus`` (down) and ``f_minus`` (up)
     are exact in floating point.
     """
-    if int(state) > 0:
-        return float(h.f_minus(u))
-    return float(h.f_plus(u))
+    return branch_at(f_minus if int(state) > 0 else f_plus, u)
 
 
-def gen_apply(
-    h: GeneralizedHysteron,
-    state: float,
-    seq: ReversalSequence,
-    query_u: float,
-) -> float:
-    """Drive a soft-branch agent through ``seq`` and evaluate at ``query_u``.
+def gen_apply(alpha, beta, f_plus, f_minus, state: float, seq: ReversalSequence,
+              query_u: float) -> float:
+    """Drive one soft-branch agent through ``seq`` and evaluate it at ``query_u``.
 
     ``query_u`` must equal the last reversal value or continue monotonically
     past it (it is the momentary input on the final leg).
     """
     states = relay_fold(
-        np.array([h.alpha]), np.array([h.beta]), seq.steps_to(query_u),
+        np.array([alpha]), np.array([beta]), seq.steps_to(query_u),
         np.array([float(state)]),
     )
-    return gen_output(h, states[0], query_u)
+    return gen_output(f_plus, f_minus, states[0], query_u)
+
+
+def soft_population(agents) -> GeneralizedPopulation:
+    """The population of ``(alpha, beta, f_plus, f_minus)`` agents, in order."""
+    return GeneralizedPopulation(*zip(*agents))
+
+
+def rectangular_population(alpha, beta, nu) -> GeneralizedPopulation:
+    """Soft agents with constant branches ``-nu`` and ``+nu``: relays of capacity ``nu``."""
+    return GeneralizedPopulation(alpha, beta, [[(0.0, -v)] for v in nu],
+                                 [[(0.0, v)] for v in nu])
+
+
+def push_by_list(mem: StaircaseMemory, u: float) -> StaircaseMemory:
+    """``push_extremum`` with the stored pairs copied to a list, edited in
+    place and frozen again, as the erasure rule reads in words."""
+    pairs = list(mem.vertex_pairs)
+    if u > mem.current_u:
+        while pairs and pairs[-1][0] <= u:
+            pairs.pop()
+        trend = "rising"
+    else:
+        live_max = None  # falling from a virgin state: nothing is up
+        if mem.trend == "falling" and pairs:
+            live_max, _ = pairs.pop()
+        elif mem.trend == "rising":
+            live_max = mem.current_u
+        if live_max is not None:
+            while pairs and pairs[-1][1] >= u:
+                live_max, _ = pairs.pop()
+            pairs.append((live_max, u))
+        trend = "falling"
+    return StaircaseMemory(mem.start_u, tuple(pairs), float(u), trend)
 
 
 def soft_agents_by_loop(path, data):
@@ -199,20 +231,19 @@ def random_population(rng, n_agents, lo=0.0, hi=1.0) -> AgentPopulation:
     return AgentPopulation(alpha, beta, nu)
 
 
-def random_soft_agent(rng, lo=-1.0, hi=1.0) -> GeneralizedHysteron:
+def random_soft_agent(rng, lo=-1.0, hi=1.0):
+    """``(alpha, beta, f_plus, f_minus)`` of a random soft agent, branches as knot lists."""
     beta = rng.uniform(lo, 0.5 * (lo + hi))
     alpha = rng.uniform(beta + 0.05 * (hi - lo), hi)
     knots = np.sort(rng.uniform(lo - 0.5, hi + 0.5, 4))
     knots += np.arange(4) * 1e-9  # guard against duplicate knots
     base = np.sort(rng.uniform(-2.0, 0.5, 4))
     lift = np.maximum.accumulate(rng.uniform(0.05, 1.5, 4))
-    f_plus = BranchFunction(list(zip(knots, base)))
-    f_minus = BranchFunction(list(zip(knots, base + lift)))
-    return GeneralizedHysteron(alpha, beta, f_plus, f_minus)
+    return alpha, beta, list(zip(knots, base)), list(zip(knots, base + lift))
 
 
 def random_soft_population(rng, n_agents, lo=-1.0, hi=1.0) -> GeneralizedPopulation:
-    return GeneralizedPopulation([random_soft_agent(rng, lo, hi) for _ in range(n_agents)])
+    return soft_population([random_soft_agent(rng, lo, hi) for _ in range(n_agents)])
 
 
 def random_shift_model(rng, n_agents=30, knots=9, span=2.0) -> ShiftModel:
@@ -240,34 +271,19 @@ def series_from_values(values, start_time=0.0) -> SampledSeries:
     )
 
 
-def varying_gap_agents() -> list[GeneralizedHysteron]:
+def varying_gap_agents():
     """A wide background agent whose loop gap grows with u, plus two agents
-    switching inside [-0.5, 0.5].
+    switching inside [-0.5, 0.5], each as ``(alpha, beta, f_plus, f_minus)``.
 
     Histories that park the background agent in different states bend the
     branches of later cycles without changing their vertical gaps, which is
     exactly the equal-chords-without-congruency signature.
     """
-    background = GeneralizedHysteron(
-        2.0,
-        -2.0,
-        f_plus=BranchFunction([(-2.0, -1.0), (2.0, -1.0)]),
-        f_minus=BranchFunction([(-2.0, 0.0), (2.0, 4.0)]),
-    )
-    inner1 = GeneralizedHysteron(
-        0.3,
-        -0.2,
-        f_plus=BranchFunction([(-1.0, -1.0), (1.0, -0.5)]),
-        f_minus=BranchFunction([(-1.0, 0.5), (1.0, 1.0)]),
-    )
-    inner2 = GeneralizedHysteron(
-        0.45,
-        -0.4,
-        f_plus=BranchFunction([(-1.0, -0.8), (1.0, -0.4)]),
-        f_minus=BranchFunction([(-1.0, 0.4), (1.0, 0.8)]),
-    )
+    background = (2.0, -2.0, [(-2.0, -1.0), (2.0, -1.0)], [(-2.0, 0.0), (2.0, 4.0)])
+    inner1 = (0.3, -0.2, [(-1.0, -1.0), (1.0, -0.5)], [(-1.0, 0.5), (1.0, 1.0)])
+    inner2 = (0.45, -0.4, [(-1.0, -0.8), (1.0, -0.4)], [(-1.0, 0.4), (1.0, 0.8)])
     return [background, inner1, inner2]
 
 
 def varying_gap_population() -> GeneralizedPopulation:
-    return GeneralizedPopulation(varying_gap_agents())
+    return soft_population(varying_gap_agents())

@@ -18,25 +18,22 @@ from helpers import (
     random_shift_model,
     random_soft_population,
     raw_relay_states,
+    rectangular_population,
     series_from_values,
     varying_gap_population,
 )
 from preisach import (
     AgentPopulation,
-    GeneralizedHysteron,
-    GeneralizedPopulation,
     ReversalSequence,
     check_congruency,
     check_equal_chords,
     eval_direct,
     eval_generalized,
-    eval_shifted,
     extract_reversals,
     from_agents,
     memory_from_sequence,
     minor_loop,
     states_of,
-    vertical_chord,
 )
 
 RS = ReversalSequence
@@ -134,7 +131,7 @@ def test_04_chord_identity_and_universality():
     identity_dev = 0.0
     for trace in traces:
         gap = trace.chord()
-        formula = np.array([vertical_chord(pop, lo, hi, float(u)) for u in trace.us])
+        formula = np.array([pop.chord(lo, hi, float(u)) for u in trace.us])
         identity_dev = max(identity_dev, float(np.abs(gap - formula).max()))
     universality_dev = 0.0
     base = traces[0].chord()
@@ -200,7 +197,7 @@ def test_07_shift_equivalence():
         q = seq.extrema[-1] if seq.extrema else seq.start_u
         # raw-history fold vs the simulator resumed from the compressed memory
         resumed = sm.simulator(memory=memory_from_sequence(seq)).value()
-        worst = max(worst, abs(eval_shifted(sm, seq, q) - resumed))
+        worst = max(worst, abs(eval_generalized(sm, seq, q) - resumed))
     report(7, "shift-equivalence", worst <= 1e-12,
            f"{cases} random shift pairs, max dual-path deviation {worst:.3e}")
 
@@ -212,9 +209,7 @@ def test_08_degeneration_to_classical():
     betas = [-0.5, -0.25, 0.0, -1.0]
     nus = [1.0, 0.5, 2.0, 0.25]
     pop = AgentPopulation(alphas, betas, nus)
-    gpop = GeneralizedPopulation(
-        [GeneralizedHysteron.rectangular(a, b, v) for a, b, v in zip(alphas, betas, nus)]
-    )
+    gpop = rectangular_population(alphas, betas, nus)
     rng = np.random.default_rng(108)
     exact = True
     for _ in range(50):

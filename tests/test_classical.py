@@ -17,7 +17,6 @@ from preisach import (
     memory_from_sequence,
     minor_loop,
     uniform_grid,
-    vertical_chord,
 )
 from preisach.classical import _strip
 
@@ -147,6 +146,17 @@ class TestWeightGrid:
         pop = AgentPopulation([1.5], [0.5], [1.0])
         with pytest.raises(ValueError, match="agent out of range"):
             from_agents(pop, 8, (0.0, 1.0))
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("build", [
+        lambda n: from_agents(AgentPopulation([0.5], [0.25], [1.0]), n, (0.0, 1.0)),
+        lambda n: uniform_grid(1.0, n, (0.0, 1.0)),
+        lambda n: WeightGrid(0.0, 1.0, np.zeros((max(n, 0), max(n, 0)))),
+    ], ids=["from_agents", "uniform_grid", "cell_mass"])
+    def test_rejects_fewer_than_two_cells(self, build, n):
+        # checked before the cell width divides by n
+        with pytest.raises(ValueError, match="grid needs at least 2 cells per axis"):
+            build(n)
 
     def test_rejects_mass_above_diagonal(self):
         # the far corner and the last cell just above the diagonal
@@ -329,12 +339,12 @@ class TestMinorLoop:
 
 class TestVerticalChord:
     def test_zero_at_cycle_endpoints(self, center_population):
-        assert vertical_chord(center_population, 0.2, 0.8, 0.2) == 0.0
-        assert vertical_chord(center_population, 0.2, 0.8, 0.8) == 0.0
+        assert center_population.chord(0.2, 0.8, 0.2) == 0.0
+        assert center_population.chord(0.2, 0.8, 0.8) == 0.0
 
     def test_outside_cycle_rejected(self, center_population):
         with pytest.raises(ValueError, match="outside cycle"):
-            vertical_chord(center_population, 0.2, 0.8, 0.9)
+            center_population.chord(0.2, 0.8, 0.9)
 
     def test_equals_loop_gap_for_arbitrary_populations(self):
         # Loop-simulation oracle for the closed-form rectangle sum.
@@ -348,7 +358,7 @@ class TestVerticalChord:
             trace = minor_loop(pop, hist, lo, hi, 41)
             gap = trace.chord()
             for k in range(0, 41, 5):
-                formula = vertical_chord(pop, lo, hi, float(trace.us[k]))
+                formula = pop.chord(lo, hi, float(trace.us[k]))
                 assert abs(formula - gap[k]) <= 1e-12
 
     def test_history_independence(self, center_population):
@@ -368,14 +378,14 @@ class TestVerticalChord:
         h = 1.0 / n
         for lo, hi in [(0.0, 1.0), (0.2, 0.8)]:
             for u in np.linspace(lo, hi, 7):
-                formula = vertical_chord(grid, lo, hi, float(u))
+                formula = grid.chord(lo, hi, float(u))
                 analytic = 2.0 * (hi - u) * (u - lo)
                 assert abs(formula - analytic) <= 6.0 * h
 
     def test_grid_matches_population(self, unit_grid, center_population):
         for u in (0.3, 0.5, 0.62):
-            a = vertical_chord(unit_grid, 0.2, 0.8, u)
-            b = vertical_chord(center_population, 0.2, 0.8, u)
+            a = unit_grid.chord(0.2, 0.8, u)
+            b = center_population.chord(0.2, 0.8, u)
             assert abs(a - b) <= 1e-12
 
 

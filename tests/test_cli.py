@@ -7,7 +7,7 @@ import preisach.classical
 import preisach.generalized
 import preisach.verify
 from helpers import cell_masses
-from preisach import BranchFunction, GeneralizedHysteron, PiecewiseLinear, uniform_grid
+from preisach import GeneralizedPopulation, PiecewiseLinear, uniform_grid
 from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
@@ -331,8 +331,19 @@ BAD_SOFT_FILES = {
 
 
 def soft_agent(entry):
-    return GeneralizedHysteron(entry["alpha"], entry["beta"],
-                               *(BranchFunction(entry[key]) for key in ("f_plus", "f_minus")))
+    """A one-agent population of a JSON agent entry; its fault is raised as the
+    rule's text alone, once checked to name agent 0."""
+    try:
+        return GeneralizedPopulation(*([entry[key]] for key in ("alpha", "beta", "f_plus",
+                                                                "f_minus")))
+    except ValueError as exc:
+        assert str(exc).startswith("agent 0: "), exc
+        raise ValueError(str(exc).removeprefix("agent 0: ")) from exc
+
+
+def soft_branch(f_plus):
+    """A one-agent population whose ``f_plus`` has these knots."""
+    return soft_agent({**GOOD_SOFT, "f_plus": f_plus})
 
 
 class TestBadSoftAgentFiles:
@@ -347,20 +358,20 @@ class TestBadSoftAgentFiles:
 
     @pytest.mark.parametrize("rule, build", [
         ("empty", lambda: PiecewiseLinear([])),
-        ("empty", lambda: BranchFunction([])),
+        ("empty", lambda: soft_branch([])),
         ("finite-knots", lambda: PiecewiseLinear([(0.0, 1.0), (float("inf"), 2.0)])),
-        ("finite-knots", lambda: BranchFunction([(0.0, float("nan"))])),
+        ("finite-knots", lambda: soft_branch([(0.0, float("nan"))])),
         ("increasing-abscissae", lambda: PiecewiseLinear([(1.0, 0.0), (0.0, 1.0)])),
-        ("increasing-abscissae", lambda: BranchFunction([(0.0, 0.0), (0.0, 1.0)])),
-        ("non-decreasing-values", lambda: BranchFunction([(0.0, 1.0), (1.0, 0.5)])),
+        ("increasing-abscissae", lambda: soft_branch([(0.0, 0.0), (0.0, 1.0)])),
+        ("non-decreasing-values", lambda: soft_branch([(0.0, 1.0), (1.0, 0.5)])),
         ("finite-thresholds", lambda: soft_agent({**GOOD_SOFT, "alpha": float("nan")})),
         ("ordered-thresholds", lambda: soft_agent({**GOOD_SOFT, "alpha": 0.25, "beta": 0.5})),
         ("gap-at-band-edge", lambda: soft_agent(GAP_AT_EDGE)),
         ("gap-at-inner-knot", lambda: soft_agent(GAP_AT_KNOT)),
         ("finite-steps", lambda: PiecewiseLinear([(-1.7e308, 0.0), (1.7e308, 0.0)])),
-        ("finite-steps", lambda: BranchFunction([(0.0, -1.7e308), (1.0, 1.7e308)])),
+        ("finite-steps", lambda: soft_branch([(0.0, -1.7e308), (1.0, 1.7e308)])),
         ("finite-slopes", lambda: PiecewiseLinear([(-1.0, 0.0), (0.0, 0.0), (1e-300, 1e10)])),
-        ("finite-slopes", lambda: BranchFunction([(0.0, -5e307), (1e-10, 5e307)])),
+        ("finite-slopes", lambda: soft_branch([(0.0, -5e307), (1e-10, 5e307)])),
     ])
     def test_single_agent_constructors_raise_the_same_text(self, rule, build):
         with pytest.raises(ValueError) as exc:
@@ -928,7 +939,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("model, owner, name, check", [
         ("generalized", preisach.verify, "eval_generalized", "reconstruction"),
-        ("shifted", preisach.verify, "eval_shifted", "shift-equivalence"),
+        ("shifted", preisach.verify, "eval_generalized", "shift-equivalence"),
         ("generalized", preisach.generalized.GeneralizedPopulation, "parts", "reconstruction"),
     ])
     def test_relative_error_in_one_route_fails(self, generalized_json, shift_json, model,

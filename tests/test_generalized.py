@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    branch_at,
     gen_apply,
     random_history,
     random_population,
@@ -12,12 +13,13 @@ from helpers import (
     random_soft_agent,
     random_soft_population,
     raw_relay_states,
+    rectangular_population,
+    soft_population,
     varying_gap_agents,
     varying_gap_population,
 )
 from preisach import (
     AgentPopulation,
-    GeneralizedHysteron,
     GeneralizedPopulation,
     PiecewiseLinear,
     ReversalSequence,
@@ -26,24 +28,18 @@ from preisach import (
     chord_generalized,
     eval_direct,
     eval_generalized,
-    eval_shifted,
     memory_from_sequence,
     minor_loop,
-    vertical_chord,
 )
 from preisach.cli import main
+from preisach.fileio import read_generalized_json
 
 RS = ReversalSequence
 DOWN = -1.0
 
 
 def rectangular_embedding(pop: AgentPopulation) -> GeneralizedPopulation:
-    return GeneralizedPopulation(
-        [
-            GeneralizedHysteron.rectangular(a, b, v)
-            for a, b, v in zip(pop.alpha, pop.beta, pop.nu)
-        ]
-    )
+    return rectangular_population(pop.alpha, pop.beta, pop.nu)
 
 
 varying_gap_fixture = varying_gap_population
@@ -68,18 +64,18 @@ class TestEvalGeneralized:
 
     def test_stays_on_ascending_branch_below_band(self):
         agent = varying_gap_agents()[0]
-        single = GeneralizedPopulation([agent])
+        single = soft_population([agent])
         seq = RS(-3.0, (-2.5,))
-        assert eval_generalized(single, seq, -2.5) == float(agent.f_plus(-2.5))
+        assert eval_generalized(single, seq, -2.5) == branch_at(agent[2], -2.5)
 
     def test_matches_per_agent_oracle(self):
         rng = np.random.default_rng(27)
         agents = [random_soft_agent(rng) for _ in range(100)]
-        gpop = GeneralizedPopulation(agents)
+        gpop = soft_population(agents)
         for _ in range(25):
             seq = random_history(rng, -1.3, 1.3, 25, start_u=-1.3)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            want = math.fsum(gen_apply(h, DOWN, seq, q) for h in agents)
+            want = math.fsum(gen_apply(*h, DOWN, seq, q) for h in agents)
             assert eval_generalized(gpop, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_dominated_subcycle_leaves_later_outputs_unchanged(self):
@@ -112,17 +108,17 @@ class TestReversibleTerms:
     def test_terms_match_scalar_sweep_oracle(self):
         rng = np.random.default_rng(29)
         agents = [random_soft_agent(rng) for _ in range(60)]
-        gpop = GeneralizedPopulation(agents)
+        gpop = soft_population(agents)
         for _ in range(10):
             seq = random_history(rng, -1.5, 1.5, 3, start_u=1.5)  # often a fall alone
             u = seq.extrema[-1] if seq.extrema else seq.start_u
             forced = 0.0
             mid = 0.0
-            for h in agents:
-                gap = 0.5 * (float(h.f_minus(u)) - float(h.f_plus(u)))
-                mid += 0.5 * (float(h.f_minus(u)) + float(h.f_plus(u)))
-                if h.alpha <= u or h.beta >= u:  # forced, counted in its own state
-                    forced += gap * float(raw_relay_states([h.alpha], [h.beta], seq)[0])
+            for alpha, beta, f_plus, f_minus in agents:
+                gap = 0.5 * (branch_at(f_minus, u) - branch_at(f_plus, u))
+                mid += 0.5 * (branch_at(f_minus, u) + branch_at(f_plus, u))
+                if alpha <= u or beta >= u:  # forced, counted in its own state
+                    forced += gap * float(raw_relay_states([alpha], [beta], seq)[0])
             _, got_forced, got_mid = resumed_parts(gpop, seq)
             assert got_forced == pytest.approx(forced, abs=1e-12)
             assert got_mid == pytest.approx(mid, abs=1e-12)
@@ -159,16 +155,14 @@ class TestIrreversiblePart:
         pytest.param(0.1, -0.1, 0.5, (0.2,), id="falls-before-the-first-rise"),
     ])
     def test_forced_part_before_the_first_rise(self, tmp_path, alpha, beta, start, values):
-        agent = GeneralizedHysteron.rectangular(alpha, beta, 1.5)
-        gpop = GeneralizedPopulation([agent])
+        gpop = rectangular_population([alpha], [beta], [1.5])
         seq = RS(start, values)
         q = values[-1] if values else start
         whole = eval_generalized(gpop, seq, q)
         assert whole == -1.5 and sum(resumed_parts(gpop, seq)) == whole
         agents, series, out = (tmp_path / name for name in ("agent.json", "in.csv", "out.csv"))
         agents.write_text(json.dumps([{"alpha": alpha, "beta": beta,
-                                       "f_plus": agent.f_plus.breakpoints(),
-                                       "f_minus": agent.f_minus.breakpoints()}]))
+                                       "f_plus": [[0.0, -1.5]], "f_minus": [[0.0, 1.5]]}]))
         series.write_text(f"time,u\n0,{q!r}\n")
         assert main(["decompose", "--model", "generalized", "--agents", str(agents),
                      "--start", repr(start), "--input", str(series), "--out", str(out)]) == 0
@@ -185,7 +179,7 @@ class TestShiftModel:
             seq = random_history(rng, -1.2, 1.2, 20, start_u=-1.2)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
             want = pop.simulator(memory=memory_from_sequence(seq)).parts()[0]
-            assert eval_shifted(sm, seq, q) == pytest.approx(want, abs=1e-12)
+            assert eval_generalized(sm, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_constant_shift_is_a_threshold_translation(self):
         rng = np.random.default_rng(39)
@@ -198,7 +192,7 @@ class TestShiftModel:
             seq = random_history(rng, -1.5, 1.0, 20, start_u=-1.5)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
             want = translated.simulator(memory=memory_from_sequence(seq)).parts()[0]
-            assert eval_shifted(sm, seq, q) == pytest.approx(want, abs=1e-12)
+            assert eval_generalized(sm, seq, q) == pytest.approx(want, abs=1e-12)
 
     def test_dual_path_equivalence(self):
         rng = np.random.default_rng(41)
@@ -207,7 +201,7 @@ class TestShiftModel:
             seq = random_history(rng, -2.0, 2.0, 20, start_u=-2.0)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
             resumed = sm.simulator(memory=memory_from_sequence(seq))
-            assert eval_shifted(sm, seq, q) == pytest.approx(resumed.value(), abs=1e-12)
+            assert eval_generalized(sm, seq, q) == pytest.approx(resumed.value(), abs=1e-12)
 
     def test_effective_threshold_oracle(self):
         # With strictly increasing composite maps the moving-threshold relay
@@ -233,7 +227,7 @@ class TestShiftModel:
                 prev = v
             band = (pop.alpha > sm.up_compare(q)) & (pop.beta < sm.down_compare(q))
             want = math.fsum(pop.nu[band] * states[band])
-            assert eval_shifted(sm, seq, q) == pytest.approx(want, abs=1e-9)
+            assert eval_generalized(sm, seq, q) == pytest.approx(want, abs=1e-9)
 
     def test_ill_posed_shift_rejected(self):
         pop = AgentPopulation([0.5], [-0.5], [1.0])
@@ -293,7 +287,7 @@ class TestGeneralizedChords:
         pop = random_population(rng, 40)
         gpop = rectangular_embedding(pop)
         for u in (0.3, 0.45, 0.6):
-            want = vertical_chord(pop, 0.2, 0.7, u)
+            want = pop.chord(0.2, 0.7, u)
             assert chord_generalized(gpop, 0.2, 0.7, u) == pytest.approx(want, abs=1e-12)
 
     def test_chords_equal_while_loops_differ(self):
@@ -372,10 +366,16 @@ class TestBranchingMultiplicity:
 
 
 class TestPopulationValidation:
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError, match="at least one agent"):
-            GeneralizedPopulation([])
+    """Soft agents come as arrays; the file reader is what sees agent entries."""
 
-    def test_non_hysteron_rejected(self):
+    def test_empty_population_rejected(self, tmp_path):
+        path = tmp_path / "soft.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="non-empty JSON array of agents"):
+            read_generalized_json(path)
+
+    def test_non_hysteron_rejected(self, tmp_path):
+        path = tmp_path / "soft.json"
+        path.write_text("[5]")
         with pytest.raises(ValueError, match="agent 0"):
-            GeneralizedPopulation([object()])
+            read_generalized_json(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_history, raw_relay_states
+from helpers import push_by_list, random_history, raw_relay_states
 from preisach import (
     AgentPopulation,
     ReversalSequence,
@@ -89,6 +89,22 @@ class TestPushExtremum:
         # Exact revisits of stored extrema exercise the closed tie-breaks.
         for extrema in [(5.0, 1.0, 5.0), (5.0, 1.0, 3.0, 1.0), (5.0, 1.0, 4.0, 1.0, 4.0)]:
             assert_matches_raw(ReversalSequence(0.0, extrema))
+
+    # one-decimal values from a few starts, so pushes land on stored extrema
+    @given(st.sampled_from((-1.0, 0.0, 1.5)),
+           st.lists(st.integers(-15, 15).map(lambda k: k / 10), min_size=1, max_size=40))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_matches_list_based_oracle(self, start, values):
+        mem = want = initial_memory(start)
+        for v in values:
+            if v != mem.current_u:
+                mem, want = push_extremum(mem, v), push_by_list(want, v)
+                assert mem == want
+                assert type(mem.vertex_pairs) is tuple
+
+    def test_rise_that_erases_nothing_keeps_the_pairs(self):
+        mem = memory_from_sequence(ReversalSequence(0.0, (5.0, 1.0, 4.0, 2.0)))
+        assert push_extremum(mem, 3.0).vertex_pairs is mem.vertex_pairs
 
     def test_initial_fall_leaves_no_trace(self):
         mem = initial_memory(0.0)

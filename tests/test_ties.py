@@ -15,11 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import raw_relay_states, series_from_values
+from helpers import branch_at, raw_relay_states, series_from_values, soft_population
 from preisach import (
     AgentPopulation,
-    BranchFunction,
-    GeneralizedHysteron,
     GeneralizedPopulation,
     PiecewiseLinear,
     ReversalSequence,
@@ -28,7 +26,6 @@ from preisach import (
     eval_direct,
     eval_generalized,
     eval_geometric,
-    eval_shifted,
     extract_reversals,
     memory_from_sequence,
     relay_fold,
@@ -57,14 +54,13 @@ def thresholds(draw, max_agents=6):
     return np.array([max(p) for p in pairs]), np.array([min(p) for p in pairs])
 
 
-def soft_hysterons(alpha, beta) -> list[GeneralizedHysteron]:
-    f_plus = BranchFunction([(-2.0, -1.0), (0.0, -0.5), (2.0, -0.2)])
-    f_minus = BranchFunction([(-2.0, 0.5), (0.0, 1.0), (2.0, 1.5)])
-    return [GeneralizedHysteron(a, b, f_plus, f_minus) for a, b in zip(alpha, beta)]
+F_PLUS = [(-2.0, -1.0), (0.0, -0.5), (2.0, -0.2)]
+F_MINUS = [(-2.0, 0.5), (0.0, 1.0), (2.0, 1.5)]
 
 
-def soft_population(alpha, beta) -> GeneralizedPopulation:
-    return GeneralizedPopulation(soft_hysterons(alpha, beta))
+def shared_branch_population(alpha, beta) -> GeneralizedPopulation:
+    """Soft agents on these thresholds, all with the branches ``F_PLUS`` and ``F_MINUS``."""
+    return GeneralizedPopulation(alpha, beta, [F_PLUS] * len(alpha), [F_MINUS] * len(alpha))
 
 
 @st.composite
@@ -94,19 +90,21 @@ def shift_model(alpha, beta, g1, g2, nu=None):
 
 @st.composite
 def soft_agents(draw):
-    """A soft-branch agent on one-decimal knots, or a rectangular one."""
+    """``(alpha, beta, f_plus, f_minus)`` of a soft-branch agent on one-decimal
+    knots, or of a rectangular one (constant branches -nu and +nu)."""
     alpha, beta = sorted((draw(tenths), draw(tenths)), reverse=True)
     if draw(st.booleans()):
-        return GeneralizedHysteron.rectangular(alpha, beta, draw(tenths) + 1.5)
+        nu = draw(tenths) + 1.5
+        return alpha, beta, [(0.0, -nu)], [(0.0, nu)]
 
     def branch(values):
         us = sorted(set(draw(st.lists(tenths, min_size=1, max_size=6))))
         fs = sorted(draw(st.lists(values, min_size=len(us), max_size=len(us))))
-        return BranchFunction(list(zip(us, fs)))
+        return list(zip(us, fs))
 
     # f_plus <= 0 <= f_minus everywhere, so every draw is a valid agent
-    return GeneralizedHysteron(alpha, beta, branch(st.integers(-15, 0).map(lambda k: k / 10)),
-                               branch(st.integers(0, 15).map(lambda k: k / 10)))
+    return (alpha, beta, branch(st.integers(-15, 0).map(lambda k: k / 10)),
+            branch(st.integers(0, 15).map(lambda k: k / 10)))
 
 
 def driven(model, start, values, resume=False):
@@ -134,7 +132,7 @@ class TestFoldAgreesWithRawRelays:
         alpha, beta = th
         seq = extract_reversals(series_from_values(values), start)
         want = raw_relay_states(alpha, beta, seq)
-        gpop = soft_population(alpha, beta)
+        gpop = shared_branch_population(alpha, beta)
         for model in (AgentPopulation(alpha, beta, np.ones(alpha.size)), gpop):
             sim = driven(model, start, values, resume)
             assert np.array_equal(sim.states, want)
@@ -162,7 +160,7 @@ class TestShiftTies:
         sm = ShiftModel(pop, g1=PiecewiseLinear([(0.0, -0.2)]), g2=PiecewiseLinear([(0.0, -0.5)]))
         seq = RS(-1.0, (1.5, 1.0, 1.4, -0.4, 1.4))
         resumed = sm.simulator(memory=memory_from_sequence(seq))
-        assert resumed.value() == eval_shifted(sm, seq, 1.4)
+        assert resumed.value() == eval_generalized(sm, seq, 1.4)
 
     @given(thresholds(), tenths, histories, shift_tables())
     @TIES
@@ -173,7 +171,7 @@ class TestShiftTies:
         seq = extract_reversals(series_from_values(values), start)
         q = seq.extrema[-1] if seq.extrema else seq.start_u
         resumed = sm.simulator(memory=memory_from_sequence(seq))
-        assert resumed.value() == eval_shifted(sm, seq, q)
+        assert resumed.value() == eval_generalized(sm, seq, q)
 
     def test_same_line_tables_cross_in_floats(self):
         sm = shift_model(np.array([0.0]), np.array([0.0]), *SAME_LINE)
@@ -222,7 +220,7 @@ capacities = st.lists(st.one_of(st.sampled_from(SPREAD), st.floats(0.0, 1e300)),
 def relay_models(alpha, beta, nu, tables):
     """The three relay kinds on the same thresholds (the shift model if its tables pass)."""
     sm = shift_model(alpha, beta, *tables, nu)
-    return [AgentPopulation(alpha, beta, nu), soft_population(alpha, beta),
+    return [AgentPopulation(alpha, beta, nu), shared_branch_population(alpha, beta),
             *([] if sm is None else [sm])]
 
 
@@ -340,11 +338,11 @@ class TestPackedReadout:
     @TIES
     def test_bit_identical_to_per_agent_interp(self, agents, queries):
         # every knot, below the first, past the last, and drawn inputs between
-        gpop = GeneralizedPopulation(agents)
-        knots = [u for h in agents for f in (h.f_plus, h.f_minus) for u in f.us.tolist()]
+        gpop = soft_population(agents)
+        knots = [u for h in agents for f in h[2:] for u, _ in f]
         for u in [*queries, *knots, min(knots) - 0.1, max(knots) + 0.1]:
-            gap = np.array([h.loop_gap(u) for h in agents])
-            mid = np.array([h.midline(u) for h in agents])
+            gap = np.array([0.5 * (branch_at(fm, u) - branch_at(fp, u)) for *_, fp, fm in agents])
+            mid = np.array([0.5 * (branch_at(fm, u) + branch_at(fp, u)) for *_, fp, fm in agents])
             assert gpop.loop_gap_at(u).tobytes() == gap.tobytes(), u
             assert gpop.midline_at(u).tobytes() == mid.tobytes(), u
 
@@ -441,8 +439,8 @@ def _agent_file(kind, alpha, beta, tables, tmp):
             fh.write("alpha,beta,nu\n" + "".join(f"{a},{b},1.5\n" for a, b in zip(alpha, beta)))
         return path
     if kind == "generalized":
-        data = [{"alpha": h.alpha, "beta": h.beta, "f_plus": h.f_plus.breakpoints(),
-                 "f_minus": h.f_minus.breakpoints()} for h in soft_hysterons(alpha, beta)]
+        data = [{"alpha": a, "beta": b, "f_plus": F_PLUS, "f_minus": F_MINUS}
+                for a, b in zip(alpha.tolist(), beta.tolist())]
     else:
         data = {"agents": [{"alpha": a, "beta": b, "nu": 1.5}
                            for a, b in zip(alpha.tolist(), beta.tolist())],
