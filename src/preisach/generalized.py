@@ -83,6 +83,8 @@ class GeneralizedPopulation(_RelayModel):
 
     def __init__(self, alpha, beta, f_plus, f_minus):
         self.alpha, self.beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+        if not self.alpha.shape == self.beta.shape == (len(f_plus),) == (len(f_minus),):
+            raise ValueError("alpha, beta, f_plus, f_minus must be 1-d and of equal length")
         packed = _packed(f_plus), _packed(f_minus)
         fault = _soft_fault(self.alpha, self.beta, *packed)
         if fault is not None:

@@ -379,3 +379,13 @@ class TestPopulationValidation:
         path.write_text("[5]")
         with pytest.raises(ValueError, match="agent 0"):
             read_generalized_json(path)
+
+    @pytest.mark.parametrize("alpha, beta, n_plus, n_minus", [
+        ([0.5, 0.6], [0.1], 2, 2),
+        ([0.5], [0.1], 2, 1),
+        ([0.5], [0.1], 1, 0),
+        (0.5, 0.1, 1, 1),
+    ])
+    def test_arrays_of_unequal_length_rejected(self, alpha, beta, n_plus, n_minus):
+        with pytest.raises(ValueError, match="1-d and of equal length"):
+            GeneralizedPopulation(alpha, beta, [[(0.0, -1.0)]] * n_plus, [[(0.0, 1.0)]] * n_minus)
