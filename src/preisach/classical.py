@@ -28,10 +28,11 @@ every relay agent is checked by.
 
 A relay simulator does not pay O(agents) per move: each relay model sorts
 its thresholds once (``_RelayIndex``), and a leg switches only the relays
-whose threshold it crosses, in O(log n + crossed). Capacity sums over a
-threshold range come from exact integer prefix sums (``_ExactCapacities``),
-rounded once, which is the Everett-function view of the output (Mayergoyz,
-*Mathematical Models of Hysteresis*) taken exactly.
+whose threshold it crosses, in O(log n + crossed). The two capacity models,
+``AgentPopulation`` and ``ShiftModel``, share one simulator (``_CapacitySimulator``):
+it reads the output's parts from exact integer prefix sums over threshold
+ranges (``_ExactCapacities``), each rounded once, in O(log n + ties): the
+Everett-function view (Mayergoyz, *Mathematical Models of Hysteresis*) taken exactly.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class _RelayModel:
         """The output at ``u`` as its band, forced and offset parts, which add up to it.
 
         The forced part counts each relay outside the band in its own state,
-        which ``u`` alone fixes only after the input first rises, away from ties."""
+        which ``u`` alone fixes only after the input first rises, away from ties.
+        O(agents): the soft model's route, and the capacity simulators' reference."""
         w = self.weight(u)
         up = self.alpha <= self.up_compare(u)
         down = ~up & (self.beta >= self.down_compare(u))
@@ -122,6 +124,10 @@ class _RelayModel:
     @functools.cached_property
     def _index(self) -> _RelayIndex:
         return _RelayIndex(self)
+
+    @functools.cached_property
+    def _exact(self) -> _ExactCapacities:
+        return _ExactCapacities(self.nu, self._index)
 
     def fold(self, steps) -> np.ndarray:
         """Relay states after ``(value, rising)`` steps, starting all-DOWN.
@@ -223,11 +229,11 @@ _LIMB = 30  # bits per limb: a sum of n limbs stays exact in int64 while n < 2**
 class _ExactCapacities:
     """A relay model's capacities as exact integers ``I_k = nu_k * 2**K``.
 
-    Each ``I_k`` is kept as 30-bit int64 limbs, with prefix sums of the limbs
-    in the index's alpha order and beta order, so any sum of capacities over
-    a threshold range is exact after two lookups. Python ints join the limbs,
-    and ``int / 2**K`` rounds the exact sum once, correctly: the bits of
-    ``math.fsum``, which also rounds the exact sum once.
+    Each ``I_k`` is kept as 30-bit int64 limbs (a row of ``limbs`` per limb),
+    with prefix sums of the limbs in the index's alpha order and beta order, so
+    any sum of capacities over a threshold range is exact after two lookups.
+    Python ints join the limbs, and ``int / 2**K`` rounds the exact sum once,
+    correctly: the bits of ``math.fsum``, which also rounds the exact sum once.
     """
 
     def __init__(self, nu: np.ndarray, index: _RelayIndex):
@@ -238,57 +244,57 @@ class _ExactCapacities:
         self.scale = max(0, -int(exp[live].min())) if live.any() else 0  # K
         q, r = np.divmod(np.where(live, exp + self.scale, 0), _LIMB)
         # mant << r spans limbs q, q + 1 and q + 2
-        rows, mask = np.arange(nu.size), (1 << _LIMB) - 1
-        self.limbs = np.zeros((nu.size, int(q.max(initial=0)) + 3), dtype=np.int64)
-        self.limbs[rows, q] = (mant & ((1 << (_LIMB - r)) - 1)) << r
-        self.limbs[rows, q + 1] = (mant >> (_LIMB - r)) & mask
-        self.limbs[rows, q + 2] = mant >> (2 * _LIMB - r)
+        agents, mask = np.arange(nu.size), (1 << _LIMB) - 1
+        self.limbs = np.zeros((int(q.max(initial=0)) + 3, nu.size), dtype=np.int64)
+        self.limbs[q, agents] = (mant & ((1 << (_LIMB - r)) - 1)) << r
+        self.limbs[q + 1, agents] = (mant >> (_LIMB - r)) & mask
+        self.limbs[q + 2, agents] = mant >> (2 * _LIMB - r)
         self.index = index
-        self.by_alpha, self.by_beta = (
-            np.concatenate((np.zeros((1, self.limbs.shape[1]), np.int64),
-                            np.cumsum(self.limbs[order], axis=0)))
-            for order in (index.by_alpha, index.by_beta))
+        self.by_alpha, self.by_beta = np.zeros((2, len(self.limbs), nu.size + 1), np.int64)
+        for order, prefix in ((index.by_alpha, self.by_alpha), (index.by_beta, self.by_beta)):
+            np.cumsum(self.limbs.take(order, axis=1), axis=1, out=prefix[:, 1:])
 
     @staticmethod
-    def _join(limbs: np.ndarray) -> int:
-        return sum(x << (_LIMB * j) for j, x in enumerate(limbs.tolist()))
+    def _join(limbs) -> int:
+        return sum(int(x) << (_LIMB * j) for j, x in enumerate(limbs))
 
     def sum_of(self, relays: np.ndarray) -> int:
         """``sum(I_k)`` over ``relays``."""
-        return self._join(self.limbs[relays].sum(axis=0)) if relays.size else 0
+        return self._join([row[relays].sum() for row in self.limbs]) if relays.size else 0
 
     def signed_total(self, states: np.ndarray) -> int:
         """``sum(s_k * I_k)`` over every relay."""
-        return self._join(states.astype(np.int64) @ self.limbs)
+        return self._join(self.limbs @ states.astype(np.int64))
 
-    def band(self, total: int, states: np.ndarray, u: float, risen: bool) -> float:
-        """The signed capacity of the relays still bistable at ``u``, from
+    def parts(self, total: int, states: np.ndarray, u: float, risen: bool) -> tuple[float, float]:
+        """The band and forced parts of the signed capacity at ``u``, from
         ``total = signed_total(states)``; ``states`` must be those of an input
         path that is at ``u`` and has ``risen`` or not.
 
-        The band is the total minus the forced relays. Those with only
-        ``alpha <= up(u)`` are UP once the input has risen (DOWN before), those
-        with only ``beta >= down(u)`` are DOWN, and the tie set in both counts
-        with its own states.
-        """
+        The forced relays are those with ``alpha <= up(u)``, UP once the input
+        has risen (DOWN before), and the others with ``beta >= down(u)``, DOWN;
+        the tie set in both counts with its own states. Each forced sum is rounded
+        once, then the two are added; the band is the total minus both, rounded
+        once: the bits of ``_RelayModel.parts``."""
         index, m = self.index, self.index.model
         a, d = m.up_compare(u), m.down_compare(u)
-        up = self._join(self.by_alpha[index.up_to(a)])
-        down = self._join(self.by_beta[-1] - self.by_beta[index.down_from(d)])
         tie = index.alpha_within(d, a)
         tie = tie[m.beta[tie] >= d]
-        tie_all, tie_up = self.sum_of(tie), self.sum_of(tie[states[tie] > 0])
-        forced = (up - tie_all) * (1 if risen else -1) - (down - tie_all) + 2 * tie_up - tie_all
-        return (total - forced) / (1 << self.scale)
+        tie_all = self.sum_of(tie)
+        up = self._join(self.by_alpha[:, index.up_to(a)]) - tie_all
+        up = (up if risen else -up) + 2 * self.sum_of(tie[states[tie] > 0]) - tie_all
+        down = tie_all - self._join(self.by_beta[:, -1] - self.by_beta[:, index.down_from(d)])
+        scale = 1 << self.scale
+        return (total - up - down) / scale, up / scale + down / scale
 
 
 class _RelaySimulator:
     """Relay states of one input path, kept with the path's staircase memory.
 
     It starts from ``fold`` of its memory's steps, and a push switches only
-    the relays its leg crosses (``_RelayIndex``). The per-kind subclasses
-    exist so that each kind is a type of its own; all of them read out
-    through their model's ``output`` and ``parts``.
+    the relays its leg crosses (``_RelayIndex``). Each model kind has its own
+    subclass, and none derives from another, so that a class picks out one kind
+    (a benchmark tracer wraps ``push`` by class, and would count a subclass twice).
     """
 
     def __init__(self, model: _RelayModel, memory: StaircaseMemory):
@@ -315,7 +321,26 @@ class _RelaySimulator:
         return self.model.parts(self.states, self.memory.current_u)
 
 
-class PopulationSimulator(_RelaySimulator):
+class _CapacitySimulator(_RelaySimulator):
+    """A capacity model's simulator: it keeps the exact signed total, adds only the
+    relays a push flips, and reads ``parts`` from it in O(log n + ties), bit for bit
+    what ``_RelayModel.parts`` sums with ``math.fsum``."""
+
+    def __init__(self, model: _RelayModel, memory: StaircaseMemory):
+        super().__init__(model, memory)
+        self.total = model._exact.signed_total(self.states)
+
+    def _switch(self, crossed: np.ndarray, state: int) -> None:
+        flipped = crossed[self.states[crossed] != state]
+        self.states[flipped] = state
+        self.total += 2 * state * self.model._exact.sum_of(flipped)
+
+    def parts(self) -> tuple[float, float, float]:
+        mem = self.memory
+        return *self.model._exact.parts(self.total, self.states, mem.current_u, mem.risen), 0.0
+
+
+class PopulationSimulator(_CapacitySimulator):
     """Relay-state tracker for one input path over a population."""
 
 
@@ -347,6 +372,8 @@ class AgentPopulation(_RelayModel):
         alpha, beta, nu = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (alpha, beta, nu))
         if not (alpha.shape == beta.shape == nu.shape) or alpha.ndim != 1:
             raise ValueError("alpha, beta, nu must be 1-d arrays of equal length")
+        if not alpha.size:
+            raise ValueError("at least one agent is required")
         fault = _relay_fault(alpha, beta, nu)
         if fault is not None:
             raise ValueError(f"agent {fault[0]}: {fault[1]}")

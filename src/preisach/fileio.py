@@ -110,8 +110,8 @@ def read_generalized_json(path) -> GeneralizedPopulation:
                     values.append([(float(u), float(f)) for u, f in entry[key]]
                                   if key.startswith("f_") else float(entry[key]))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # a fault of an earlier agent, then of this agent's f_plus, is named first
-                GeneralizedPopulation(*(values[:k] for values in fields))
+                if k:  # a fault of an earlier agent, then of this agent's f_plus, is named first
+                    GeneralizedPopulation(*(values[:k] for values in fields))
                 fault = _branch_fault(fields[2][k]) if len(fields[2]) > k else None
                 raise ValueError(f"agent {k}: {fault or exc}") from exc
         return GeneralizedPopulation(*fields)
@@ -153,7 +153,8 @@ def _relay_fields(rows) -> tuple[list, list, list]:
             betas.append(float(row["beta"]))
             nus.append(float(row["nu"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            AgentPopulation(*(values[:k] for values in fields))
+            if k:  # a fault of an earlier agent is named first
+                AgentPopulation(*(values[:k] for values in fields))
             raise ValueError(f"agent {k}: {exc}") from exc
     return fields
 

@@ -42,15 +42,14 @@ of Della Torre and Vajda.
 it folds the uncompressed history over all relays and reads the output with
 the model's own ``output`` in O(agents); ``ShiftModel.output`` sums the
 band with ``math.fsum``. ``ShiftedSimulator`` reads the same bits in
-O(log n) from the exact signed capacity total it keeps
-(``classical._ExactCapacities``), and its steps, like every relay
-simulator's, touch only the crossed relays.
+O(log n + ties) as the band part of its ``parts``: it is a capacity
+simulator (``classical._CapacitySimulator``), as the direct model's is, and
+its steps, like every relay simulator's, touch only the crossed relays.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ import numpy as np
 from .classical import (
     AgentPopulation,
     LoopTrace,
-    _ExactCapacities,
+    _CapacitySimulator,
     _RelayModel,
     _RelaySimulator,
     _require_comparable,
@@ -85,6 +84,8 @@ class GeneralizedPopulation(_RelayModel):
         self.alpha, self.beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
         if not self.alpha.shape == self.beta.shape == (len(f_plus),) == (len(f_minus),):
             raise ValueError("alpha, beta, f_plus, f_minus must be 1-d and of equal length")
+        if not len(f_plus):
+            raise ValueError("at least one agent is required")
         packed = _packed(f_plus), _packed(f_minus)
         fault = _soft_fault(self.alpha, self.beta, *packed)
         if fault is not None:
@@ -227,32 +228,12 @@ class ShiftModel(_RelayModel):
     def output(self, states: np.ndarray, u: float) -> float:
         return self.band_sum(self.nu, states, u)
 
-    @functools.cached_property
-    def _exact(self) -> _ExactCapacities:
-        return _ExactCapacities(self.nu, self._index)
-
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         return ShiftedSimulator(self, starting_memory(start_u, memory))
 
 
-class ShiftedSimulator(_RelaySimulator):
-    """Moving-threshold relay tracker emitting the band output.
-
-    It keeps the exact signed capacity total, adds to it only the relays a
-    push flips, and reads the band out of it in O(log n + ties): bit for bit
-    what ``ShiftModel.output`` sums with ``math.fsum``.
-    """
-
-    def __init__(self, model: ShiftModel, memory: StaircaseMemory):
-        super().__init__(model, memory)
-        self.total = model._exact.signed_total(self.states)
-
-    def _switch(self, crossed: np.ndarray, state: int) -> None:
-        flipped = crossed[self.states[crossed] != state]
-        self.states[flipped] = state
-        self.total += 2 * state * self.model._exact.sum_of(flipped)
+class ShiftedSimulator(_CapacitySimulator):
+    """Moving-threshold relay tracker emitting the band output (``ShiftModel.output``)."""
 
     def value(self) -> float:
-        mem = self.memory
-        return self.model._exact.band(self.total, self.states, mem.current_u, mem.risen)
-
+        return self.parts()[0]

@@ -115,16 +115,31 @@ def push_by_list(mem: StaircaseMemory, u: float) -> StaircaseMemory:
     return StaircaseMemory(mem.start_u, tuple(pairs), float(u), trend)
 
 
+def _check_steps(pts):
+    """Raise for the first step or slope between consecutive knots ``pts`` past the float range."""
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
+    if not all(math.isfinite(x) for step in steps for x in step):
+        raise ValueError("consecutive breakpoints must differ by finite amounts")
+    if not all(math.isfinite(df / du) for du, df in steps):
+        raise ValueError("slopes between consecutive breakpoints must be finite")
+
+
 def soft_agents_by_loop(path, data):
     """The soft-agent JSON reader as a loop over agents, written out in plain
     Python and ``np.interp``: the thresholds, then ``(sizes, us, fs)`` per
-    branch, or the ``ValueError`` naming the first agent at fault."""
+    branch, or the ``ValueError`` naming the first agent at fault. An
+    ``f_minus`` that cannot be read is named after any fault of ``f_plus``."""
     alphas, betas, branches = [], [], ([], [])
     for k, entry in enumerate(data):
         try:
             alpha, beta = float(entry["alpha"]), float(entry["beta"])
             for key, knots in zip(("f_plus", "f_minus"), branches):
-                pts = [(float(u), float(f)) for u, f in entry[key]]
+                try:
+                    pts = [(float(u), float(f)) for u, f in entry[key]]
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    if key == "f_minus":
+                        _check_steps(branches[0][-1])
+                    raise
                 if not pts:
                     raise ValueError("at least one breakpoint is required")
                 if not all(math.isfinite(x) for pt in pts for x in pt):
@@ -139,11 +154,7 @@ def soft_agents_by_loop(path, data):
             if alpha < beta:
                 raise ValueError(f"alpha must be >= beta, got alpha={alpha}, beta={beta}")
             for knots in branches:
-                steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(knots[-1], knots[-1][1:])]
-                if not all(math.isfinite(x) for step in steps for x in step):
-                    raise ValueError("consecutive breakpoints must differ by finite amounts")
-                if not all(math.isfinite(df / du) for du, df in steps):
-                    raise ValueError("slopes between consecutive breakpoints must be finite")
+                _check_steps(knots[-1])
             f_plus, f_minus = (list(zip(*knots[-1])) for knots in branches)
             probes = sorted({beta, alpha}
                             | {u for u in f_plus[0] if beta <= u <= alpha}

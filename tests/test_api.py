@@ -33,6 +33,17 @@ def test_tracer_target_resolves(owner, attr):
     assert hasattr(obj, attr), f"{owner} has no {attr}"
 
 
+def test_tracer_target_classes_are_not_subclasses_of_one_another():
+    # the tracer finds each method through inspect.getattr_static, so a target
+    # class derived from another would inherit that class's wrapper and wrap
+    # it again: each of its calls would count once under each span name
+    owners = {t[2] for t in tracer_targets() if ":" in t[2]}
+    classes = [getattr(importlib.import_module(m), c) for m, c in
+               (owner.split(":") for owner in sorted(owners))]
+    assert [(a.__name__, b.__name__) for a in classes for b in classes
+            if a is not b and issubclass(a, b)] == []
+
+
 def console_scripts():
     """``name = "module:attr"`` lines of ``[project.scripts]`` (no tomllib on 3.10)."""
     table = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]

@@ -94,6 +94,10 @@ class TestEvalDirect:
         with pytest.raises(ValueError, match="agent 1: total capacity overflows"):
             AgentPopulation([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], [1e308] * 3)
 
+    def test_zero_agents_rejected(self):
+        with pytest.raises(ValueError, match="^at least one agent is required$"):
+            AgentPopulation([], [], [])
+
 
 class TestWeightGrid:
     def test_binning_single_agent(self):

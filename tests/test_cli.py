@@ -409,6 +409,10 @@ BAD_SHIFT_FILES = {
     "agent-without-nu": ({**GOOD_SHIFT, "agents": [GOOD_SHIFT["agents"][0],
                                                    without(GOOD_SHIFT["agents"][1], "nu")]},
                          "agent 1: 'nu'"),
+    # agent 0 is named with no earlier agents to check first
+    "first-agent-without-nu": ({**GOOD_SHIFT, "agents": [without(GOOD_SHIFT["agents"][0], "nu")]},
+                               "agent 0: 'nu'"),
+    "no-agents": ({**GOOD_SHIFT, "agents": []}, "at least one agent is required"),
     # agent 0's fault is named before agent 1's missing nu
     "negative-nu-then-no-nu": ({**GOOD_SHIFT, "agents": [
         {"alpha": 0.5, "beta": 0.0, "nu": -1.0}, {"alpha": 0.5, "beta": 0.0}]},

@@ -193,6 +193,9 @@ def soft_agent(draw):
 @example(agents=[{"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
                   "f_minus": [[-1.0, 0.5], [2.0, 0.8]]},
                  {key: value for key, value in AGENT.items() if key != "alpha"}])
+# a step or slope fault of f_plus is named before an f_minus that cannot be read
+@example(agents=[{"alpha": 1, "beta": 0, "f_plus": [[0, -5e307], [1e-10, 5e307]],
+                  "f_minus": [[0, 1], [1]]}])
 # one long branch among short ones, valid and with a gap fault from u = 0.45 up
 @example(agents=[AGENT, LONG, AGENT])
 @example(agents=[AGENT, {**LONG, "f_plus": [[u, f if u < 0.45 else 2.0]

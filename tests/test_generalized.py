@@ -374,6 +374,10 @@ class TestPopulationValidation:
         with pytest.raises(ValueError, match="non-empty JSON array of agents"):
             read_generalized_json(path)
 
+    def test_zero_agents_rejected(self):
+        with pytest.raises(ValueError, match="^at least one agent is required$"):
+            GeneralizedPopulation([], [], [], [])
+
     def test_non_hysteron_rejected(self, tmp_path):
         path = tmp_path / "soft.json"
         path.write_text("[5]")

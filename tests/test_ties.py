@@ -31,6 +31,7 @@ from preisach import (
     relay_fold,
     states_of,
 )
+from preisach.classical import _RelayModel
 from preisach.cli import main
 
 RS = ReversalSequence
@@ -239,6 +240,13 @@ def same_bits(x: float, y: float) -> bool:
     return float(x).hex() == float(y).hex()
 
 
+def same_parts(sim) -> bool:
+    """Whether a capacity simulator's ``parts``, read from its exact total, have
+    the bits of the masked ``math.fsum`` sums of ``_RelayModel.parts``."""
+    ref = _RelayModel.parts(sim.model, sim.states, sim.memory.current_u)
+    return all(map(same_bits, sim.parts(), ref))
+
+
 class TestRelayIndex:
     """The sorted-index steps and the exact shifted readout against the references."""
 
@@ -279,6 +287,8 @@ class TestRelayIndex:
                 if isinstance(model, ShiftModel):  # also before the first push
                     ref = model.band_sum(model.nu, s.states, s.memory.current_u)
                     assert same_bits(s.value(), ref), (k, s.value(), ref)
+                if isinstance(model, (AgentPopulation, ShiftModel)):
+                    assert same_parts(s), (model, k)
 
             sim, resumed = model.simulator(start), None
             check(sim, np.full(alpha.size, -1.0), 0)
@@ -324,6 +334,8 @@ class TestRelayIndex:
             if isinstance(sim.model, ShiftModel):
                 ref = sim.model.band_sum(sim.model.nu, sim.states, sim.memory.current_u)
                 assert same_bits(sim.value(), ref), n_pairs
+            if isinstance(sim.model, (AgentPopulation, ShiftModel)):
+                assert same_parts(sim), (sim.model, n_pairs)
 
         for model in models:
             sim = model.simulator(memory=mem)
