@@ -1,8 +1,8 @@
 """Aggregation of rectangular binary agents, with two evaluation routes.
 
 ``eval_direct`` is the definition: each agent is a rectangular relay, the
-aggregate output is the capacity-weighted sum of relay states. It costs
-O(agents) per input move and serves as the oracle for everything else.
+aggregate output is the capacity-weighted sum of relay states, taken exactly
+and rounded once. It costs O(agents) per input move and is the oracle.
 
 ``eval_geometric`` is the fast route: agents are binned by threshold pair
 into a triangular grid (``WeightGrid``); the up-set under a staircase
@@ -29,9 +29,10 @@ every relay agent is checked by.
 A relay simulator does not pay O(agents) per move: each relay model sorts
 its thresholds once (``_RelayIndex``), and a leg switches only the relays
 whose threshold it crosses, in O(log n + crossed). The two capacity models,
-``AgentPopulation`` and ``ShiftModel``, share one simulator (``_CapacitySimulator``):
-it reads the output's parts from exact integer prefix sums over threshold
-ranges (``_ExactCapacities``), each rounded once, in O(log n + ties): the
+``AgentPopulation`` and ``ShiftModel``, share one simulator (``_CapacitySimulator``)
+that keeps the exact signed total and reads the output and its parts from it and
+from integer prefix sums over threshold ranges (``_ExactCapacities``), each rounded
+once, in O(log n + ties): the bits of ``math.fsum`` on any machine, and the
 Everett-function view (Mayergoyz, *Mathematical Models of Hysteresis*) taken exactly.
 """
 
@@ -341,7 +342,10 @@ class _CapacitySimulator(_RelaySimulator):
 
 
 class PopulationSimulator(_CapacitySimulator):
-    """Relay-state tracker for one input path over a population."""
+    """Relay-state tracker for one input path over a population; ``value`` is O(1)."""
+
+    def value(self) -> float:
+        return self.total / (1 << self.model._exact.scale)
 
 
 def _relay_fault(alpha, beta, nu):
@@ -365,7 +369,7 @@ class AgentPopulation(_RelayModel):
     """A finite set of rectangular agents stored as parallel arrays.
 
     Duplicate threshold pairs are allowed; their capacities simply add.
-    Summation order is the fixed agent order, so outputs are reproducible.
+    The output, the capacity-weighted sum of the states, is taken exactly and rounded once.
     """
 
     def __init__(self, alpha, beta, nu):
@@ -380,14 +384,10 @@ class AgentPopulation(_RelayModel):
         self.alpha, self.beta, self.nu = alpha, beta, nu
 
     def output(self, states: np.ndarray, u: float) -> float:
-        return float(self.nu @ states)
+        return self._exact.signed_total(states) / (1 << self._exact.scale)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         return PopulationSimulator(self, starting_memory(start_u, memory))
-
-    def chord(self, u_minus: float, u_plus: float, u: float) -> float:
-        # np.sum, not fsum: fsum changes the bits of 103 in 300 random chords at 5e4 agents
-        return 2.0 * float(self.nu[self.flipped(u_minus, u_plus, u)].sum())
 
 
 def eval_direct(pop: AgentPopulation, seq: ReversalSequence) -> np.ndarray:

@@ -106,23 +106,17 @@ def _load_model(args):
 
 
 def _input_values(args, start_u: float) -> list[float]:
-    """The input moves to drive, from --input or --history."""
-    if args.input and args.history:
-        raise ValueError("give either --input or --history, not both")
+    """The input moves to drive, from --input or --history (``main`` requires just one)."""
     if args.input:
-        series = fileio.read_series_csv(args.input)
-        return list(series.values)
-    if args.history:
-        try:
-            values = [float(x) for x in args.history.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ValueError(f"bad --history value: {exc}") from exc
-        if not values:
-            raise ValueError("empty --history")
-        seq = ReversalSequence(start_u, tuple(values))
-        require_valid(seq)
-        return values
-    raise ValueError("an input is required: --input CSV or --history values")
+        return list(fileio.read_series_csv(args.input).values)
+    try:
+        values = [float(x) for x in args.history.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad --history value: {exc}") from exc
+    if not values:
+        raise ValueError("empty --history")
+    require_valid(ReversalSequence(start_u, tuple(values)))
+    return values
 
 
 def _history_seq(args, start_u: float) -> ReversalSequence:
@@ -248,6 +242,12 @@ def main(argv=None) -> int:
             parser.error("--bounds applies only with --grid-n")
         if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # nan fails too
             parser.error("--tol must be finite and at least 0")
+        if getattr(args, "seed", 0) < 0:
+            parser.error("--seed must be at least 0")
+        if getattr(args, "input", None) and getattr(args, "history", None):
+            parser.error("give either --input or --history, not both")
+        if args.command in ("simulate", "decompose") and not (args.input or args.history):
+            parser.error("an input is required: --input CSV or --history values")
         for name, (other, default) in _OVERRIDDEN.items():
             if getattr(args, name, default) is None:
                 setattr(args, name, default)

@@ -589,6 +589,22 @@ class TestOptionsPerSubcommand:
         assert not out.exists()
         assert "--start does not apply with --memory-in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, argv, message", [
+        ("simulate", ["--input", "s.csv", "--history", "1"], "not both"),
+        ("decompose", ["--input", "s.csv", "--history", "1"], "not both"),
+        ("loop", ["--input", "s.csv", "--history", "1", "--u-minus", "0", "--u-plus", "1"],
+         "not both"),
+        ("simulate", [], "an input is required"),
+        ("decompose", [], "an input is required"),
+    ], ids=["simulate-both", "decompose-both", "loop-both", "simulate-neither",
+            "decompose-neither"])
+    def test_input_options_are_usage_errors(self, tmp_path, capsys, command, argv, message):
+        # no agent file exists: the usage error is reported before it is read
+        code = main([command, "--agents", str(tmp_path / "missing.csv"), *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "missing.csv" not in err
+
     def test_bounds_without_grid_n_is_a_usage_error(self, agents_csv, capsys):
         code = main(["simulate", "--agents", agents_csv, "--bounds", "0,1", "--history", "2.5"])
         assert code == 1
@@ -976,6 +992,11 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert err.endswith("preisach: error: --tol must be finite and at least 0\n")
+
+    def test_negative_seed_is_a_usage_error(self, agents_csv, capsys):
+        code = main(["verify", "--agents", agents_csv, "--seed", "-3"])
+        assert code == 1
+        assert capsys.readouterr().err.endswith("preisach: error: --seed must be at least 0\n")
 
     @pytest.mark.parametrize("model, name, text", [
         ("classical", "agents.csv", "alpha,beta,nu\n0.5,0.5,1\n0.5,0.5,2\n"),

@@ -52,15 +52,23 @@ def resumed_parts(gpop: GeneralizedPopulation, seq: ReversalSequence):
 
 class TestEvalGeneralized:
     def test_rectangular_degeneration_is_exact(self):
-        # Dyadic capacities make every summation order exact, so the two
-        # models must agree bit for bit.
-        pop = AgentPopulation([0.5, 0.25, 0.75], [-0.5, -0.25, 0.0], [1.0, 0.5, 2.0])
-        gpop = rectangular_embedding(pop)
-        rng = np.random.default_rng(25)
-        for _ in range(30):
-            seq = random_history(rng, -1.0, 1.0, 20, start_u=-1.0)
-            q = seq.extrema[-1] if seq.extrema else seq.start_u
-            assert eval_generalized(gpop, seq, q) == eval_direct(pop, seq)[-1]
+        # Both routes round the exact sum once (the soft twin by math.fsum), so
+        # they agree bit for bit: on dyadic capacities, where every summation
+        # order is exact, and on non-dyadic ones over 600 decades (ledger L = 72),
+        # where two relays of 1e300 in opposite states cancel.
+        dyadic = AgentPopulation([0.5, 0.25, 0.75], [-0.5, -0.25, 0.0], [1.0, 0.5, 2.0])
+        spread = random_population(np.random.default_rng(26), 40, -1.0, 1.0)
+        spread = AgentPopulation(spread.alpha, spread.beta,
+                                 [5e-324, 1e300, *spread.nu[2:-1], 1e300])
+        assert len(spread._exact.limbs) == 72
+        for pop in (dyadic, spread):
+            gpop = rectangular_embedding(pop)
+            rng = np.random.default_rng(25)
+            for _ in range(30):
+                seq = random_history(rng, -1.0, 1.0, 20, start_u=-1.0)
+                q = seq.extrema[-1] if seq.extrema else seq.start_u
+                whole = eval_generalized(gpop, seq, q)
+                assert whole.hex() == float(eval_direct(pop, seq)[-1]).hex()
 
     def test_stays_on_ascending_branch_below_band(self):
         agent = varying_gap_agents()[0]

@@ -7,6 +7,7 @@ draws are derandomized, so every run checks the same examples.
 
 import functools
 import json
+import math
 import os
 import tempfile
 
@@ -247,6 +248,17 @@ def same_parts(sim) -> bool:
     return all(map(same_bits, sim.parts(), ref))
 
 
+def same_direct_bits(sim, lo: float, hi: float) -> bool:
+    """Whether a direct simulator's ``value``, its population's ``output`` and the
+    ``chord`` of the cycle ``[lo, hi]`` at the current input have the bits of
+    ``math.fsum``, which rounds the exact sum once."""
+    pop, u = sim.model, sim.memory.current_u
+    exact = math.fsum(pop.nu * sim.states)
+    chord = 2.0 * math.fsum(pop.nu[pop.flipped(lo, hi, u)])
+    return (same_bits(sim.value(), exact) and same_bits(pop.output(sim.states, u), exact)
+            and same_bits(pop.chord(lo, hi, u), chord))
+
+
 class TestRelayIndex:
     """The sorted-index steps and the exact shifted readout against the references."""
 
@@ -278,15 +290,20 @@ class TestRelayIndex:
              [-0.5, -0.9, 0.3, 0.3, -0.1], ([(0.0, 0.0)], [(0.0, 0.0)]), 2)  # virgin fall, rise
     @example((np.array([-0.1, -0.1]), np.array([-0.1, -0.3])), [5e-324, 1e300, 0, 0, 0, 0], -1.0,
              [0.8, -1.0, 1.2, 0.8, 1.2], SAME_LINE, 3)
+    @example((np.array([0.1, 0.2, 0.3]), np.array([-0.1, -0.2, -0.3])), [0.1, 0.2, 0.3, 0, 0, 0],
+             0.0, [0.5, -0.5, 0.4], ([(0.0, 0.0)], [(0.0, 0.0)]), 2)  # 0.1 + 0.2 + 0.3 != 0.6
     @TIES
     def test_steps_and_readout_on_tie_grid(self, th, nu, start, values, tables, split):
         alpha, beta = th
+        span = min(start, *values), max(start, *values)
         for model in relay_models(alpha, beta, np.array(nu[:alpha.size]), tables):
             def check(s, want, k):
                 assert np.array_equal(s.states, want), (model, k)
                 if isinstance(model, ShiftModel):  # also before the first push
                     ref = model.band_sum(model.nu, s.states, s.memory.current_u)
                     assert same_bits(s.value(), ref), (k, s.value(), ref)
+                if isinstance(model, AgentPopulation):
+                    assert same_direct_bits(s, *span), k
                 if isinstance(model, (AgentPopulation, ShiftModel)):
                     assert same_parts(s), (model, k)
 
@@ -334,6 +351,8 @@ class TestRelayIndex:
             if isinstance(sim.model, ShiftModel):
                 ref = sim.model.band_sum(sim.model.nu, sim.states, sim.memory.current_u)
                 assert same_bits(sim.value(), ref), n_pairs
+            if isinstance(sim.model, AgentPopulation):
+                assert same_direct_bits(sim, -2.0, 1.0), n_pairs  # the history's span
             if isinstance(sim.model, (AgentPopulation, ShiftModel)):
                 assert same_parts(sim), (sim.model, n_pairs)
 
