@@ -31,11 +31,9 @@ from .memory import (
 from .classical import (
     AgentPopulation,
     CongruencyReport,
-    Decomposition,
     LoopTrace,
     WeightGrid,
     check_congruency,
-    decompose_classical,
     eval_direct,
     eval_geometric,
     from_agents,
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentPopulation",
     "CongruencyReport",
-    "Decomposition",
     "EqualChordsReport",
     "GeneralizedPopulation",
     "LoopTrace",
@@ -71,7 +68,6 @@ __all__ = [
     "check_equal_chords",
     "check_invariants",
     "chord_generalized",
-    "decompose_classical",
     "eval_direct",
     "eval_generalized",
     "eval_geometric",

@@ -8,12 +8,13 @@ and rounded once. It costs O(agents) per input move and is the oracle.
 into a triangular grid (``WeightGrid``); the up-set under a staircase
 memory is a union of one rectangle per stored vertex pair, so the output
 is assembled from O(stored pairs) summed-area-table lookups, independent of
-the agent count. Grid cells act as point masses at their centers, which
-makes the two routes agree exactly whenever no history extremum needs to
-split a cell. No cell above the diagonal carries mass, so the table entry
-``P[i, j]`` equals ``P[i, i]`` for ``j >= i``: only the lower triangle is
-kept, packed row by row, and ``_strip`` reads any entry from it. The table
-is built one cell row at a time and is all the grid keeps: ``from_agents``
+the agent count. ``GridSimulator`` keeps those rectangles as a stack, the one
+route from a memory to the table. Grid cells act as point masses at their
+centers, which makes the two routes agree exactly whenever no history
+extremum needs to split a cell. No cell above the diagonal carries mass, so
+the table entry ``P[i, j]`` equals ``P[i, i]`` for ``j >= i``: only the lower
+triangle is kept, packed row by row, and ``_strip`` reads any entry from it.
+The table, built one cell row at a time, is all the grid keeps: ``from_agents``
 bins each row of agents straight into it, with no matrix of cell masses.
 
 Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
@@ -21,7 +22,7 @@ comparison (``check_congruency``), the vertical-chord formula (each
 model's ``chord``: twice the capacity inside the rectangle spanned by the
 cycle bounds and the probe input, a history-independent quantity), and the
 split of the output into its history-carrying band contribution and the
-part forced by the current input (``decompose_classical``). What every
+part forced by the current input (each simulator's ``parts``). What every
 relay model and its simulator share lives here as well (``_RelayModel``,
 ``_RelaySimulator``), and so does ``_relay_fault``, the one validity rule
 every relay agent is checked by.
@@ -42,7 +43,6 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -308,9 +308,9 @@ class _RelaySimulator:
         mem = self.memory
         if u == mem.current_u:
             return
+        self.memory = push_extremum(mem, u)  # first: a rejected u switches nothing
         self._switch(*self.model._index.crossed(mem.current_u if mem.risen else None,
                                                  u, u > mem.current_u))
-        self.memory = push_extremum(mem, u)
 
     def _switch(self, crossed: np.ndarray, state: int) -> None:
         self.states[crossed] = state
@@ -490,34 +490,36 @@ class WeightGrid:
 class GridSimulator:
     """Staircase-memory tracker evaluating through the summed-area table.
 
-    ``cuts[k]`` and ``strips[k]`` are stored vertex pair k's column cut and
-    up-set strip (those of ``_up_mass``); one more entry holds the live
-    link's sweep while rising. A push recomputes only the entries past the
-    pairs it kept, so a step costs O(erased pairs + 1) table lookups, and a
-    readout sums the same strips in the same order as ``_up_mass``.
+    The up-set under a staircase is one rectangle of whole cells per stored
+    vertex pair (rows up to its maximum, columns from the last cut to its
+    minimum's) plus, while rising, the live link's sweep: stack entry k is
+    ``rows[k]``, ``cuts[k]`` and its mass ``strips[k]``. A push recomputes only
+    the entries past the pairs it kept: O(erased pairs + 1) table lookups.
     """
 
     def __init__(self, grid: WeightGrid, memory: StaircaseMemory):
         self.grid = grid
         self.memory = memory
+        self.rows: list[int] = []
         self.cuts: list[int] = []
         self.strips = np.zeros(len(memory.vertex_pairs) + 16, dtype=np.longdouble)
         self._restack(0)
 
     def _restack(self, keep: int) -> None:
         """Recompute the stack entries from ``keep`` on; those before are current."""
-        grid, mem, cuts = self.grid, self.memory, self.cuts
+        grid, mem, rows, cuts = self.grid, self.memory, self.rows, self.cuts
         pairs = mem.vertex_pairs
         depth = len(pairs) + (mem.trend == RISING)
         if depth > self.strips.size:
             self.strips = np.concatenate((self.strips[:keep], np.zeros(2 * depth, np.longdouble)))
-        del cuts[keep:]
+        del rows[keep:], cuts[keep:]
         for k in range(keep, depth):
             if k < len(pairs):
                 row, col_up = grid.icut_up(pairs[k][0]), grid.jcut_down(pairs[k][1])
             else:
                 row, col_up = grid.icut_up(mem.current_u), grid.n
             self.strips[k] = _strip(grid.prefix, row, cuts[-1] if cuts else 0, col_up)
+            rows.append(row)
             cuts.append(col_up)
 
     def push(self, u) -> None:
@@ -530,14 +532,33 @@ class GridSimulator:
         return eval_geometric(self.grid, self.memory, self.strips[:len(self.cuts)])
 
     def parts(self) -> tuple[float, float, float]:
-        return (*decompose_classical(self.grid, self.memory), 0.0)
+        """The output at the input ``u`` as its band, forced and (zero) offset parts.
+
+        The forced part counts the cells ``u`` alone fixes (up-thresholds at or
+        below ``u`` minus down-thresholds at or above it); the band part, the only
+        one history enters, clips the stack to the bistable band. They add up to
+        ``value``: cells are DOWN until the input first rises, and one centered
+        at ``u`` is UP only after a rise."""
+        grid, mem = self.grid, self.memory
+        _require_in_support(grid, mem)
+        a, b, n = grid.icut_up(mem.current_u), grid.jcut_down(mem.current_u), grid.n
+        forced_up = grid.rect_mass(0, a, 0, n)
+        if not mem.risen:
+            forced_up = -forced_up
+        elif mem.trend != RISING:
+            forced_up -= 2.0 * grid.rect_mass(b, a, b, a)  # the cell centered at u, if any
+        forced_down = grid.rect_mass(0, n, b, n) - grid.rect_mass(0, a, b, n)
+        rows = np.maximum(np.array(self.rows, int), a)  # int also when the stack is empty
+        cols = np.minimum([0, *self.cuts], b)
+        up = _strip(grid.prefix, rows, cols[:-1], cols[1:], a)
+        return 2.0 * float(up.sum()) - grid.rect_mass(a, n, 0, b), forced_up - forced_down, 0.0
 
 
 def _grid_bounds(beta0: float, alpha0: float, n: int) -> tuple[float, float]:
-    """Grid bounds as floats; they must be finite with ``beta0 < alpha0``, and
-    the grid must have ``n >= 2`` cells per axis. Builders check before they divide by n."""
+    """Grid bounds as floats: ``beta0 < alpha0`` with a finite width (so both are finite),
+    and ``n >= 2`` cells per axis. Builders check before they divide by n."""
     beta0, alpha0 = float(beta0), float(alpha0)
-    if not -math.inf < beta0 < alpha0 < math.inf:  # nan fails too
+    if not (beta0 < alpha0 and math.isfinite(alpha0 - beta0)):  # nan and inf fail too
         raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
     if n < 2:
         raise ValueError("grid needs at least 2 cells per axis")
@@ -614,82 +635,17 @@ def _strip(p: np.ndarray, rows, col_lo, col_up, row_lo=0):
             + p[r0 + col_lo - (col_lo - row_lo) * (col_lo > row_lo)])
 
 
-def _up_mass(grid: WeightGrid, mem: StaircaseMemory, row_lo: int = 0, col_hi=None) -> float:
-    """Mass of the up-set, optionally clipped to rows >= row_lo, cols < col_hi.
-
-    The up-set under a staircase is one rectangle of whole cells per stored
-    vertex pair (columns between consecutive stored minima, rows up to the
-    pair's maximum) plus, while rising, the sweep of the live link. All
-    rectangles are resolved in one gather on the summed-area table, so the
-    cost scales with the number of stored pairs, never the agent count.
-    """
-    if col_hi is None:
-        col_hi = grid.n
-    pairs = mem.vertex_pairs
-    rising = mem.trend == RISING
-    if not pairs and not rising:
-        return 0.0
-    if pairs:
-        arr = np.asarray(pairs)
-        rows = np.searchsorted(grid.centers, arr[:, 0], side="right")
-        j_cuts = np.searchsorted(grid.centers, arr[:, 1], side="left")
-        col_lo = np.concatenate(([0], j_cuts[:-1]))
-        col_up = j_cuts
-    else:
-        rows = np.empty(0, dtype=int)
-        col_lo = col_up = rows
-    if rising:
-        rows = np.append(rows, grid.icut_up(mem.current_u))
-        col_lo = np.append(col_lo, col_up[-1] if col_up.size else 0)
-        col_up = np.append(col_up, grid.n)
-    rows = np.maximum(rows, row_lo)
-    col_lo = np.minimum(col_lo, col_hi)
-    col_up = np.minimum(col_up, col_hi)
-    return float(_strip(grid.prefix, rows, col_lo, col_up, row_lo).sum())
-
-
 def eval_geometric(grid: WeightGrid, mem: StaircaseMemory, strips=None) -> float:
     """Aggregate output for a staircase memory: up-mass minus down-mass.
 
     ``strips`` are the memory's up-set strips as ``GridSimulator`` keeps
-    them; without them they are built from ``mem`` (``_up_mass``).
+    them; without them they are those of a simulator started from ``mem``.
     """
     _require_in_support(grid, mem)
-    up = _up_mass(grid, mem) if strips is None else float(strips.sum())
-    return 2.0 * up - grid.total_mass
-
-
-class Decomposition(NamedTuple):
-    irreversible: float
-    reversible: float
-
-
-def decompose_classical(grid: WeightGrid, mem: StaircaseMemory) -> Decomposition:
-    """Split the grid output at the memory's current input ``u``.
-
-    The reversible part counts the cells whose state is forced by ``u``
-    alone (up-thresholds at or below ``u`` minus down-thresholds at or above
-    ``u``); the irreversible part is the signed mass of the bistable band,
-    the only region where history matters. The two parts add back to
-    ``eval_geometric`` for any memory of an input path: every cell is DOWN
-    until the input first rises, and a cell centered at ``u`` is UP only after a rise.
-    """
-    _require_in_support(grid, mem)
-    u = mem.current_u
-    a = grid.icut_up(u)
-    b = grid.jcut_down(u)
-    n = grid.n
-    forced_up = grid.rect_mass(0, a, 0, n)
-    if not mem.risen:
-        forced_up = -forced_up
-    elif mem.trend != RISING:
-        forced_up -= 2.0 * grid.rect_mass(b, a, b, a)  # the cell centered at u, if any
-    forced_down = grid.rect_mass(0, n, b, n) - grid.rect_mass(0, a, b, n)
-    reversible = forced_up - forced_down
-    band_mass = grid.rect_mass(a, n, 0, b)
-    up_in_band = _up_mass(grid, mem, row_lo=a, col_hi=b)
-    irreversible = 2.0 * up_in_band - band_mass
-    return Decomposition(irreversible=irreversible, reversible=reversible)
+    if strips is None:
+        sim = GridSimulator(grid, mem)
+        strips = sim.strips[:len(sim.cuts)]
+    return 2.0 * float(strips.sum()) - grid.total_mass
 
 
 @dataclass(eq=False)

@@ -3,13 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cell_masses, random_history, random_population, raw_relay_states
+from helpers import (
+    cell_masses,
+    random_history,
+    random_population,
+    raw_relay_states,
+    rectangular_population,
+)
 from preisach import (
     AgentPopulation,
+    PiecewiseLinear,
     ReversalSequence,
+    ShiftModel,
     WeightGrid,
     check_congruency,
-    decompose_classical,
     eval_direct,
     eval_geometric,
     from_agents,
@@ -161,6 +168,16 @@ class TestWeightGrid:
         # checked before the cell width divides by n
         with pytest.raises(ValueError, match="grid needs at least 2 cells per axis"):
             build(n)
+
+    @pytest.mark.parametrize("build", [
+        lambda lo, hi: from_agents(AgentPopulation([0.5], [0.25], [1.0]), 4, (lo, hi)),
+        lambda lo, hi: uniform_grid(1.0, 4, (lo, hi)),
+        lambda lo, hi: WeightGrid(lo, hi, np.zeros((4, 4))),
+    ], ids=["from_agents", "uniform_grid", "cell_mass"])
+    def test_rejects_bounds_whose_width_overflows(self, build):
+        # finite bounds, but an infinite cell width would put every center at inf
+        with pytest.raises(ValueError, match=r"invalid bounds \(-1e\+308, 1e\+308\)"):
+            build(-1e308, 1e308)
 
     def test_rejects_mass_above_diagonal(self):
         # the far corner and the last cell just above the diagonal
@@ -400,15 +417,15 @@ class TestDecomposition:
         for _ in range(40):
             seq = random_history(rng, 0.0, 1.0, 30, start_u=0.0)
             mem = memory_from_sequence(seq)
-            part = decompose_classical(unit_grid, mem)
+            irreversible, reversible, _ = unit_grid.simulator(memory=mem).parts()
             whole = eval_geometric(unit_grid, mem)
-            assert abs(part.irreversible + part.reversible - whole) <= 1e-12 * scale
+            assert abs(irreversible + reversible - whole) <= 1e-12 * scale
 
     def test_saturated_history_reconstruction(self, unit_grid):
         mem = memory_from_sequence(RS(0.0, (1.0, 0.0)))
-        part = decompose_classical(unit_grid, mem)
+        irreversible, reversible, _ = unit_grid.simulator(memory=mem).parts()
         whole = eval_geometric(unit_grid, mem)
-        assert abs(part.irreversible + part.reversible - whole) <= 1e-12
+        assert abs(irreversible + reversible - whole) <= 1e-12
 
     def test_all_bistable_band_carries_everything(self):
         # When every agent straddles the current input the reversible part
@@ -423,9 +440,8 @@ class TestDecomposition:
         # Direct cell sweep oracle for the reversible term.
         mass = cell_masses(unit_grid)
         for u in (0.25, 0.5, 0.733):
-            part = decompose_classical(
-                unit_grid, memory_from_sequence(RS(0.0, (0.9, u)))
-            )
+            mem = memory_from_sequence(RS(0.0, (0.9, u)))
+            _, reversible, _ = unit_grid.simulator(memory=mem).parts()
             total = 0.0
             for i in range(unit_grid.n):
                 for j in range(unit_grid.n):
@@ -436,7 +452,7 @@ class TestDecomposition:
                         total += m
                     if unit_grid.centers[j] >= u:
                         total -= m
-            assert abs(part.reversible - total) <= 1e-12 * max(1.0, unit_grid.total_mass)
+            assert abs(reversible - total) <= 1e-12 * max(1.0, unit_grid.total_mass)
 
     @pytest.mark.parametrize("start, extrema", [
         (0.0, (1.0, 0.375)),  # falls onto a cell center
@@ -452,8 +468,8 @@ class TestDecomposition:
         pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
         mem = memory_from_sequence(RS(start, extrema))
         limit = 1e-12 * max(1.0, grid.total_mass)
-        part = decompose_classical(grid, mem)
-        assert abs(part.irreversible + part.reversible - eval_geometric(grid, mem)) <= limit
+        irreversible, reversible, _ = grid.simulator(memory=mem).parts()
+        assert abs(irreversible + reversible - eval_geometric(grid, mem)) <= limit
         irreversible, reversible, _ = pop.simulator(memory=mem).parts()
         assert abs(irreversible + reversible - eval_direct(pop, RS(start, extrema))[-1]) <= limit
 
@@ -463,13 +479,36 @@ class TestDecomposition:
         for _ in range(20):
             seq = random_history(rng, 0.0, 1.0, 20, start_u=0.0)
             mem = memory_from_sequence(seq)
-            a = decompose_classical(unit_grid, mem)
+            a_irreversible, a_reversible, _ = unit_grid.simulator(memory=mem).parts()
             b_irreversible, b_reversible, _ = center_population.simulator(memory=mem).parts()
-            assert abs(a.irreversible - b_irreversible) <= 1e-12 * scale
-            assert abs(a.reversible - b_reversible) <= 1e-12 * scale
+            assert abs(a_irreversible - b_irreversible) <= 1e-12 * scale
+            assert abs(a_reversible - b_reversible) <= 1e-12 * scale
 
 
 class TestSimulators:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["direct", "shifted", "soft", "grid"])
+    def test_rejected_push_changes_nothing(self, kind, bad):
+        pop = AgentPopulation([0.5, 0.8], [0.1, 0.2], [1.0, 2.0])
+        model = {
+            "direct": pop,
+            "shifted": ShiftModel(pop, g1=PiecewiseLinear([(0.0, 0.05)]),
+                                  g2=PiecewiseLinear([(0.0, -0.05)])),
+            "soft": rectangular_population(pop.alpha, pop.beta, pop.nu),
+            "grid": from_agents(pop, 8, (0.0, 1.0)),
+        }[kind]
+        for path in ((), (0.9,), (0.9, 0.3)):
+            sim = model.simulator(0.0)
+            for v in path:
+                sim.push(v)
+            with pytest.raises(ValueError, match="input value must be finite"):
+                sim.push(bad)
+            # the simulator reads as one resumed from the memory it still holds
+            fresh = model.simulator(memory=sim.memory)
+            assert (sim.value(), sim.parts()) == (fresh.value(), fresh.parts()), path
+            if kind != "grid":
+                assert np.array_equal(sim.states, model.fold(sim.memory.steps())), path
+
     def test_population_simulator_resumes_from_memory(self):
         rng = np.random.default_rng(20)
         pop = random_population(rng, 300)

@@ -506,7 +506,7 @@ class TestGridOptions:
     @pytest.mark.filterwarnings("error")  # numpy warns on binning with a non-finite bound
     @pytest.mark.parametrize("bounds, shown", [
         ("nan,1", "nan, 1.0"), ("0,nan", "0.0, nan"), ("-inf,1", "-inf, 1.0"),
-        ("-inf,5", "-inf, 5.0"),
+        ("-inf,5", "-inf, 5.0"), ("-1e308,1e308", "-1e+308, 1e+308"),
     ])
     def test_non_finite_bounds_rejected_before_binning(self, agents_csv, capsys, bounds, shown):
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", f"--bounds={bounds}",

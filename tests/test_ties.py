@@ -448,6 +448,8 @@ class TestDirectVsGeometricTies:
         sim = grid.simulator(start)
         for u in values:
             sim.push(u)
+            # the grid's parts, read from its stack, are the direct model's
+            assert sim.parts() == pop.simulator(memory=sim.memory).parts(), u
         mem = memory_from_sequence(seq)
         assert eval_direct(pop, seq)[-1] == eval_geometric(grid, mem) == sim.value()
 
