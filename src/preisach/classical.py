@@ -224,17 +224,20 @@ class _RelayIndex:
         return self.beta_within(m.down_compare(v), max(m.down_compare(c), m.up_compare(c))), -1
 
 
-_LIMB = 30  # bits per limb: a sum of n limbs stays exact in int64 while n < 2**33
+def _limb_bits(n: int) -> int:
+    """Bits per capacity limb for n relays: up to 30, with ``n * 2**bits <= 2**53``."""
+    return min(30, 53 - (n - 1).bit_length())
 
 
 class _ExactCapacities:
     """A relay model's capacities as exact integers ``I_k = nu_k * 2**K``.
 
-    Each ``I_k`` is kept as 30-bit int64 limbs (a row of ``limbs`` per limb),
-    with prefix sums of the limbs in the index's alpha order and beta order, so
-    any sum of capacities over a threshold range is exact after two lookups.
-    Python ints join the limbs, and ``int / 2**K`` rounds the exact sum once,
-    correctly: the bits of ``math.fsum``, which also rounds the exact sum once.
+    Each ``I_k`` is kept as float64 limbs of ``_limb_bits(n)`` bits (a row of ``limbs``
+    per limb), with prefix sums of the limbs in the index's alpha order and beta order,
+    so any sum of capacities over a threshold range is exact after two lookups. Every
+    partial sum of n limbs is an integer below 2**53, so float sums and BLAS products of
+    them are exact in any order. Python ints join the limbs, and ``int / 2**K`` rounds
+    the exact sum once, correctly: the bits of ``math.fsum``, which also rounds it once.
     """
 
     def __init__(self, nu: np.ndarray, index: _RelayIndex):
@@ -243,21 +246,21 @@ class _ExactCapacities:
         exp = exp.astype(np.int64) - 53
         live = mant != 0
         self.scale = max(0, -int(exp[live].min())) if live.any() else 0  # K
-        q, r = np.divmod(np.where(live, exp + self.scale, 0), _LIMB)
-        # mant << r spans limbs q, q + 1 and q + 2
-        agents, mask = np.arange(nu.size), (1 << _LIMB) - 1
-        self.limbs = np.zeros((int(q.max(initial=0)) + 3, nu.size), dtype=np.int64)
-        self.limbs[q, agents] = (mant & ((1 << (_LIMB - r)) - 1)) << r
-        self.limbs[q + 1, agents] = (mant >> (_LIMB - r)) & mask
-        self.limbs[q + 2, agents] = mant >> (2 * _LIMB - r)
+        self.bits = bits = _limb_bits(nu.size)
+        q, r = np.divmod(np.where(live, exp + self.scale, 0), bits)
+        # mant << r < 2**(52 + bits) spans limbs q to q + ceil(52 / bits)
+        span, agents, mask = 1 - (-52 // bits), np.arange(nu.size), (1 << bits) - 1
+        self.limbs = np.zeros((int(q.max(initial=0)) + span, nu.size))
+        self.limbs[q, agents] = (mant & (mask >> r)) << r
+        for j in range(1, span):  # numpy shifts past 63 bits give 0
+            self.limbs[q + j, agents] = (mant >> (j * bits - r)) & mask
         self.index = index
-        self.by_alpha, self.by_beta = np.zeros((2, len(self.limbs), nu.size + 1), np.int64)
+        self.by_alpha, self.by_beta = np.zeros((2, len(self.limbs), nu.size + 1))
         for order, prefix in ((index.by_alpha, self.by_alpha), (index.by_beta, self.by_beta)):
             np.cumsum(self.limbs.take(order, axis=1), axis=1, out=prefix[:, 1:])
 
-    @staticmethod
-    def _join(limbs) -> int:
-        return sum(int(x) << (_LIMB * j) for j, x in enumerate(limbs))
+    def _join(self, limbs) -> int:
+        return sum(int(x) << (self.bits * j) for j, x in enumerate(limbs))
 
     def sum_of(self, relays: np.ndarray) -> int:
         """``sum(I_k)`` over ``relays``."""
@@ -265,7 +268,7 @@ class _ExactCapacities:
 
     def signed_total(self, states: np.ndarray) -> int:
         """``sum(s_k * I_k)`` over every relay."""
-        return self._join(self.limbs @ states.astype(np.int64))
+        return self._join(self.limbs @ states)
 
     def parts(self, total: int, states: np.ndarray, u: float, risen: bool) -> tuple[float, float]:
         """The band and forced parts of the signed capacity at ``u``, from
@@ -423,26 +426,24 @@ class WeightGrid:
         cell_mass = np.asarray(cell_mass, dtype=float)
         if cell_mass.ndim != 2 or cell_mass.shape[0] != cell_mass.shape[1]:
             raise ValueError("cell_mass must be a square matrix")
-        self._build(beta0, alpha0, cell_mass.shape[0], cell_mass)
+        self._build(_grid_geometry(beta0, alpha0, cell_mass.shape[0]), cell_mass)
 
     @classmethod
-    def _from_rows(cls, beta0: float, alpha0: float, n: int, rows) -> WeightGrid:
+    def _from_rows(cls, geometry: tuple, rows) -> WeightGrid:
         """The grid of n cell rows given one at a time, with no n x n matrix."""
         grid = cls.__new__(cls)
-        grid._build(beta0, alpha0, n, rows)
+        grid._build(geometry, rows)
         return grid
 
-    def _build(self, beta0: float, alpha0: float, n: int, rows) -> None:
-        """Set up the grid and its packed table from its cell rows, in order.
+    def _build(self, geometry: tuple, rows) -> None:
+        """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows.
 
         Row i - 1 goes in as its first i cells or all n of them. These are the
         additions of ``cumsum(0).cumsum(1)`` on the square table, in the same
         order, so each entry has the same bits (but ``-0.0`` masses may sum
         to ``+0.0``). Each row is checked as it arrives."""
-        self.beta0, self.alpha0 = _grid_bounds(beta0, alpha0, n)
-        self.n = n
-        self.cell_width = (self.alpha0 - self.beta0) / n
-        self.centers = self.beta0 + (np.arange(n) + 0.5) * self.cell_width
+        self.beta0, self.alpha0, self.cell_width, self.centers = geometry
+        self.n = n = self.centers.size
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.prefix = prefix = np.zeros((n + 1) * (n + 2) // 2, dtype=np.longdouble)
         cols = np.zeros(n, dtype=np.longdouble)  # column sums of the rows so far
@@ -554,15 +555,18 @@ class GridSimulator:
         return 2.0 * float(up.sum()) - grid.rect_mass(a, n, 0, b), forced_up - forced_down, 0.0
 
 
-def _grid_bounds(beta0: float, alpha0: float, n: int) -> tuple[float, float]:
-    """Grid bounds as floats: ``beta0 < alpha0`` with a finite width (so both are finite),
-    and ``n >= 2`` cells per axis. Builders check before they divide by n."""
+def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
+    """``(beta0, alpha0, cell_width, centers)`` of n >= 2 cells per axis, checked: ``beta0 <
+    alpha0``, a finite width, and centers that strictly increase (no two cells round together)."""
     beta0, alpha0 = float(beta0), float(alpha0)
-    if not (beta0 < alpha0 and math.isfinite(alpha0 - beta0)):  # nan and inf fail too
-        raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
-    if n < 2:
-        raise ValueError("grid needs at least 2 cells per axis")
-    return beta0, alpha0
+    if beta0 < alpha0 and math.isfinite(alpha0 - beta0):  # nan and inf fail here
+        if n < 2:
+            raise ValueError("grid needs at least 2 cells per axis")
+        width = (alpha0 - beta0) / n
+        centers = beta0 + (np.arange(n) + 0.5) * width
+        if (centers[1:] > centers[:-1]).all():  # a width of 0 fails here
+            return beta0, alpha0, width, centers
+    raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
 
 
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
@@ -571,7 +575,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     Binning is conservative: the total grid mass equals the summed agent
     capacity. Agents must lie inside the bounds.
     """
-    beta0, alpha0 = _grid_bounds(*bounds, n)
+    geometry = beta0, alpha0, width, _ = _grid_geometry(*bounds, n)
     outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
     if outside.size:
         k = int(outside[0])
@@ -580,7 +584,6 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
             f"(alpha={float(pop.alpha[k])!r}, beta={float(pop.beta[k])!r}) "
             f"outside bounds ({beta0!r}, {alpha0!r})"
         )
-    width = (alpha0 - beta0) / n
     rows = np.clip(((pop.alpha - beta0) / width).astype(int), 0, n - 1)
     cols = np.clip(((pop.beta - beta0) / width).astype(int), 0, n - 1)  # <= rows
     # a stable sort keeps each cell's additions in agent order; rows that fit
@@ -589,7 +592,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     cols, nu = cols[order], pop.nu[order]
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     del rows, order  # not held while the table is built
-    return WeightGrid._from_rows(beta0, alpha0, n, (
+    return WeightGrid._from_rows(geometry, (
         np.bincount(cols[start:end], weights=nu[start:end], minlength=i)
         for i, start, end in zip(range(1, n + 1), [0, *ends], ends)))
 
@@ -600,10 +603,9 @@ def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightG
     Diagonal cells carry half a cell of mass (the triangular sliver below
     alpha = beta), so the total is density * triangle area exactly.
     """
-    beta0, alpha0 = _grid_bounds(*bounds, n)
-    width = (alpha0 - beta0) / n
-    cell = density * width * width
-    return WeightGrid._from_rows(beta0, alpha0, n,
+    geometry = _grid_geometry(*bounds, n)
+    cell = density * geometry[2] * geometry[2]  # the cell width squared
+    return WeightGrid._from_rows(geometry,
                                  (np.append(np.full(i, cell), 0.5 * cell) for i in range(n)))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .classical import SupportError, from_agents, minor_loop, require_cycle
 from .memory import load_memory, save_memory
-from .signal import ReversalSequence, SampledSeries, extract_reversals, require_valid
+from .signal import ReversalSequence, extract_reversals, require_valid
 from .verify import residual_limit, run_suite
 
 USAGE_ERROR = 1
@@ -121,11 +121,9 @@ def _input_values(args, start_u: float) -> list[float]:
 
 def _history_seq(args, start_u: float) -> ReversalSequence:
     """History as a reversal sequence (empty when none was given)."""
-    if args.input or args.history:
-        values = _input_values(args, start_u)
-        series = SampledSeries.from_pairs([(i, v) for i, v in enumerate(values)])
-        return extract_reversals(series, start_u)
-    return ReversalSequence(start_u, ())
+    if args.input:
+        return extract_reversals(fileio.read_series_csv(args.input), start_u)
+    return ReversalSequence(start_u, tuple(_input_values(args, start_u) if args.history else ()))
 
 
 def _write_rows(args, header, rows) -> None:

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import preisach.classical
 from helpers import (
     cell_masses,
     random_history,
@@ -25,7 +27,7 @@ from preisach import (
     minor_loop,
     uniform_grid,
 )
-from preisach.classical import _strip
+from preisach.classical import _limb_bits, _strip
 
 RS = ReversalSequence
 
@@ -106,6 +108,47 @@ class TestEvalDirect:
             AgentPopulation([], [], [])
 
 
+class TestExactCapacities:
+    @staticmethod
+    def exact(nu, signs, scale):
+        """``sum(s_k * nu_k) * 2**scale`` as a Python int, from each capacity's ratio."""
+        total = 0
+        for v, s in zip(nu.tolist(), signs.tolist()):
+            p, q = v.as_integer_ratio()  # q is a power of two that divides p << scale
+            total += int(s) * ((p << scale) // q)
+        return total
+
+    def test_limb_width_keeps_every_partial_sum_below_2_53(self):
+        assert _limb_bits(1) == _limb_bits(2**23) == 30 and _limb_bits(2**23 + 1) == 29
+        for n in (1, 2, 3, 5 * 10**4, 10**6, 2**23, 2**23 + 1, 10**8, 2**40 + 3):
+            assert n * (2 ** _limb_bits(n) - 1) < 2**53, n
+
+    # None: the width of n (30); 17 also shifts a mantissa by more than 63 bits
+    @pytest.mark.parametrize("bits", [None, 22, 17, 7, 1])
+    def test_sums_are_exact_at_every_limb_width(self, monkeypatch, bits):
+        if bits is not None:
+            monkeypatch.setattr(preisach.classical, "_limb_bits", lambda n: bits)
+        rng = np.random.default_rng(32)
+        spread = np.array([5e-324, 1e300, *rng.uniform(0.0, 2.0, 37), 1e300, 0.0, 2.5e-310])
+        for nu in (rng.uniform(0.0, 2.0, 500), spread):
+            size = nu.size
+            pop = AgentPopulation(rng.uniform(0.5, 1.0, size), rng.uniform(0.0, 0.5, size), nu)
+            ledger = pop._exact
+            if bits is None and nu is spread:
+                assert len(ledger.limbs) == 72
+            for _ in range(5):
+                signs = rng.choice([-1.0, 1.0], size)
+                assert ledger.signed_total(signs) == self.exact(nu, signs, ledger.scale)
+                some = np.flatnonzero(rng.random(size) < 0.5)
+                assert ledger.sum_of(some) == self.exact(nu[some], np.ones(some.size),
+                                                         ledger.scale)
+                k = int(rng.integers(size + 1))
+                for order, prefix in ((ledger.index.by_alpha, ledger.by_alpha),
+                                      (ledger.index.by_beta, ledger.by_beta)):
+                    assert ledger._join(prefix[:, k]) == self.exact(nu[order[:k]], np.ones(k),
+                                                                    ledger.scale)
+
+
 class TestWeightGrid:
     def test_binning_single_agent(self):
         pop = AgentPopulation([0.55], [0.25], [2.5])
@@ -175,9 +218,13 @@ class TestWeightGrid:
         lambda lo, hi: WeightGrid(lo, hi, np.zeros((4, 4))),
     ], ids=["from_agents", "uniform_grid", "cell_mass"])
     def test_rejects_bounds_whose_width_overflows(self, build):
-        # finite bounds, but an infinite cell width would put every center at inf
-        with pytest.raises(ValueError, match=r"invalid bounds \(-1e\+308, 1e\+308\)"):
-            build(-1e308, 1e308)
+        # finite bounds, but an infinite cell width would put every center at inf; a
+        # width that underflows to 0 puts them all at beta0, and at 1e16 (float step 2)
+        # a width of 1 rounds the 4 centers to 3 values
+        for lo, hi, shown in [(-1e308, 1e308, "-1e+308, 1e+308"), (0.0, 5e-324, "0.0, 5e-324"),
+                              (1e16, 10000000000000004, "1e+16, 1.0000000000000004e+16")]:
+            with pytest.raises(ValueError, match=re.escape(f"invalid bounds ({shown})")):
+                build(lo, hi)
 
     def test_rejects_mass_above_diagonal(self):
         # the far corner and the last cell just above the diagonal

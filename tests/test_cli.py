@@ -514,6 +514,19 @@ class TestGridOptions:
         assert code == 2
         assert capsys.readouterr().err == f"preisach: error: invalid bounds ({shown})\n"
 
+    @pytest.mark.filterwarnings("error")  # numpy warned on binning with a zero cell width
+    @pytest.mark.parametrize("grid_n, bounds, shown", [
+        ("4", "0,5e-324", "0.0, 5e-324"),  # the cell width underflows to 0
+        ("4", "1e16,10000000000000004", "1e+16, 1.0000000000000004e+16"),  # 3 distinct centers
+        ("64", "1e16,1.0000000000000064e16", "1e+16, 1.0000000000000064e+16"),  # 33 of 64
+    ])
+    def test_bounds_too_narrow_for_the_cells_rejected(self, agents_csv, capsys, grid_n, bounds,
+                                                       shown):
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", grid_n, f"--bounds={bounds}",
+                     "--history", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"preisach: error: invalid bounds ({shown})\n"
+
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
@@ -677,6 +690,22 @@ class TestLoop:
             _, rows = read_rows(out)
             chords.append([r[3] for r in rows])
         assert chords[0] == chords[1]
+
+    def test_input_series_loops_as_its_reversals(self, agents_csv, tmp_path):
+        # a leading sample at the start value, plateaus and monotone runs reduce to
+        # the reversals 3.2, 1.2, 2.2; the agent (3, 0) stays UP only past 3
+        series = tmp_path / "series.csv"
+        series.write_text("time,u\n0,0.0\n1,1.0\n2,1.0\n3,2.6\n4,3.2\n5,2.0\n6,1.2\n"
+                          "7,1.2\n8,1.5\n9,2.2\n")
+        cycle = ["--u-minus", "0.5", "--u-plus", "2.5", "--n-points", "21"]
+        outs = []
+        for name, given in (("input.csv", ["--input", str(series)]),
+                            ("history.csv", ["--history", "3.2,1.2,2.2"]),
+                            ("cut.csv", ["--history", "2.6,1.2,2.2"])):
+            outs.append(tmp_path / name)
+            assert main(["loop", "--agents", agents_csv, *given, *cycle,
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
 
     def test_uniform_fixture_analytic_chord_profile(self, tmp_path):
         n = 48
