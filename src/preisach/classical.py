@@ -10,12 +10,11 @@ memory is a union of one rectangle per stored vertex pair, so the output
 is assembled from O(stored pairs) summed-area-table lookups, independent of
 the agent count. ``GridSimulator`` keeps those rectangles as a stack, the one
 route from a memory to the table. Grid cells act as point masses at their
-centers, which makes the two routes agree exactly whenever no history
-extremum needs to split a cell. No cell above the diagonal carries mass, so
-the table entry ``P[i, j]`` equals ``P[i, i]`` for ``j >= i``: only the lower
-triangle is kept, packed row by row, and ``_strip`` reads any entry from it.
-The table, built one cell row at a time, is all the grid keeps: ``from_agents``
-bins each row of agents straight into it, with no matrix of cell masses.
+centers, and the table holds their exact integer sums, so every grid output is
+one exact sum rounded once, and the two routes agree bit for bit whenever no
+history extremum needs to split a cell. Only the table's lower triangle is kept
+(no cell above the diagonal carries mass), packed row by row; built one cell
+row at a time, it is all the grid keeps, with no matrix of cell masses.
 
 Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
 comparison (``check_congruency``), the vertical-chord formula (each
@@ -224,36 +223,46 @@ class _RelayIndex:
         return self.beta_within(m.down_compare(v), max(m.down_compare(c), m.up_compare(c))), -1
 
 
-def _limb_bits(n: int) -> int:
-    """Bits per capacity limb for n relays: up to 30, with ``n * 2**bits <= 2**53``."""
-    return min(30, 53 - (n - 1).bit_length())
+def _limb_bits(n: int, word: int) -> int:
+    """Bits per limb when n limbs are summed in a ``word``-bit integer (53 for float64,
+    63 for int64): ``n * (2**bits - 1) < 2**word``."""
+    return word - (n - 1).bit_length()
+
+
+def _split(nu: np.ndarray, bits: int, dtype) -> tuple[int, np.ndarray]:
+    """``(K, limbs)`` of finite ``nu >= 0``: a scale ``K >= 0`` at which each ``I_k = nu_k *
+    2**K`` is an integer (the lowest place of every 53-bit significand), and each ``I_k``
+    in column k of ``limbs`` as ``bits``-bit limbs, lowest first, as many as the largest needs."""
+    mant, exp = np.frexp(nu)
+    mant = (mant * 2.0 ** 53).astype(np.int64)  # nu = mant * 2**(exp - 53), exactly
+    exp = exp.astype(np.int64) - 53
+    live = mant != 0
+    scale = max(0, -int(exp[live].min(initial=0)))
+    q, r = np.divmod(np.where(live, exp + scale, 0), bits)
+    # mant << r < 2**(52 + bits) spans limbs q to q + ceil(52 / bits)
+    span, agents, mask = 1 - (-52 // bits), np.arange(nu.size), (1 << bits) - 1
+    limbs = np.zeros((int(q.max(initial=0)) + span, nu.size), dtype)
+    limbs[q, agents] = (mant & (mask >> r)) << r
+    for j in range(1, span):  # numpy shifts past 63 bits give 0
+        limbs[q + j, agents] = (mant >> (j * bits - r)) & mask
+    top = int(exp[live].max(initial=-52 - scale)) + scale + 52  # the top bit of the largest I_k
+    return scale, limbs[:top // bits + 1]
 
 
 class _ExactCapacities:
     """A relay model's capacities as exact integers ``I_k = nu_k * 2**K``.
 
-    Each ``I_k`` is kept as float64 limbs of ``_limb_bits(n)`` bits (a row of ``limbs``
-    per limb), with prefix sums of the limbs in the index's alpha order and beta order,
-    so any sum of capacities over a threshold range is exact after two lookups. Every
-    partial sum of n limbs is an integer below 2**53, so float sums and BLAS products of
+    Each ``I_k`` is kept as float64 limbs (``_split``, a row of ``limbs`` per limb), with
+    prefix sums of the limbs in the index's alpha order and beta order, so any sum of
+    capacities over a threshold range is exact after two lookups. Every partial sum of n
+    limbs is an integer below 2**53 (``_limb_bits``), so float sums and BLAS products of
     them are exact in any order. Python ints join the limbs, and ``int / 2**K`` rounds
     the exact sum once, correctly: the bits of ``math.fsum``, which also rounds it once.
     """
 
     def __init__(self, nu: np.ndarray, index: _RelayIndex):
-        mant, exp = np.frexp(nu)
-        mant = (mant * 2.0 ** 53).astype(np.int64)  # nu = mant * 2**(exp - 53), exactly
-        exp = exp.astype(np.int64) - 53
-        live = mant != 0
-        self.scale = max(0, -int(exp[live].min())) if live.any() else 0  # K
-        self.bits = bits = _limb_bits(nu.size)
-        q, r = np.divmod(np.where(live, exp + self.scale, 0), bits)
-        # mant << r < 2**(52 + bits) spans limbs q to q + ceil(52 / bits)
-        span, agents, mask = 1 - (-52 // bits), np.arange(nu.size), (1 << bits) - 1
-        self.limbs = np.zeros((int(q.max(initial=0)) + span, nu.size))
-        self.limbs[q, agents] = (mant & (mask >> r)) << r
-        for j in range(1, span):  # numpy shifts past 63 bits give 0
-            self.limbs[q + j, agents] = (mant >> (j * bits - r)) & mask
+        self.bits = _limb_bits(nu.size, 53)
+        self.scale, self.limbs = _split(nu, self.bits, float)
         self.index = index
         self.by_alpha, self.by_beta = np.zeros((2, len(self.limbs), nu.size + 1))
         for order, prefix in ((index.by_alpha, self.by_alpha), (index.by_beta, self.by_beta)):
@@ -414,48 +423,48 @@ class WeightGrid:
     ``cell_mass[i, j]`` is the capacity whose up-threshold falls in cell row
     i and down-threshold in cell column j; cells strictly above the diagonal
     must be empty. Queries treat each cell as a point mass at its center.
-    The grid keeps only the summed-area table of the masses, ``prefix``, in
-    extended precision so that region sums stay exact to ~1 ulp of the
-    double-precision masses even at fine resolutions. It holds the lower
-    triangle, ``P[i, j]`` for ``j <= i`` with row i at offset ``i*(i+1)//2``:
-    (n+1)(n+2)/2 entries, as the rest equals the diagonal (``P[i, j] ==
-    P[i, i]`` for ``j >= i``). The masses themselves are not kept.
+    The grid keeps only the summed-area table of the masses, ``prefix``, exactly:
+    the mass ``P[i, j]`` of rows [0, i) x cols [0, j) times ``2**scale`` is the sum
+    of the masses' ``_split`` limbs, summed but never carried, and ``prefix[l]``
+    holds limb l (int64, ``bits`` bits) of every entry. It holds the lower triangle,
+    ``P[i, j]`` for ``j <= i`` at entry ``i*(i+1)//2 + j``: (n+1)(n+2)/2 entries,
+    as the rest equals the diagonal. The masses themselves are not kept.
     """
 
     def __init__(self, beta0: float, alpha0: float, cell_mass):
         cell_mass = np.asarray(cell_mass, dtype=float)
         if cell_mass.ndim != 2 or cell_mass.shape[0] != cell_mass.shape[1]:
             raise ValueError("cell_mass must be a square matrix")
-        self._build(_grid_geometry(beta0, alpha0, cell_mass.shape[0]), cell_mass)
+        geometry = _grid_geometry(beta0, alpha0, n := cell_mass.shape[0])
+        if not (0.0 <= cell_mass.min() and cell_mass.max() < math.inf):  # nan fails too
+            raise ValueError("cell masses must be finite and non-negative")
+        rows, cols = np.nonzero(cell_mass)
+        if (cols > rows).any():
+            raise ValueError("cells with alpha < beta must carry zero mass")
+        self._build(geometry, *_binned(n, rows * n + cols, cell_mass[rows, cols]))
 
     @classmethod
-    def _from_rows(cls, geometry: tuple, rows) -> WeightGrid:
-        """The grid of n cell rows given one at a time, with no n x n matrix."""
+    def _from_rows(cls, geometry: tuple, *table) -> WeightGrid:
         grid = cls.__new__(cls)
-        grid._build(geometry, rows)
+        grid._build(geometry, *table)
         return grid
 
-    def _build(self, geometry: tuple, rows) -> None:
-        """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows.
-
-        Row i - 1 goes in as its first i cells or all n of them. These are the
-        additions of ``cumsum(0).cumsum(1)`` on the square table, in the same
-        order, so each entry has the same bits (but ``-0.0`` masses may sum
-        to ``+0.0``). Each row is checked as it arrives."""
+    def _build(self, geometry: tuple, scale: int, bits: int, limbs: int, rows) -> None:
+        """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows,
+        row i - 1 given as the ``limbs`` x i limbs of its first i cells."""
         self.beta0, self.alpha0, self.cell_width, self.centers = geometry
         self.n = n = self.centers.size
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
-        self.prefix = prefix = np.zeros((n + 1) * (n + 2) // 2, dtype=np.longdouble)
-        cols = np.zeros(n, dtype=np.longdouble)  # column sums of the rows so far
+        self.scale, self.bits = scale, bits
+        self.prefix = prefix = np.zeros((limbs, (n + 1) * (n + 2) // 2), np.int64)
+        cols = np.zeros((limbs, n), np.int64)  # column sums of the rows so far
         for i, row in enumerate(rows, 1):
-            if not (0.0 <= row.min() and row.max() < math.inf):  # nan fails too
-                raise ValueError("cell masses must be finite and non-negative")
-            if row.size > i and row[i:].any():  # the size test: ~2 us less per row of i cells
-                raise ValueError("cells with alpha < beta must carry zero mass")
-            cols[:i] += row[:i]
+            cols[:, :i] += row
             start = i * (i + 1) // 2
-            np.cumsum(cols[:i], out=prefix[start + 1:start + i + 1])
-        self.total_mass = float(prefix[-1])  # P[n, n]
+            np.cumsum(cols[:, :i], axis=1, out=prefix[:, start + 1:start + i + 1])
+        self._limbs = range(limbs - 1, -1, -1)  # the highest first
+        self.total = self.rect_mass(0, n, 0, n)  # exact, times 2**scale
+        self.total_mass = self.total / (1 << scale)
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
     # whose center alpha is <= v; a fall to v leaves up only centers < v.
@@ -465,15 +474,15 @@ class WeightGrid:
     def jcut_down(self, v: float) -> int:
         return bisect_left(self._center_list, v)
 
-    def rect_mass(self, i0: int, i1: int, j0: int, j1: int) -> float:
-        """Mass of cell rows [i0, i1) x cols [j0, j1), empty ranges giving 0."""
-        i0 = max(i0, 0)
-        j0 = max(j0, 0)
-        i1 = min(i1, self.n)
-        j1 = min(j1, self.n)
-        if i0 >= i1 or j0 >= j1:
-            return 0.0
-        return float(_strip(self.prefix, i1, j0, j1, i0))
+    def rect_mass(self, i0: int, i1: int, j0: int, j1: int) -> int:
+        """Mass of cell rows [i0, i1) x cols [j0, j1) times ``2**scale``, exactly, for ``0 <=
+        i0 <= i1 <= n`` and ``0 <= j0 <= j1 <= n``: ``P[i1, j1] - P[i1, j0] - P[i0, j1] +
+        P[i0, j0]``, each ``P[i, j]`` the limbs of packed entry ``i*(i+1)//2 + min(i, j)``."""
+        a, b, c, d = (i * (i + 1) // 2 + (j if j < i else i) for i in (i1, i0) for j in (j1, j0))
+        mass, item = 0, self.prefix.item
+        for r in self._limbs:
+            mass = (mass << self.bits) + item(r, a) - item(r, b) - item(r, c) + item(r, d)
+        return mass
 
     def support_bounds(self) -> tuple[float, float]:
         return self.beta0, self.alpha0
@@ -483,9 +492,9 @@ class WeightGrid:
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         _require_in_cycle(u_minus, u_plus, u)
-        return 2.0 * self.rect_mass(
-            self.icut_up(u), self.icut_up(u_plus), self.jcut_down(u_minus), self.jcut_down(u)
-        )
+        mass = self.rect_mass(self.icut_up(u), self.icut_up(u_plus),
+                              self.jcut_down(u_minus), self.jcut_down(u))
+        return 2.0 * (mass / (1 << self.scale))  # rounded, then doubled: inf past the float range
 
 
 class GridSimulator:
@@ -494,34 +503,27 @@ class GridSimulator:
     The up-set under a staircase is one rectangle of whole cells per stored
     vertex pair (rows up to its maximum, columns from the last cut to its
     minimum's) plus, while rising, the live link's sweep: stack entry k is
-    ``rows[k]``, ``cuts[k]`` and its mass ``strips[k]``. A push recomputes only
-    the entries past the pairs it kept: O(erased pairs + 1) table lookups.
+    ``cuts[k]`` and its exact mass ``strips[k]``, and ``up`` is their sum. A push
+    recomputes only the entries past the pairs it kept: O(erased pairs + 1) table
+    lookups. ``value`` and ``parts`` read ``up`` and O(1) entries, each rounded once.
     """
 
     def __init__(self, grid: WeightGrid, memory: StaircaseMemory):
-        self.grid = grid
-        self.memory = memory
-        self.rows: list[int] = []
-        self.cuts: list[int] = []
-        self.strips = np.zeros(len(memory.vertex_pairs) + 16, dtype=np.longdouble)
+        self.grid, self.memory = grid, memory
+        self.cuts, self.strips, self.up = [], [], 0  # the up-mass: the strips' sum
         self._restack(0)
 
     def _restack(self, keep: int) -> None:
         """Recompute the stack entries from ``keep`` on; those before are current."""
-        grid, mem, rows, cuts = self.grid, self.memory, self.rows, self.cuts
-        pairs = mem.vertex_pairs
-        depth = len(pairs) + (mem.trend == RISING)
-        if depth > self.strips.size:
-            self.strips = np.concatenate((self.strips[:keep], np.zeros(2 * depth, np.longdouble)))
-        del rows[keep:], cuts[keep:]
-        for k in range(keep, depth):
-            if k < len(pairs):
-                row, col_up = grid.icut_up(pairs[k][0]), grid.jcut_down(pairs[k][1])
-            else:
-                row, col_up = grid.icut_up(mem.current_u), grid.n
-            self.strips[k] = _strip(grid.prefix, row, cuts[-1] if cuts else 0, col_up)
-            rows.append(row)
+        grid, mem, cuts, strips = self.grid, self.memory, self.cuts, self.strips
+        self.up -= sum(strips[keep:])
+        del cuts[keep:], strips[keep:]
+        live = ((mem.current_u, None),) if mem.trend == RISING else ()  # the rising link
+        for big, small in mem.vertex_pairs[keep:] + live:
+            col_up = grid.n if small is None else grid.jcut_down(small)
+            strips.append(grid.rect_mass(0, grid.icut_up(big), cuts[-1] if cuts else 0, col_up))
             cuts.append(col_up)
+            self.up += strips[-1]
 
     def push(self, u) -> None:
         if float(u) != self.memory.current_u:
@@ -530,29 +532,27 @@ class GridSimulator:
             self._restack(max(len(mem.vertex_pairs) - (mem.trend == FALLING), 0))
 
     def value(self) -> float:
-        return eval_geometric(self.grid, self.memory, self.strips[:len(self.cuts)])
+        """Up-mass minus down-mass, the exact ``2 * up - total`` rounded once."""
+        _require_in_support(self.grid, self.memory)
+        return (2 * self.up - self.grid.total) / (1 << self.grid.scale)
 
     def parts(self) -> tuple[float, float, float]:
-        """The output at the input ``u`` as its band, forced and (zero) offset parts.
-
-        The forced part counts the cells ``u`` alone fixes (up-thresholds at or
-        below ``u`` minus down-thresholds at or above it); the band part, the only
-        one history enters, clips the stack to the bistable band. They add up to
-        ``value``: cells are DOWN until the input first rises, and one centered
-        at ``u`` is UP only after a rise."""
+        """The output at the input ``u`` as its band, forced and (zero) offset parts, read
+        as ``_ExactCapacities.parts`` reads them: the forced cells are those with center
+        alpha ``<= u``, UP once risen (DOWN before; the cell centered at ``u`` DOWN after a
+        fall), and the others with center beta ``>= u``, DOWN. Each forced sum is rounded
+        once, then added; the band, the rest of the exact output, is rounded once."""
         grid, mem = self.grid, self.memory
         _require_in_support(grid, mem)
         a, b, n = grid.icut_up(mem.current_u), grid.jcut_down(mem.current_u), grid.n
-        forced_up = grid.rect_mass(0, a, 0, n)
+        up = grid.rect_mass(0, a, 0, n)
         if not mem.risen:
-            forced_up = -forced_up
+            up = -up
         elif mem.trend != RISING:
-            forced_up -= 2.0 * grid.rect_mass(b, a, b, a)  # the cell centered at u, if any
-        forced_down = grid.rect_mass(0, n, b, n) - grid.rect_mass(0, a, b, n)
-        rows = np.maximum(np.array(self.rows, int), a)  # int also when the stack is empty
-        cols = np.minimum([0, *self.cuts], b)
-        up = _strip(grid.prefix, rows, cols[:-1], cols[1:], a)
-        return 2.0 * float(up.sum()) - grid.rect_mass(a, n, 0, b), forced_up - forced_down, 0.0
+            up -= 2 * grid.rect_mass(b, a, b, a)  # the cell centered at u, if any
+        down = -grid.rect_mass(a, n, b, n)
+        unit = 1 << grid.scale
+        return (2 * self.up - grid.total - up - down) / unit, up / unit + down / unit, 0.0
 
 
 def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
@@ -569,11 +569,29 @@ def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
     raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
 
 
+def _binned(n: int, cell: np.ndarray, masses: np.ndarray) -> tuple:
+    """``(scale, bits, L, rows)`` for ``WeightGrid._build``: the masses in cell ``row * n + col``
+    (``col <= row``) summed exactly, one L x (i + 1) array of limbs per cell row i."""
+    order = np.argsort(cell)  # any order: the sums are exact
+    bits, cell = _limb_bits(masses.size, 63), cell[order]
+    scale, limbs = _split(masses[order], bits, np.int64)
+    first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first mass
+    sums, cell = np.add.reduceat(limbs, first, axis=1), cell[first]
+    ends = cell.searchsorted(np.arange(1, n + 1) * n).tolist()
+
+    def rows():
+        for i, start, end in zip(range(n), [0, *ends], ends):
+            row = np.zeros((len(sums), i + 1), np.int64)
+            row[:, cell[start:end] - i * n] = sums[:, start:end]
+            yield row
+    return scale, bits, len(sums), rows()
+
+
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
     """Bin a population into an n x n grid over ``bounds = (beta0, alpha0)``.
 
-    Binning is conservative: the total grid mass equals the summed agent
-    capacity. Agents must lie inside the bounds.
+    Binning is conservative and exact: the grid's total mass is the agents'
+    exact total capacity. Agents must lie inside the bounds.
     """
     geometry = beta0, alpha0, width, _ = _grid_geometry(*bounds, n)
     outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
@@ -584,17 +602,10 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
             f"(alpha={float(pop.alpha[k])!r}, beta={float(pop.beta[k])!r}) "
             f"outside bounds ({beta0!r}, {alpha0!r})"
         )
-    rows = np.clip(((pop.alpha - beta0) / width).astype(int), 0, n - 1)
-    cols = np.clip(((pop.beta - beta0) / width).astype(int), 0, n - 1)  # <= rows
-    # a stable sort keeps each cell's additions in agent order; rows that fit
-    # 16 bits take numpy's radix sort, ~9x faster than sorting int64
-    order = np.argsort(rows.astype(np.min_scalar_type(n - 1)), kind="stable")
-    cols, nu = cols[order], pop.nu[order]
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    del rows, order  # not held while the table is built
-    return WeightGrid._from_rows(geometry, (
-        np.bincount(cols[start:end], weights=nu[start:end], minlength=i)
-        for i, start, end in zip(range(1, n + 1), [0, *ends], ends)))
+
+    def cut(x):  # the cell row of an alpha, or column of a beta (alpha >= beta: col <= row)
+        return np.clip(((x - beta0) / width).astype(int), 0, n - 1)
+    return WeightGrid._from_rows(geometry, *_binned(n, cut(pop.alpha) * n + cut(pop.beta), pop.nu))
 
 
 def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightGrid:
@@ -605,8 +616,12 @@ def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightG
     """
     geometry = _grid_geometry(*bounds, n)
     cell = density * geometry[2] * geometry[2]  # the cell width squared
-    return WeightGrid._from_rows(geometry,
-                                 (np.append(np.full(i, cell), 0.5 * cell) for i in range(n)))
+    if not 0.0 <= cell < math.inf:  # nan fails too
+        raise ValueError("cell masses must be finite and non-negative")
+    bits = _limb_bits(n * (n + 1) // 2, 63)
+    scale, limbs = _split(np.array([cell, 0.5 * cell]), bits, np.int64)
+    return WeightGrid._from_rows(geometry, scale, bits, len(limbs),
+                                 (np.repeat(limbs, [i, 1], axis=1) for i in range(n)))
 
 
 class SupportError(ValueError):
@@ -624,30 +639,10 @@ def _require_in_support(grid: WeightGrid, mem: StaircaseMemory) -> None:
         )
 
 
-def _strip(p: np.ndarray, rows, col_lo, col_up, row_lo=0):
-    """Mass of rows [row_lo, rows) x cols [col_lo, col_up) on the packed summed-area table ``p``.
-
-    ``P[i, j]`` is ``p[i*(i+1)//2 + min(i, j)]``. Inline ``j - (j - i) * (j > i)``
-    is that min for ints and int arrays alike, with no ufunc or function call
-    on the step path (a call per entry adds about 3% to a grid step)."""
-    r1, r0 = rows * (rows + 1) // 2, row_lo * (row_lo + 1) // 2  # where the two rows start
-    return (p[r1 + col_up - (col_up - rows) * (col_up > rows)]
-            - p[r0 + col_up - (col_up - row_lo) * (col_up > row_lo)]
-            - p[r1 + col_lo - (col_lo - rows) * (col_lo > rows)]
-            + p[r0 + col_lo - (col_lo - row_lo) * (col_lo > row_lo)])
-
-
-def eval_geometric(grid: WeightGrid, mem: StaircaseMemory, strips=None) -> float:
-    """Aggregate output for a staircase memory: up-mass minus down-mass.
-
-    ``strips`` are the memory's up-set strips as ``GridSimulator`` keeps
-    them; without them they are those of a simulator started from ``mem``.
-    """
-    _require_in_support(grid, mem)
-    if strips is None:
-        sim = GridSimulator(grid, mem)
-        strips = sim.strips[:len(sim.cuts)]
-    return 2.0 * float(strips.sum()) - grid.total_mass
+def eval_geometric(grid: WeightGrid, mem: StaircaseMemory) -> float:
+    """Aggregate output for a staircase memory, up-mass minus down-mass: the
+    ``value`` of a grid simulator started from ``mem``."""
+    return grid.simulator(memory=mem).value()
 
 
 @dataclass(eq=False)

@@ -91,26 +91,31 @@ def _branch_fault(points, rules=range(6)) -> str | None:
 def _soft_fault(alpha, beta, f_plus, f_minus):
     """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
     ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
-    the finite steps and slopes of ``f_plus``, then of ``f_minus``; ``f_minus >= f_plus`` at
-    band edges and knots in the band."""
+    the finite steps and slopes of ``f_plus``, then ``f_minus``; ``f_minus >= f_plus`` at band
+    edges and knots in the band; a finite running total of the largest ``|f|`` of each branch."""
     plus, minus = _knot_faults(*f_plus), _knot_faults(*f_minus)
     rules = np.vstack([plus[:4], minus[:4], ~(np.isfinite(alpha) & np.isfinite(beta)),
                        alpha < beta, plus[4:], minus[4:]])
     m = int(np.argmax(rules.any(0))) if rules.any() else len(alpha)
     # the agents before m pass all other checks, so a gap fault among them comes first
     heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
+    plus, minus = (BranchTable(sizes, *knots.T) for sizes, knots in heads)
+    with np.errstate(over="ignore"):
+        total = np.cumsum(np.abs(plus.fs).max(0) + np.abs(minus.fs).max(0))
+    over = int(np.argmax(np.append(~np.isfinite(total), True)))  # m if it stays finite
     agent = np.concatenate([np.arange(m), np.arange(m),
                             *(np.repeat(np.arange(m), sizes) for sizes, _ in heads)])
     u = np.concatenate([beta[:m], alpha[:m], *(knots[:, 0] for _, knots in heads)])
-    keep = (u >= beta[agent]) & (u <= alpha[agent])
+    keep = (u >= beta[agent]) & (u <= alpha[agent]) & (agent <= over)
     agent, u = agent[keep], u[keep]
-    plus, minus = (BranchTable(sizes, *knots.T) for sizes, knots in heads)
     low = minus(u, agent) < plus(u, agent)
     if low.any():
         # its lowest faulty probe; of equal ones the first listed, as a set keeps it
         at = np.flatnonzero(low & (agent == agent[low].min()))
         k, u = agent[at[0]], u[at[np.argmin(u[at])]]
         return int(k), f"descending branch below ascending branch at u={float(u)}"
+    if over < m:
+        return over, "total branch value overflows"
     if m == len(alpha):
         return None
     messages = (*_KNOT_RULES[:4], *_KNOT_RULES[:4], "thresholds must be finite",

@@ -23,18 +23,51 @@ from preisach import (
     StaircaseMemory,
     extract_reversals,
     relay_fold,
+    states_of,
 )
 
 
-def cell_masses(grid) -> np.ndarray:
-    """The n x n cell masses a weight grid was built from, recovered from its
-    packed summed-area table by inclusion-exclusion:
-    ``m[i, j] = P[i+1, j+1] - P[i, j+1] - P[i+1, j] + P[i, j]``, where
-    ``P[i, j] = prefix[i*(i+1)//2 + min(i, j)]``. Exact wherever the table's
-    sums are, as for the uniform grids and the small grids of the tests."""
+def sat_ints(grid) -> np.ndarray:
+    """Every entry of a weight grid's summed-area table, ``P[i, j] * 2**scale`` for i, j
+    in 0..n, as Python ints joined from its limbs (an object array). ``P[i, j]`` is packed
+    entry ``i*(i+1)//2 + min(i, j)``, and limb l of each entry is in row l of ``prefix``."""
     i, j = np.indices((grid.n + 1, grid.n + 1))
-    sat = grid.prefix[i * (i + 1) // 2 + np.minimum(i, j)]
-    return np.diff(np.diff(sat, axis=0), axis=1).astype(float)
+    limbs = grid.prefix[:, i * (i + 1) // 2 + np.minimum(i, j)].astype(object)
+    return sum(limb << (grid.bits * l) for l, limb in enumerate(limbs))
+
+
+def cell_ints(grid) -> np.ndarray:
+    """The n x n cell masses of a weight grid times ``2**scale``, recovered exactly from its
+    table by inclusion-exclusion: ``m[i, j] = P[i+1, j+1] - P[i, j+1] - P[i+1, j] + P[i, j]``."""
+    return np.diff(np.diff(sat_ints(grid), axis=0), axis=1)
+
+
+def cell_masses(grid) -> np.ndarray:
+    """The n x n cell masses a weight grid was built from, each exact sum rounded once."""
+    unit = 1 << grid.scale
+    return np.array([[m / unit for m in row] for row in cell_ints(grid).tolist()])
+
+
+def grid_cells(grid) -> tuple:
+    """``(alpha, beta, masses)`` of a weight grid's cells that carry mass: their centers
+    and their exact masses times ``2**scale`` (``cell_ints``, Python ints)."""
+    masses = cell_ints(grid)
+    rows, cols = np.nonzero(masses)
+    return grid.centers[rows], grid.centers[cols], masses[rows, cols]
+
+
+def grid_reference(grid, cells, mem: StaircaseMemory) -> tuple:
+    """``(value, parts)`` of a weight grid under ``mem`` by its ``cells = grid_cells(grid)``:
+    each cell is a relay at its center, folded over the memory (``states_of``), and every
+    sum is taken over Python ints and rounded once. The forced cells (center alpha <= u,
+    then center beta >= u) count with their own states; that part adds its two sums,
+    each rounded once."""
+    alpha, beta, masses = cells
+    signed = masses * states_of(mem, alpha, beta).astype(object)
+    u, unit = mem.current_u, 1 << grid.scale
+    total, up = signed.sum(), signed[alpha <= u].sum()
+    down = signed[(alpha > u) & (beta >= u)].sum()
+    return total / unit, ((total - up - down) / unit, up / unit + down / unit, 0.0)
 
 
 def raw_relay_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
@@ -128,8 +161,9 @@ def soft_agents_by_loop(path, data):
     """The soft-agent JSON reader as a loop over agents, written out in plain
     Python and ``np.interp``: the thresholds, then ``(sizes, us, fs)`` per
     branch, or the ``ValueError`` naming the first agent at fault. An
-    ``f_minus`` that cannot be read is named after any fault of ``f_plus``."""
-    alphas, betas, branches = [], [], ([], [])
+    ``f_minus`` that cannot be read is named after any fault of ``f_plus``, and
+    the running total of the agents' largest branch values last."""
+    alphas, betas, branches, total = [], [], ([], []), 0.0
     for k, entry in enumerate(data):
         try:
             alpha, beta = float(entry["alpha"]), float(entry["beta"])
@@ -162,6 +196,9 @@ def soft_agents_by_loop(path, data):
             for u in probes:
                 if np.interp(u, *f_minus) < np.interp(u, *f_plus):
                     raise ValueError(f"descending branch below ascending branch at u={u}")
+            total += max(map(abs, f_plus[1])) + max(map(abs, f_minus[1]))
+            if not math.isfinite(total):
+                raise ValueError("total branch value overflows")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: agent {k}: {exc}") from exc
         alphas.append(alpha)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -11,6 +12,8 @@ from helpers import (
     random_population,
     raw_relay_states,
     rectangular_population,
+    sat_ints,
+    series_from_values,
 )
 from preisach import (
     AgentPopulation,
@@ -21,32 +24,43 @@ from preisach import (
     check_congruency,
     eval_direct,
     eval_geometric,
+    extract_reversals,
     from_agents,
     initial_memory,
     memory_from_sequence,
     minor_loop,
     uniform_grid,
 )
-from preisach.classical import _limb_bits, _strip
+from preisach.classical import _limb_bits
 
 RS = ReversalSequence
 
 
-def square_sat(mass):
-    """The whole (n+1) x (n+1) summed-area table of ``mass``, columns summed first."""
-    n = mass.shape[0]
-    want = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-    want[1:, 1:] = mass.astype(np.longdouble).cumsum(0).cumsum(1)
+def scaled(values, scale):
+    """Each float of ``values`` times ``2**scale`` as an exact Python int, in an object array."""
+    def one(v):
+        p, q = v.as_integer_ratio()  # q is a power of two
+        assert (p << scale) % q == 0, (v, scale)
+        return (p << scale) // q
+    return np.array([one(v) for v in np.ravel(values).tolist()], dtype=object).reshape(
+        np.shape(values))
+
+
+def square_sat(ints):
+    """The whole (n+1) x (n+1) summed-area table of an n x n object array of Python ints."""
+    n = ints.shape[0]
+    want = np.zeros((n + 1, n + 1), dtype=object)
+    want[1:, 1:] = ints.cumsum(0).cumsum(1)
     return want
 
 
 def assert_sat_matches(grid, want):
-    """Every ``P[i, j]``, looked up in the packed table as int arrays and as ints
-    (the strip of rows [0, i) and cols [0, j)), equals ``want``. Values, not
-    bytes: a long double's padding bytes may differ."""
+    """Every ``P[i, j] * 2**scale`` equals the Python int ``want[i, j]``: joined from the
+    limbs of the whole table at once, and read through ``rect_mass`` one entry at a time
+    (the strip of rows [0, i) and cols [0, j))."""
+    assert (sat_ints(grid) == want).all()
     i, j = np.indices(want.shape)
-    assert np.array_equal(_strip(grid.prefix, i, 0, j), want)
-    assert all(_strip(grid.prefix, a, 0, b) == want[a, b]
+    assert all(grid.rect_mass(0, a, 0, b) == want[a, b]
                for a, b in zip(i.ravel().tolist(), j.ravel().tolist()))
 
 
@@ -112,22 +126,26 @@ class TestExactCapacities:
     @staticmethod
     def exact(nu, signs, scale):
         """``sum(s_k * nu_k) * 2**scale`` as a Python int, from each capacity's ratio."""
-        total = 0
-        for v, s in zip(nu.tolist(), signs.tolist()):
-            p, q = v.as_integer_ratio()  # q is a power of two that divides p << scale
-            total += int(s) * ((p << scale) // q)
-        return total
+        return sum(int(s) * v for s, v in zip(signs.tolist(), scaled(nu, scale)))
 
-    def test_limb_width_keeps_every_partial_sum_below_2_53(self):
-        assert _limb_bits(1) == _limb_bits(2**23) == 30 and _limb_bits(2**23 + 1) == 29
-        for n in (1, 2, 3, 5 * 10**4, 10**6, 2**23, 2**23 + 1, 10**8, 2**40 + 3):
-            assert n * (2 ** _limb_bits(n) - 1) < 2**53, n
+    def test_limb_width_keeps_every_partial_sum_in_its_word(self):
+        # float64 limbs (the ledger) and int64 limbs (the grid's table): n limbs of the
+        # width sum below 2**word, and one bit more would not (at these n)
+        for word in (53, 63):
+            assert _limb_bits(1, word) == word
+            for k in range(41):
+                for n in (2**k, 2**k + 1):
+                    bits = _limb_bits(n, word)
+                    assert n * (2**bits - 1) < 2**word, (n, word)
+                    if k <= 25:
+                        assert n * (2 ** (bits + 1) - 1) >= 2**word, (n, word)
+        assert _limb_bits(10**5, 63) == 46 and _limb_bits(5 * 10**4, 53) == 37
 
-    # None: the width of n (30); 17 also shifts a mantissa by more than 63 bits
+    # None: the width of n (47 and 44); 17 also shifts a mantissa by more than 63 bits
     @pytest.mark.parametrize("bits", [None, 22, 17, 7, 1])
     def test_sums_are_exact_at_every_limb_width(self, monkeypatch, bits):
         if bits is not None:
-            monkeypatch.setattr(preisach.classical, "_limb_bits", lambda n: bits)
+            monkeypatch.setattr(preisach.classical, "_limb_bits", lambda n, word: bits)
         rng = np.random.default_rng(32)
         spread = np.array([5e-324, 1e300, *rng.uniform(0.0, 2.0, 37), 1e300, 0.0, 2.5e-310])
         for nu in (rng.uniform(0.0, 2.0, 500), spread):
@@ -135,7 +153,7 @@ class TestExactCapacities:
             pop = AgentPopulation(rng.uniform(0.5, 1.0, size), rng.uniform(0.0, 0.5, size), nu)
             ledger = pop._exact
             if bits is None and nu is spread:
-                assert len(ledger.limbs) == 72
+                assert len(ledger.limbs) == 46  # 1e300 * 2**1126 has 2123 bits, 47 per limb
             for _ in range(5):
                 signs = rng.choice([-1.0, 1.0], size)
                 assert ledger.signed_total(signs) == self.exact(nu, signs, ledger.scale)
@@ -161,17 +179,18 @@ class TestWeightGrid:
         rng = np.random.default_rng(4)
         pop = random_population(rng, 5000)
         grid = from_agents(pop, 128, (0.0, 1.0))
-        assert grid.total_mass == pytest.approx(float(pop.nu.sum()), rel=1e-13)
+        assert grid.total_mass == math.fsum(pop.nu)  # the exact total, rounded once
 
     @staticmethod
-    def add_at_grid(pop, n, lo, hi):
-        """The grid of the dense cell masses ``np.add.at`` bins ``pop`` into."""
+    def add_at_sat(pop, n, lo, hi, scale):
+        """The table of the dense cell masses ``np.add.at`` bins ``pop`` into, summed as
+        Python ints at ``scale``."""
         width = (hi - lo) / n
         rows = np.clip(((pop.alpha - lo) / width).astype(int), 0, n - 1)
         cols = np.clip(((pop.beta - lo) / width).astype(int), 0, n - 1)
-        want = np.zeros((n, n))
-        np.add.at(want, (rows, cols), pop.nu)
-        return WeightGrid(lo, hi, want)
+        want = np.zeros((n, n), dtype=object)
+        np.add.at(want, (rows, cols), scaled(pop.nu, scale))
+        return square_sat(want)
 
     def test_binning_matches_add_at_byte_for_byte(self):
         # many agents per cell, thresholds on cell edges and both bounds, zero
@@ -183,8 +202,9 @@ class TestWeightGrid:
         pairs = np.sort(rng.choice(values, (2000, 2)), axis=1)
         nu = rng.choice([0.0, 0.0, 1e-17, 0.1, 1.0, 3.0, 1e16], 2000)
         pop = AgentPopulation(pairs[:, 1], pairs[:, 0], nu)
-        got = from_agents(pop, n, (lo, hi)).prefix
-        assert got.tobytes() == self.add_at_grid(pop, n, lo, hi).prefix.tobytes()
+        grid = from_agents(pop, n, (lo, hi))
+        assert grid.scale == pop._exact.scale  # the agents' own scale
+        assert_sat_matches(grid, self.add_at_sat(pop, n, lo, hi, grid.scale))
 
     @pytest.mark.parametrize("alpha, beta", [
         ([0.9, 0.15, 0.95, 0.2], [0.6, 0.0, 0.55, 0.1]),  # at n = 8, rows 0 and 2 to 6 are empty
@@ -193,8 +213,8 @@ class TestWeightGrid:
     @pytest.mark.parametrize("n", [2, 8])
     def test_binning_edge_cases_match_add_at(self, alpha, beta, n):
         pop = AgentPopulation(alpha, beta, [1e16, 1e-17, 3.0, 0.0])
-        got = from_agents(pop, n, (0.0, 1.0)).prefix
-        assert got.tobytes() == self.add_at_grid(pop, n, 0.0, 1.0).prefix.tobytes()
+        grid = from_agents(pop, n, (0.0, 1.0))
+        assert_sat_matches(grid, self.add_at_sat(pop, n, 0.0, 1.0, grid.scale))
 
     def test_agent_out_of_range(self):
         pop = AgentPopulation([1.5], [0.5], [1.0])
@@ -253,28 +273,34 @@ class TestWeightGrid:
     @pytest.mark.parametrize("n", [2, 5, 64, 129])
     def test_prefix_matches_independent_cumsum(self, n):
         mass = np.tril(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
-        assert_sat_matches(WeightGrid(0.0, 1.0, mass), square_sat(mass))
+        grid = WeightGrid(0.0, 1.0, mass)
+        assert_sat_matches(grid, square_sat(scaled(mass, grid.scale)))
 
     def test_prefix_keeps_the_addition_order(self):
-        # with these magnitudes the bits of a sum depend on its order: summing
-        # rows first changes 186 entries, so the columns must go first
+        # with these magnitudes a float table rounds away small masses, and which ones
+        # depends on the order of its additions; the table's entries are the exact
+        # sums, which have no order, and the total is rounded once
         n = 129
         mass = np.tril(np.random.default_rng(1).choice([0.0, 1e-17, 1.0, 1e16], (n, n)))
-        want = square_sat(mass)
-        assert not np.array_equal(mass.astype(np.longdouble).cumsum(1).cumsum(0), want[1:, 1:])
-        assert_sat_matches(WeightGrid(0.0, 1.0, mass), want)
+        grid = WeightGrid(0.0, 1.0, mass)
+        want = square_sat(scaled(mass, grid.scale))
+        rounded = np.array([[v / (1 << grid.scale) for v in row] for row in want.tolist()])
+        assert np.count_nonzero(rounded[1:, 1:] != mass.cumsum(0).cumsum(1)) > 0
+        assert_sat_matches(grid, want)
+        assert grid.total_mass == math.fsum(mass.ravel())
 
     @pytest.mark.parametrize("n", [2, 7, 512])
     def test_prefix_keeps_only_the_lower_triangle(self, n):
         prefix = uniform_grid(1.0, n, (0.0, 1.0)).prefix
-        assert prefix.nbytes == (n + 1) * (n + 2) // 2 * prefix.itemsize
+        assert prefix.dtype == np.int64
+        assert prefix.nbytes == (n + 1) * (n + 2) // 2 * prefix.itemsize * len(prefix)
 
     @staticmethod
     def peak_of(build):
+        """``(table bytes, tracemalloc peak)`` of building a grid."""
         tracemalloc.start()
         try:
-            build()
-            return tracemalloc.get_traced_memory()[1]
+            return build().prefix.nbytes, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
@@ -284,13 +310,12 @@ class TestWeightGrid:
         n, rng = 512, np.random.default_rng(4)
         pairs = np.sort(rng.uniform(0.0, 1.0, (20_000, 2)), axis=1)
         pop = AgentPopulation(pairs[:, 1], pairs[:, 0], rng.uniform(0.0, 1.0, 20_000))
-        packed = (n + 1) * (n + 2) // 2 * np.dtype(np.longdouble).itemsize
-        assert self.peak_of(lambda: from_agents(pop, n, (0.0, 1.0))) <= packed + 2**20
+        table, peak = self.peak_of(lambda: from_agents(pop, n, (0.0, 1.0)))
+        assert peak <= table + 2**20
 
     def test_uniform_grid_peak_memory(self):
-        n = 512
-        packed = (n + 1) * (n + 2) // 2 * np.dtype(np.longdouble).itemsize
-        assert self.peak_of(lambda: uniform_grid(1.0, n, (0.0, 1.0))) <= packed + 2**20
+        table, peak = self.peak_of(lambda: uniform_grid(1.0, 512, (0.0, 1.0)))
+        assert peak <= table + 2**20
 
 
 class TestEvalGeometric:
@@ -348,6 +373,30 @@ class TestEvalGeometric:
             want = eval_direct(pop, seq)[-1]
             got = eval_geometric(grid, memory_from_sequence(seq))
             assert abs(got - want) <= 1e-12 * scale
+
+    def test_bits_match_direct_on_criterion_02_data(self):
+        # acceptance criterion 02's population and cell-aligned histories: every
+        # grid output is the direct route's exact total rounded once, so the two
+        # agree bit for bit, beside the criterion's pinned 1e-12
+        rng = np.random.default_rng(102)
+        n = 512
+        pop = random_population(rng, 100_000, lo=0.0, hi=1.0)
+        grid = from_agents(pop, n, (0.0, 1.0))
+        edges = np.linspace(0.0, 1.0, n + 1)
+        rows = differ = 0
+        for _ in range(25):
+            seq = extract_reversals(series_from_values(edges[rng.integers(0, n + 1, 40)]), 0.0)
+            if not seq.extrema:
+                continue
+            sim = grid.simulator(start_u=0.0)
+            geo = [sim.value()]
+            for v in seq.extrema:
+                sim.push(v)
+                geo.append(sim.value())
+            direct = eval_direct(pop, seq).tolist()
+            rows += len(geo)
+            differ += sum(g.hex() != d.hex() for g, d in zip(geo, direct))
+        assert (rows, differ) == (690, 0)
 
     def test_history_outside_support_rejected(self, unit_grid):
         mem = memory_from_sequence(RS(0.0, (1.5,)))
@@ -519,6 +568,30 @@ class TestDecomposition:
         assert abs(irreversible + reversible - eval_geometric(grid, mem)) <= limit
         irreversible, reversible, _ = pop.simulator(memory=mem).parts()
         assert abs(irreversible + reversible - eval_direct(pop, RS(start, extrema))[-1]) <= limit
+
+    def test_band_is_the_stack_clipped_to_the_band(self):
+        # the reference the band part replaced: each stack strip clipped to the band
+        # (rows at or above the cut of u, columns below it), summed exactly
+        rng = np.random.default_rng(19)
+        n = 32
+        grid = WeightGrid(0.0, 1.0, np.tril(rng.random((n, n))))
+        points = np.sort(np.r_[np.linspace(0.0, 1.0, n + 1), grid.centers, rng.random(8)])
+        for _ in range(30):
+            sim = grid.simulator(0.0)
+            for u in points[rng.integers(0, points.size, 30)]:
+                if u == sim.memory.current_u:
+                    continue
+                sim.push(u)
+                mem = sim.memory
+                a, b = grid.icut_up(mem.current_u), grid.jcut_down(mem.current_u)
+                rows = [grid.icut_up(big) for big, _ in mem.vertex_pairs]
+                if mem.trend == "rising":
+                    rows.append(grid.icut_up(mem.current_u))
+                cols = [min(c, b) for c in [0, *sim.cuts]]
+                up = sum(grid.rect_mass(a, max(row, a), lo, hi)
+                         for row, lo, hi in zip(rows, cols, cols[1:]))
+                band = 2 * up - grid.rect_mass(a, n, 0, b)
+                assert sim.parts()[0] == band / (1 << grid.scale), u
 
     def test_direct_matches_grid_on_center_population(self, unit_grid, center_population):
         rng = np.random.default_rng(18)

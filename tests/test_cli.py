@@ -282,6 +282,7 @@ SOFT_RULES = {
     "gap-at-inner-knot": "descending branch below ascending branch at u=0.5",
     "finite-steps": "consecutive breakpoints must differ by finite amounts",
     "finite-slopes": "slopes between consecutive breakpoints must be finite",
+    "finite-total": "total branch value overflows",
 }
 GOOD_SOFT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
              "f_minus": [[0.0, 0.0], [1.0, 1.0]]}
@@ -291,6 +292,14 @@ GAP_AT_EDGE = {"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
 # f_minus falls below f_plus at the knot u = 0.5 only
 GAP_AT_KNOT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, 0.0], [0.5, 1.0]],
                "f_minus": [[0.5, 0.9], [1.0, 2.0]]}
+
+
+# every branch value is finite, but the agent's output switches between 1e308 and
+# 1.5e308, and a readout that adds the two branches leaves the float range
+HUGE_SOFT = [{"alpha": 0.75, "beta": 0.25, "f_plus": [[0, 1e308]], "f_minus": [[0, 1.5e308]]}]
+# the largest branch values of two agents add up past the float range
+TWO_LARGE_SOFT = [{"alpha": 0.75, "beta": 0.25, "f_plus": [[0, 6e307]],
+                   "f_minus": [[0, 6e307]]}] * 2
 
 
 def without(agent, key):
@@ -372,11 +381,27 @@ class TestBadSoftAgentFiles:
         ("finite-steps", lambda: soft_branch([(0.0, -1.7e308), (1.0, 1.7e308)])),
         ("finite-slopes", lambda: PiecewiseLinear([(-1.0, 0.0), (0.0, 0.0), (1e-300, 1e10)])),
         ("finite-slopes", lambda: soft_branch([(0.0, -5e307), (1e-10, 5e307)])),
+        ("finite-total", lambda: soft_agent(HUGE_SOFT[0])),
     ])
     def test_single_agent_constructors_raise_the_same_text(self, rule, build):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == SOFT_RULES[rule]
+
+    @pytest.mark.filterwarnings("error")  # numpy warned on the overflowing midline
+    @pytest.mark.parametrize("command", ["simulate", "decompose"])
+    @pytest.mark.parametrize("agents, k", [(HUGE_SOFT, 0), (TWO_LARGE_SOFT, 1)],
+                             ids=["one-agent", "two-agents"])
+    def test_total_branch_value_past_the_float_range(self, tmp_path, capsys, command, agents,
+                                                      k):
+        path = tmp_path / "soft.json"
+        path.write_text(json.dumps(agents))
+        out = tmp_path / "out.csv"
+        assert main([command, "--model", "generalized", "--agents", str(path),
+                     "--history", "1,0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"preisach: error: {path}: agent {k}: {SOFT_RULES['finite-total']}\n")
+        assert not out.exists()
 
 
 # (rows under the header "alpha,beta,nu", the line named, its message); the
@@ -526,6 +551,27 @@ class TestGridOptions:
                      "--history", "2"])
         assert code == 2
         assert capsys.readouterr().err == f"preisach: error: invalid bounds ({shown})\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--history", "1,0"],
+        ["decompose", "--history", "1,0.4"],
+        ["chord", "--u-minus", "0", "--u-plus", "1", "--at", "0.4"],
+    ], ids=["simulate", "decompose", "chord"])
+    def test_capacity_near_the_float_range_reads_as_direct(self, tmp_path, argv):
+        # a valid relay whose doubled capacity is past the float range: grid outputs
+        # round the exact sum before doubling, as direct ones do, and only the chord,
+        # twice the flipped capacity, is inf on both routes
+        path = tmp_path / "agents.csv"
+        path.write_text("alpha,beta,nu\n0.5,0.25,1e308\n")
+        texts = []
+        for grid in ([], ["--grid-n", "4", "--bounds", "0,1"]):
+            out = tmp_path / f"out{len(grid)}.csv"
+            assert main([argv[0], "--agents", str(path), *grid, *argv[1:],
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[1] == texts[0]
+        assert ("inf" in texts[0]) == (argv[0] == "chord")
 
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4

@@ -33,6 +33,8 @@ AGENT = {"alpha": 1.0, "beta": 0.0, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
 LONG = {"alpha": 0.5, "beta": -0.5,
         **{key: [[u, u + lift] for u in np.linspace(-1.0, 1.0, 2000).tolist()]
            for key, lift in (("f_plus", -1.0), ("f_minus", 1.0))}}
+# two of these overflow the running total of the largest branch values
+HUGE = {"alpha": 0.75, "beta": 0.25, "f_plus": [[0.0, 6e307]], "f_minus": [[0.0, 6e307]]}
 ODD_VALUES = ("0.5", None, True, False, [0.5], {"u": 0.5})
 
 
@@ -200,6 +202,13 @@ def soft_agent(draw):
 @example(agents=[AGENT, LONG, AGENT])
 @example(agents=[AGENT, {**LONG, "f_plus": [[u, f if u < 0.45 else 2.0]
                                             for u, f in LONG["f_plus"]]}, AGENT])
+# the running total of the largest branch values overflows at agent 1: named after
+# agent 1's gap fault, and before agent 2's gap fault and agent 2's missing alpha
+@example(agents=[HUGE, HUGE])
+@example(agents=[HUGE, {**HUGE, "f_minus": [[0.0, 5e307]]}])
+@example(agents=[HUGE, HUGE, {"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
+                              "f_minus": [[-1.0, 0.5], [2.0, 0.8]]}])
+@example(agents=[HUGE, HUGE, {key: value for key, value in AGENT.items() if key != "alpha"}])
 # signed zeros: the probe named is the first listed of equal ones
 @example(agents=[{"alpha": 0.0, "beta": -0.0, "f_plus": [[-0.0, 1.0]], "f_minus": [[0.0, 0.5]]}])
 @LOADERS

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import branch_at, raw_relay_states, series_from_values, soft_population
+from helpers import (branch_at, grid_cells, grid_reference, raw_relay_states,
+                     series_from_values, soft_population)
 from preisach import (
     AgentPopulation,
     GeneralizedPopulation,
@@ -429,6 +430,20 @@ class TestStreamedGrid:
                     s.push(u)
                     # the stateless route, rebuilt from the memory, is the reference
                     assert s.value() == eval_geometric(grid, s.memory), (k, u)
+
+    @given(grid_paths())
+    @example(deep_grid_case())
+    @TIES
+    def test_exact_sums_rounded_once(self, case):
+        # each cell a relay at its center, its state folded over the memory, and each
+        # output and part an exact sum of the cells' masses rounded once
+        grid, start, path = case
+        cells = grid_cells(grid)
+        sim = grid.simulator(start)
+        for u in [start, *path]:
+            if u != sim.memory.current_u:
+                sim.push(u)
+            assert (sim.value(), sim.parts()) == grid_reference(grid, cells, sim.memory), u
 
 
 class TestDirectVsGeometricTies:
