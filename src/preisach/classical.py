@@ -21,10 +21,11 @@ comparison (``check_congruency``), the vertical-chord formula (each
 model's ``chord``: twice the capacity inside the rectangle spanned by the
 cycle bounds and the probe input, a history-independent quantity), and the
 split of the output into its history-carrying band contribution and the
-part forced by the current input (each simulator's ``parts``). What every
-relay model and its simulator share lives here as well (``_RelayModel``,
-``_RelaySimulator``), and so does ``_relay_fault``, the one validity rule
-every relay agent is checked by.
+part forced by the current input (each simulator's ``parts``, over the relays
+of ``_RelayModel.masks``). What every relay model and its simulator share lives
+here as well (``_RelayModel``, ``_RelaySimulator``), and so does ``_relay_fault``,
+the one validity rule every relay agent is checked by: its exact total capacity
+must round to a double, so every sum of capacities a readout forms does.
 
 A relay simulator does not pay O(agents) per move: each relay model sorts
 its thresholds once (``_RelayIndex``), and a leg switches only the relays
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteron import relay_fold
+from .hysteron import _ROUNDS_TO_INF, _overflow_at, relay_fold
 from .memory import (
     FALLING,
     INITIAL,
@@ -81,8 +82,9 @@ class _RelayModel:
     A relay model has thresholds ``alpha``/``beta`` and differs from the
     others only in the value they are compared with (``up_compare`` and
     ``down_compare``: the identity here, the sliding maps of ``ShiftModel``)
-    and in ``output``, its readout of the relay states. ``parts`` splits
-    that readout with the relay ``weight`` and the state-free ``offset``.
+    and in ``output``, its readout of the relay states: one exact sum rounded
+    once, from the capacity ledger (``_ExactCapacities``) or, for soft agents,
+    by ``math.fsum`` of their branch levels.
     """
 
     def up_compare(self, u: float) -> float:
@@ -100,26 +102,13 @@ class _RelayModel:
     def __len__(self) -> int:
         return int(self.alpha.size)
 
-    def weight(self, u: float) -> np.ndarray:
-        """What each relay's state counts for in the output at ``u``."""
-        return self.nu
-
-    def offset(self, u: float) -> float:
-        """The part of the output at ``u`` that no relay state carries."""
-        return 0.0
-
-    def parts(self, states: np.ndarray, u: float) -> tuple[float, float, float]:
-        """The output at ``u`` as its band, forced and offset parts, which add up to it.
-
-        The forced part counts each relay outside the band in its own state,
-        which ``u`` alone fixes only after the input first rises, away from ties.
-        O(agents): the soft model's route, and the capacity simulators' reference."""
-        w = self.weight(u)
+    def masks(self, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(band, up, down)``: the relays still bistable at ``u``, the only ones whose state
+        depends on the history; those ``u`` forces UP (``alpha <= up(u)``), once the input
+        has risen and away from ties; and the others it forces DOWN (``beta >= down(u)``)."""
         up = self.alpha <= self.up_compare(u)
         down = ~up & (self.beta >= self.down_compare(u))
-        signed = w * states
-        forced = math.fsum(signed[up]) + math.fsum(signed[down])
-        return self.band_sum(w, states, u), forced, self.offset(u)
+        return ~(up | down), up, down
 
     @functools.cached_property
     def _index(self) -> _RelayIndex:
@@ -145,31 +134,18 @@ class _RelayModel:
                 last = value
         return states
 
-    def band_sum(self, weight: np.ndarray, states: np.ndarray, u: float) -> float:
-        """Signed ``weight`` of the relays still bistable at ``u``: the
-        only ones whose state depends on the history."""
-        band = (self.alpha > self.up_compare(u)) & (self.beta < self.down_compare(u))
-        return math.fsum(weight[band] * states[band])
-
     def flipped(self, u_minus: float, u_plus: float, u: float) -> np.ndarray:
-        """Mask of the relays the steady cycle ``[u_minus, u_plus]`` flips at ``u``.
-
-        Up-threshold in ``(u, u_plus]`` and down-threshold in
-        ``[u_minus, u)``, each bound taken through the compare maps.
-        """
+        """Mask of the relays the steady cycle ``[u_minus, u_plus]`` flips at ``u``: those of
+        the band at ``u`` (``masks``) with ``alpha <= up(u_plus)`` and ``beta >= down(u_minus)``."""
         _require_in_cycle(u_minus, u_plus, u)
-        return (
-            (self.alpha > self.up_compare(u))
-            & (self.alpha <= self.up_compare(u_plus))
-            & (self.beta >= self.down_compare(u_minus))
-            & (self.beta < self.down_compare(u))
-        )
+        return (self.masks(u)[0] & (self.alpha <= self.up_compare(u_plus))
+                & (self.beta >= self.down_compare(u_minus)))
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
-        """Vertical gap of the steady cycle at ``u``: twice the weight at ``u``
-        of the relays the cycle flips (``flipped``). Its tie-breaks are the
-        relays', so it equals the sampled branch gap; no history enters."""
-        return 2.0 * math.fsum(self.weight(u)[self.flipped(u_minus, u_plus, u)])
+        """Vertical gap of the steady cycle at ``u``: twice the capacity of the
+        relays the cycle flips (``flipped``). Its tie-breaks are the relays',
+        so it equals the sampled branch gap; no history enters."""
+        return 2.0 * math.fsum(self.nu[self.flipped(u_minus, u_plus, u)])
 
 
 class _RelayIndex:
@@ -288,7 +264,7 @@ class _ExactCapacities:
         has risen (DOWN before), and the others with ``beta >= down(u)``, DOWN;
         the tie set in both counts with its own states. Each forced sum is rounded
         once, then the two are added; the band is the total minus both, rounded
-        once: the bits of ``_RelayModel.parts``."""
+        once: the bits of ``math.fsum`` over each of the ``masks``' signed capacities."""
         index, m = self.index, self.index.model
         a, d = m.up_compare(u), m.down_compare(u)
         tie = index.alpha_within(d, a)
@@ -337,7 +313,7 @@ class _RelaySimulator:
 class _CapacitySimulator(_RelaySimulator):
     """A capacity model's simulator: it keeps the exact signed total, adds only the
     relays a push flips, and reads ``parts`` from it in O(log n + ties), bit for bit
-    what ``_RelayModel.parts`` sums with ``math.fsum``."""
+    what ``math.fsum`` gives over the relays of each of the model's ``masks``."""
 
     def __init__(self, model: _RelayModel, memory: StaircaseMemory):
         super().__init__(model, memory)
@@ -363,18 +339,18 @@ class PopulationSimulator(_CapacitySimulator):
 def _relay_fault(alpha, beta, nu):
     """``(k, message)`` for the first relay agent at fault and its first failed
     check, or None: finite ``alpha``, ``beta`` and ``nu``; ``alpha >= beta``; ``nu >= 0``;
-    and a running total of ``nu`` that stays finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.cumsum(nu)
-    rules = np.vstack([~np.isfinite([alpha, beta, nu]), alpha < beta, nu < 0, ~np.isfinite(total)])
-    if not rules.any():
+    and an exact running total of ``nu`` that rounds to a double (``_overflow_at``)."""
+    rules = np.vstack([~np.isfinite([alpha, beta, nu]), alpha < beta, nu < 0])
+    m = int(np.argmax(rules.any(0))) if rules.any() else len(nu)
+    over = _overflow_at(nu[:m])
+    if over < m:
+        return over, "total capacity overflows"
+    if m == len(nu):
         return None
-    k = int(np.argmax(rules.any(0)))
-    rule = int(np.argmax(rules[:, k]))
-    a, b, v = float(alpha[k]), float(beta[k]), float(nu[k])
-    return k, (*(f"non-finite {name}" for name in ("alpha", "beta", "nu")),
-               f"alpha < beta ({a!r} < {b!r})", f"negative capacity {v!r}",
-               "total capacity overflows")[rule]
+    a, b, v = float(alpha[m]), float(beta[m]), float(nu[m])
+    messages = (*(f"non-finite {name}" for name in ("alpha", "beta", "nu")),
+                f"alpha < beta ({a!r} < {b!r})", f"negative capacity {v!r}")
+    return m, messages[int(np.argmax(rules[:, m]))]
 
 
 class AgentPopulation(_RelayModel):
@@ -464,6 +440,8 @@ class WeightGrid:
             np.cumsum(cols[:, :i], axis=1, out=prefix[:, start + 1:start + i + 1])
         self._limbs = range(limbs - 1, -1, -1)  # the highest first
         self.total = self.rect_mass(0, n, 0, n)  # exact, times 2**scale
+        if self.total >= _ROUNDS_TO_INF << scale:
+            raise ValueError("total cell mass overflows")
         self.total_mass = self.total / (1 << scale)
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells

@@ -2,20 +2,14 @@
 
 ``GeneralizedPopulation(alpha, beta, f_plus, f_minus)`` holds soft-branch
 agents as arrays: the thresholds, and each branch's ``(u, f)`` knots packed
-into one ``hysteron.BranchTable``, so the whole population's branches are
-read in one numpy pass.
-
-The aggregate output of soft-branch agents splits, per agent, into a relay
-part weighted by the loop gap at the *current* input plus the branch
-midline. Summed over the population this yields
-
-    f(u) = sum_k gap_k(u) * s_k  +  sum_k midline_k(u)
-
-and the relay sum itself splits further into the contribution of the
-bistable band (agents with beta < u < alpha -- the only history-dependent
-piece) and that of the agents whose state the current input forces, each
-counted in its own state. A simulator's ``parts`` returns the band, forced
-and midline pieces; they add up to ``eval_generalized`` of the same history.
+into one ``hysteron.BranchTable``. Its readout reads each table once per input
+(``levels``: every agent's output while DOWN, ``f_plus(u)``, and while UP,
+``f_minus(u)``), and each output, part and chord is one ``math.fsum`` of those
+levels, the exact sum rounded once. Per agent the output is the loop gap
+``(f_minus - f_plus) / 2`` signed by the state plus the midline; ``parts`` sums
+the signed gaps of the bistable band (``beta < u < alpha``, the only
+history-dependent piece) apart from those of the agents the input forces, and
+the midlines apart from both.
 
 Because the loop gap moves with the input, cycles traced after different
 histories are generally *not* congruent: agents outside the cycle band
@@ -40,8 +34,8 @@ of Della Torre and Vajda.
 
 ``eval_generalized`` is the raw-history reference for every relay model:
 it folds the uncompressed history over all relays and reads the output with
-the model's own ``output`` in O(agents); ``ShiftModel.output`` sums the
-band with ``math.fsum``. ``ShiftedSimulator`` reads the same bits in
+the model's own ``output`` in O(agents); ``ShiftModel.output`` reads the band
+from the capacity ledger. ``ShiftedSimulator`` reads the same bits in
 O(log n + ties) as the band part of its ``parts``: it is a capacity
 simulator (``classical._CapacitySimulator``), as the direct model's is, and
 its steps, like every relay simulator's, touch only the crossed relays.
@@ -98,14 +92,25 @@ class GeneralizedPopulation(_RelayModel):
     def midline_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) + self.f_plus(u))
 
-    def weight(self, u: float) -> np.ndarray:
-        return self.loop_gap_at(u)
-
-    def offset(self, u: float) -> float:
-        return math.fsum(self.midline_at(u))
+    def levels(self, u: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each agent's output at ``u`` while DOWN and while UP: ``f_plus(u)``, ``f_minus(u)``."""
+        return self.f_plus(u), self.f_minus(u)
 
     def output(self, states: np.ndarray, u: float) -> float:
-        return math.fsum(self.loop_gap_at(u) * states + self.midline_at(u))
+        down, up = self.levels(u)
+        return math.fsum(np.where(states > 0, up, down).tolist())
+
+    def parts(self, states: np.ndarray, u: float) -> tuple[float, float, float]:
+        """The output at ``u`` as its band, forced and offset parts (``masks``), which add up
+        to it: half of ``s * (f_minus - f_plus)`` over the band, and over the agents forced UP
+        plus over those forced DOWN, each in its state ``s``; and half of ``f_minus + f_plus``
+        over all. An exact sum rounded once and halved is its exact half rounded once."""
+        down, up = self.levels(u)
+
+        def half(a, b):
+            return 0.5 * math.fsum(np.concatenate((a, b)).tolist())
+        band, rise, fall = (half(states[m] * up[m], -states[m] * down[m]) for m in self.masks(u))
+        return band, rise + fall, half(up, down)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         return GeneralizedSimulator(self, starting_memory(start_u, memory))
@@ -126,13 +131,12 @@ class GeneralizedSimulator(_RelaySimulator):
 
 def chord_generalized(gpop: GeneralizedPopulation, u_minus: float,
                       u_plus: float, u: float) -> float:
-    """Vertical branch gap of the steady cycle at ``u`` from the weights.
-
-    Twice the summed loop gap (taken at ``u``) of the agents flipped by the
-    cycle: up-threshold in ``(u, u_plus]``, down-threshold in
-    ``[u_minus, u)``. History before the cycle does not enter.
-    """
-    return _RelayModel.chord(gpop, u_minus, u_plus, u)
+    """Vertical branch gap of the steady cycle at ``u``: ``f_minus(u) - f_plus(u)`` of the
+    agents the cycle flips (``flipped``), summed exactly and rounded once. History before
+    the cycle does not enter."""
+    flipped = gpop.flipped(u_minus, u_plus, u)
+    down, up = gpop.levels(u)
+    return math.fsum(np.concatenate((up[flipped], -down[flipped])).tolist())
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,8 @@ class ShiftModel(_RelayModel):
             raise ValueError(f"shift functions must satisfy g2 <= g1 (fails at u={u_bad})")
 
     def output(self, states: np.ndarray, u: float) -> float:
-        return self.band_sum(self.nu, states, u)
+        band = np.where(self.masks(u)[0], states, 0.0)
+        return self._exact.signed_total(band) / (1 << self._exact.scale)
 
     def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
         return ShiftedSimulator(self, starting_memory(start_u, memory))

@@ -30,6 +30,8 @@ import itertools
 
 import numpy as np
 
+_ROUNDS_TO_INF = 2 ** 1024 - 2 ** 970  # the least real that rounds to inf
+
 
 def relay_fold(alpha, beta, steps, states=None, up_compare=None,
                down_compare=None) -> np.ndarray:
@@ -88,11 +90,24 @@ def _branch_fault(points, rules=range(6)) -> str | None:
     return _KNOT_RULES[rules[int(np.argmax(broken))]] if broken.any() else None
 
 
+def _overflow_at(values: np.ndarray) -> int:
+    """Index of the first of ``values`` (finite, >= 0) at which their exact running total
+    rounds past the largest double, or ``len(values)``. A float sum of n values is within a
+    factor ``1 + n * 2**-52`` of the exact one, so below 2**1023 the exact sum is not taken."""
+    with np.errstate(over="ignore"):
+        if np.sum(values) < 2.0 ** 1023:
+            return len(values)
+    from fractions import Fraction  # imported here: only a total past 2**1023 pays for it
+    totals = itertools.accumulate(map(Fraction, values.tolist()))
+    return next((k for k, t in enumerate(totals) if t >= _ROUNDS_TO_INF), len(values))
+
+
 def _soft_fault(alpha, beta, f_plus, f_minus):
     """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
     ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
     the finite steps and slopes of ``f_plus``, then ``f_minus``; ``f_minus >= f_plus`` at band
-    edges and knots in the band; a finite running total of the largest ``|f|`` of each branch."""
+    edges and knots in the band; an exact running total of the largest ``|f|`` of each branch
+    that rounds to a double (``_overflow_at``), which bounds every sum a soft readout forms."""
     plus, minus = _knot_faults(*f_plus), _knot_faults(*f_minus)
     rules = np.vstack([plus[:4], minus[:4], ~(np.isfinite(alpha) & np.isfinite(beta)),
                        alpha < beta, plus[4:], minus[4:]])
@@ -100,9 +115,8 @@ def _soft_fault(alpha, beta, f_plus, f_minus):
     # the agents before m pass all other checks, so a gap fault among them comes first
     heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
     plus, minus = (BranchTable(sizes, *knots.T) for sizes, knots in heads)
-    with np.errstate(over="ignore"):
-        total = np.cumsum(np.abs(plus.fs).max(0) + np.abs(minus.fs).max(0))
-    over = int(np.argmax(np.append(~np.isfinite(total), True)))  # m if it stays finite
+    largest = [np.abs(plus.fs).max(0), np.abs(minus.fs).max(0)]
+    over = _overflow_at(np.ravel(largest, "F")) // 2  # each agent's two, in agent order
     agent = np.concatenate([np.arange(m), np.arange(m),
                             *(np.repeat(np.arange(m), sizes) for sizes, _ in heads)])
     u = np.concatenate([beta[:m], alpha[:m], *(knots[:, 0] for _, knots in heads)])

@@ -13,8 +13,8 @@ seeded fixtures and reports the worst deviation it observed:
   history (``eval_generalized``, the raw-history reference of every relay
   model) gives the sum of the band, forced and midline parts of the
   simulator resumed from the history's staircase memory,
-* shift equivalence -- the shift model folded over the raw history and
-  summed with ``math.fsum`` (``eval_generalized``) gives the band output of
+* shift equivalence -- the shift model folded over the raw history, its
+  band summed exactly (``eval_generalized``), gives the band output of
   the moving-threshold simulator resumed from the history's compressed
   staircase memory, read from its exact integer total.
 

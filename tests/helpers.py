@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from preisach import (
     relay_fold,
     states_of,
 )
+
+
+# the least real that rounds to inf: an exact total below it rounds to a double
+ROUNDS_TO_INF = 2 ** 1024 - 2 ** 970
 
 
 def sat_ints(grid) -> np.ndarray:
@@ -115,6 +120,45 @@ def gen_apply(alpha, beta, f_plus, f_minus, state: float, seq: ReversalSequence,
     return gen_output(f_plus, f_minus, states[0], query_u)
 
 
+def masked_parts(model, states, u) -> tuple[float, float, float]:
+    """The band, forced and (zero) offset parts of a capacity model's output at ``u``
+    in ``states``, by masks over every relay: ``math.fsum`` of the signed capacities
+    of the relays still bistable at ``u``, and that of the relays ``u`` forces UP
+    (``alpha <= up(u)``) plus that of the others it forces DOWN (``beta >= down(u)``),
+    each relay in its own state. O(agents): the capacity simulators' reference."""
+    signed = model.nu * states
+    up = model.alpha <= model.up_compare(u)
+    down = ~up & (model.beta >= model.down_compare(u))
+    band = (model.alpha > model.up_compare(u)) & (model.beta < model.down_compare(u))
+    return math.fsum(signed[band]), math.fsum(signed[up]) + math.fsum(signed[down]), 0.0
+
+
+def soft_exact(agents, states, u, u_minus, u_plus) -> tuple:
+    """``(value, parts, chord)`` of soft agents ``(alpha, beta, f_plus, f_minus)`` in
+    ``states`` at ``u``, from each agent's branch values (``branch_at``) summed as
+    ``Fraction``s, each sum rounded once: the agents' values for their states; the band,
+    forced and offset parts, half of ``s * (f_minus - f_plus)`` over the agents with
+    ``beta < u < alpha``, over those with ``alpha <= u`` plus (rounded apart) over the
+    others with ``beta >= u``, and half of ``f_minus + f_plus`` over every agent; and the
+    chord of the cycle ``[u_minus, u_plus]``, ``f_minus - f_plus`` over the agents it
+    flips (``u < alpha <= u_plus`` and ``u_minus <= beta < u``)."""
+    value, band, up, down, offset, chord = (Fraction(0),) * 6
+    for (alpha, beta, f_plus, f_minus), s in zip(agents, states):
+        low, high = Fraction(branch_at(f_plus, u)), Fraction(branch_at(f_minus, u))
+        value += high if s > 0 else low
+        gap = int(s) * (high - low) / 2
+        if alpha <= u:
+            up += gap
+        elif beta >= u:
+            down += gap
+        else:
+            band += gap
+        offset += (high + low) / 2
+        if u < alpha <= u_plus and u_minus <= beta < u:
+            chord += high - low
+    return float(value), (float(band), float(up) + float(down), float(offset)), float(chord)
+
+
 def soft_population(agents) -> GeneralizedPopulation:
     """The population of ``(alpha, beta, f_plus, f_minus)`` agents, in order."""
     return GeneralizedPopulation(*zip(*agents))
@@ -162,7 +206,7 @@ def soft_agents_by_loop(path, data):
     Python and ``np.interp``: the thresholds, then ``(sizes, us, fs)`` per
     branch, or the ``ValueError`` naming the first agent at fault. An
     ``f_minus`` that cannot be read is named after any fault of ``f_plus``, and
-    the running total of the agents' largest branch values last."""
+    the exact running total of the agents' largest branch values last."""
     alphas, betas, branches, total = [], [], ([], []), 0.0
     for k, entry in enumerate(data):
         try:
@@ -196,8 +240,8 @@ def soft_agents_by_loop(path, data):
             for u in probes:
                 if np.interp(u, *f_minus) < np.interp(u, *f_plus):
                     raise ValueError(f"descending branch below ascending branch at u={u}")
-            total += max(map(abs, f_plus[1])) + max(map(abs, f_minus[1]))
-            if not math.isfinite(total):
+            total += Fraction(max(map(abs, f_plus[1]))) + Fraction(max(map(abs, f_minus[1])))
+            if total >= ROUNDS_TO_INF:
                 raise ValueError("total branch value overflows")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: agent {k}: {exc}") from exc
@@ -227,7 +271,7 @@ def csv_rows(path, names):
 def agents_by_row(path) -> AgentPopulation:
     """The agent CSV reader as a loop over rows: the population, or the
     ``ValueError`` naming the first line at fault and its first failed check,
-    the last being a running total of the capacities that stays finite."""
+    the last being an exact running total of the capacities that rounds to a double."""
     names = ("alpha", "beta", "nu")
     rows, total = [], 0.0
     for lineno, (a, b, v) in csv_rows(path, names):
@@ -238,8 +282,8 @@ def agents_by_row(path) -> AgentPopulation:
             raise ValueError(f"{path}:{lineno}: alpha < beta ({a!r} < {b!r})")
         if v < 0:
             raise ValueError(f"{path}:{lineno}: negative capacity {v!r}")
-        total += v
-        if not math.isfinite(total):
+        total += Fraction(v)
+        if total >= ROUNDS_TO_INF:
             raise ValueError(f"{path}:{lineno}: total capacity overflows")
         rows.append((a, b, v))
     if not rows:

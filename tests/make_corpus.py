@@ -112,6 +112,14 @@ def write_inputs() -> None:
     (INPUTS / "bad_soft_slope.json").write_text(json.dumps(
         [{"alpha": float("nan"), "beta": 0.0, "f_plus": [[0.0, -5e307], [1e-10, 5e307]],
           "f_minus": [[0.0]]}]) + "\n")
+    # the largest double, then twice 2**969: a float running total stays at the largest
+    # double, but the exact total of all three rounds to inf, so the third is named
+    edge = (1.7976931348623157e308, 2.0 ** 969, 2.0 ** 969)
+    (INPUTS / "bad_relay_overflow.csv").write_text(
+        "alpha,beta,nu\n" + "".join(f"0.5,0.25,{_fmt(v)}\n" for v in edge))
+    (INPUTS / "bad_soft_overflow.json").write_text(json.dumps(
+        [{"alpha": 0.5, "beta": 0.25, "f_plus": [[0.0, 0.0]], "f_minus": [[0.0, v]]}
+         for v in edge]) + "\n")
 
 
 # relay thresholds hit: 0.7, 0.2, 0.5, 0.3 (tenths), 0.46875 (30/64)
@@ -156,9 +164,11 @@ def cases() -> dict[str, list[str]]:
                                     "--memory-out", f"{{out}}/split-{kind}-2.memory.json"]
     calls["simulate-grid-agent-extent"] = ["simulate", "--agents", "inputs/relay.csv",
                                            "--grid-n", "64", "--history", "0.99,-0.5"]
-    for bad in ("falling", "slope"):
+    for bad in ("falling", "slope", "overflow"):
         calls[f"bad-soft-{bad}"] = ["simulate", "--model", "generalized", "--agents",
                                     f"inputs/bad_soft_{bad}.json", "--history", "0.5"]
+    calls["bad-relay-overflow"] = ["simulate", "--agents", "inputs/bad_relay_overflow.csv",
+                                   "--history", "0.5"]
     return calls
 
 

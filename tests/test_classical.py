@@ -116,6 +116,10 @@ class TestEvalDirect:
             AgentPopulation([2], [1], [-1])
         with pytest.raises(ValueError, match="agent 1: total capacity overflows"):
             AgentPopulation([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], [1e308] * 3)
+        # the float running total stays at the largest double; the exact one rounds to inf
+        with pytest.raises(ValueError, match="^agent 2: total capacity overflows$"):
+            AgentPopulation([0.5] * 3, [0.25] * 3,
+                            [1.7976931348623157e308, 2.0 ** 969, 2.0 ** 969])
 
     def test_zero_agents_rejected(self):
         with pytest.raises(ValueError, match="^at least one agent is required$"):
@@ -245,6 +249,15 @@ class TestWeightGrid:
                               (1e16, 10000000000000004, "1e+16, 1.0000000000000004e+16")]:
             with pytest.raises(ValueError, match=re.escape(f"invalid bounds ({shown})")):
                 build(lo, hi)
+
+    @pytest.mark.parametrize("build", [
+        lambda: WeightGrid(0, 1, [[1.7e308, 0], [1.7e308, 0]]),
+        lambda: uniform_grid(1e308, 4, (0.0, 2.0)),  # 10 half-cells of 2.5e307 each
+        lambda: WeightGrid(0, 1, [[1.7976931348623157e308, 0], [2.0 ** 969, 2.0 ** 969]]),
+    ])
+    def test_rejects_total_mass_past_the_float_range(self, build):
+        with pytest.raises(ValueError, match="^total cell mass overflows$"):
+            build()
 
     def test_rejects_mass_above_diagonal(self):
         # the far corner and the last cell just above the diagonal

@@ -300,6 +300,10 @@ HUGE_SOFT = [{"alpha": 0.75, "beta": 0.25, "f_plus": [[0, 1e308]], "f_minus": [[
 # the largest branch values of two agents add up past the float range
 TWO_LARGE_SOFT = [{"alpha": 0.75, "beta": 0.25, "f_plus": [[0, 6e307]],
                    "f_minus": [[0, 6e307]]}] * 2
+# the total counts each agent's two branches in turn: it overflows at agent 2, not
+# at agent 1, where a total of every f_plus before any f_minus would
+PLUS_HEAVY_SOFT = [{"alpha": 0.75, "beta": 0.25, "f_plus": [[0, -v]], "f_minus": [[0, 0]]}
+                   for v in (1e308, 0.0, 1e308)]
 
 
 def without(agent, key):
@@ -390,8 +394,9 @@ class TestBadSoftAgentFiles:
 
     @pytest.mark.filterwarnings("error")  # numpy warned on the overflowing midline
     @pytest.mark.parametrize("command", ["simulate", "decompose"])
-    @pytest.mark.parametrize("agents, k", [(HUGE_SOFT, 0), (TWO_LARGE_SOFT, 1)],
-                             ids=["one-agent", "two-agents"])
+    @pytest.mark.parametrize("agents, k", [(HUGE_SOFT, 0), (TWO_LARGE_SOFT, 1),
+                                           (PLUS_HEAVY_SOFT, 2)],
+                             ids=["one-agent", "two-agents", "agent-order"])
     def test_total_branch_value_past_the_float_range(self, tmp_path, capsys, command, agents,
                                                       k):
         path = tmp_path / "soft.json"
@@ -501,6 +506,67 @@ class TestBadRelayAgentFiles:
         with pytest.raises(ValueError) as exc:
             preisach.classical.AgentPopulation([1.0, float("nan")], [0.0, 0.0], [-1.0, 1.0])
         assert str(exc.value) == "agent 0: negative capacity -1.0"
+
+
+# The largest double, then twice 2**969, a quarter of its ulp: the float running total
+# stays at the largest double, but the exact total of all three is 2**1024 - 2**970,
+# which rounds to inf. The first two alone round to the largest double.
+EDGE_VALUES = (1.7976931348623157e+308, 4.9896007738368e+291, 4.9896007738368e+291)
+EDGE_COMMANDS = {
+    "simulate": ["simulate", "--history", "1"],
+    "simulate-grid": ["simulate", "--grid-n", "4", "--bounds", "0,1", "--history", "1"],
+    "decompose": ["decompose", "--history", "1"],
+    "loop": ["loop", "--u-minus", "0", "--u-plus", "1", "--history", "1"],
+    "chord": ["chord", "--u-minus", "0", "--u-plus", "1", "--at", "0.4"],
+    "verify": ["verify"],
+}
+EDGE_CASES = [(kind, command) for kind in ("relay", "shifted", "generalized")
+              for command in EDGE_COMMANDS if kind == "relay" or command != "simulate-grid"]
+
+
+def edge_file(tmp_path, kind, rows=3):
+    """A file of the first ``rows`` agents on ``EDGE_VALUES`` and the options that read it."""
+    values = EDGE_VALUES[:rows]
+    if kind == "relay":
+        path = tmp_path / "agents.csv"
+        path.write_text("alpha,beta,nu\n" + "".join(f"0.5,0.25,{v!r}\n" for v in values))
+        return path, ["--agents", str(path)]
+    if kind == "shifted":
+        data = {"agents": [{"alpha": 0.5, "beta": 0.25, "nu": v} for v in values],
+                "g1": [[0.0, 0.0]], "g2": [[0.0, 0.0]]}
+    else:
+        data = [{"alpha": 0.5, "beta": 0.25, "f_plus": [[0.0, 0.0]], "f_minus": [[0.0, v]]}
+                for v in values]
+    path = tmp_path / "agents.json"
+    path.write_text(json.dumps(data))
+    return path, ["--model", kind, "--agents", str(path)]
+
+
+class TestExactOverflowRules:
+    """Each rule bounds the exact running total, not the float one, so every sum a
+    readout forms, rounded once, stays a double."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, command", EDGE_CASES)
+    def test_total_that_rounds_to_inf_names_its_agent(self, tmp_path, capsys, kind, command):
+        path, model = edge_file(tmp_path, kind)
+        argv = EDGE_COMMANDS[command]
+        assert main([argv[0], *model, *argv[1:]]) == 2
+        where = f"{path}:4" if kind == "relay" else f"{path}: agent 2"
+        rule = "branch value" if kind == "generalized" else "capacity"
+        assert capsys.readouterr().err == f"preisach: error: {where}: total {rule} overflows\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["relay", "shifted", "generalized"])
+    def test_total_that_rounds_to_the_largest_double_reads(self, tmp_path, capsys, kind):
+        _, model = edge_file(tmp_path, kind, rows=2)
+        assert main(["simulate", *model, "--history", "1,0.4"]) == 0
+        assert main(["decompose", *model, "--history", "1,0.4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        top = repr(EDGE_VALUES[0])
+        assert out[2] == f"2,0.4,{top}"
+        assert out[-1].startswith("0.4,") and out[-1].endswith(f",{top}")
+        assert "inf" not in "".join(out)
 
 
 class TestGridOptions:

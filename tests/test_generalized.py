@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     branch_at,
     gen_apply,
+    masked_parts,
     random_history,
     random_population,
     random_shift_model,
@@ -14,6 +15,7 @@ from helpers import (
     random_soft_population,
     raw_relay_states,
     rectangular_population,
+    soft_exact,
     soft_population,
     varying_gap_agents,
     varying_gap_population,
@@ -101,11 +103,14 @@ class TestEvalGeneralized:
 
 class TestReversibleTerms:
     def test_rectangular_agents_have_constant_gap_and_zero_midline(self):
+        # each part halves an exact sum of the levels +-nu: the capacity parts, offset 0
         pop = AgentPopulation([0.5, 0.25], [-0.5, 0.0], [1.0, 2.0])
         gpop = rectangular_embedding(pop)
-        for u in (-1.0, 0.1, 2.0):
+        for u in (-1.0, 0.1, 0.25, 2.0):
             assert np.array_equal(gpop.loop_gap_at(u), pop.nu)
-            assert gpop.offset(u) == 0.0
+            for states in ([-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]):
+                states = np.array(states)
+                assert gpop.parts(states, u) == masked_parts(pop, states, u), (u, states)
 
     def test_below_every_band_all_agents_count_negative(self):
         gpop = varying_gap_fixture()
@@ -127,10 +132,12 @@ class TestReversibleTerms:
                 mid += 0.5 * (branch_at(f_minus, u) + branch_at(f_plus, u))
                 if alpha <= u or beta >= u:  # forced, counted in its own state
                     forced += gap * float(raw_relay_states([alpha], [beta], seq)[0])
-            _, got_forced, got_mid = resumed_parts(gpop, seq)
-            assert got_forced == pytest.approx(forced, abs=1e-12)
-            assert got_mid == pytest.approx(mid, abs=1e-12)
-            assert gpop.offset(u) == got_mid
+            parts = resumed_parts(gpop, seq)
+            assert parts[1] == pytest.approx(forced, abs=1e-12)
+            assert parts[2] == pytest.approx(mid, abs=1e-12)
+            # and exactly: each sum of the agents' branch values rounded once
+            states = raw_relay_states(gpop.alpha, gpop.beta, seq)
+            assert parts == soft_exact(agents, states, u, u, u)[1]
 
 
 class TestIrreversiblePart:

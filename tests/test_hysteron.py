@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import branch_at, gen_apply, gen_output, random_history, rectangular_population
+from helpers import (ROUNDS_TO_INF, branch_at, gen_apply, gen_output, random_history,
+                     rectangular_population)
 from preisach import (
     AgentPopulation,
     GeneralizedPopulation,
@@ -9,6 +14,7 @@ from preisach import (
     ReversalSequence,
     relay_fold,
 )
+from preisach.hysteron import _overflow_at
 
 DOWN, UP = -1.0, 1.0
 
@@ -170,3 +176,30 @@ class TestGeneralizedHysteron:
             q = seq.extrema[-1] if seq.extrema else seq.start_u
             want, _ = relay(0.4, -0.2, DOWN, seq)
             assert gen_apply(*soft, DOWN, seq, q) == want
+
+
+TOP = 1.7976931348623157e+308  # the largest double
+
+
+class TestOverflowAt:
+    @given(st.lists(st.one_of(st.sampled_from([TOP, 2.0 ** 969, 2.0 ** 970, 2.0 ** 1023,
+                                               2.0 ** 1022, 5e-324, 0.0, 1.0]),
+                              st.floats(0.0, TOP)), max_size=8))
+    @example([TOP, 2.0 ** 969, 2.0 ** 969])  # the float running total stays at TOP
+    @example([TOP, 2.0 ** 969, 5e-324])  # 2**1024 - 2**970 less the smallest subnormal
+    @example([2.0 ** 1023, 2.0 ** 1023])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_first_exact_running_total_that_rounds_to_inf(self, values):
+        total, want = Fraction(0), len(values)
+        for k, v in enumerate(values):
+            total += Fraction(v)
+            if total >= ROUNDS_TO_INF:
+                want = k
+                break
+        assert _overflow_at(np.array(values, dtype=float)) == want
+
+    def test_long_sums_on_both_sides_of_2_1023(self):
+        # 2**16 values of 2**1007 add up to 2**1023 (exact sum taken, no overflow); 2**17
+        # of them reach 2**1024 at the last
+        assert _overflow_at(np.full(2 ** 16, 2.0 ** 1007)) == 2 ** 16
+        assert _overflow_at(np.full(2 ** 17, 2.0 ** 1007)) == 2 ** 17 - 1

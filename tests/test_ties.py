@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (branch_at, grid_cells, grid_reference, raw_relay_states,
-                     series_from_values, soft_population)
+from helpers import (branch_at, grid_cells, grid_reference, masked_parts, raw_relay_states,
+                     series_from_values, soft_exact, soft_population)
 from preisach import (
     AgentPopulation,
     GeneralizedPopulation,
@@ -33,7 +33,6 @@ from preisach import (
     relay_fold,
     states_of,
 )
-from preisach.classical import _RelayModel
 from preisach.cli import main
 
 RS = ReversalSequence
@@ -244,9 +243,17 @@ def same_bits(x: float, y: float) -> bool:
 
 def same_parts(sim) -> bool:
     """Whether a capacity simulator's ``parts``, read from its exact total, have
-    the bits of the masked ``math.fsum`` sums of ``_RelayModel.parts``."""
-    ref = _RelayModel.parts(sim.model, sim.states, sim.memory.current_u)
+    the bits of the masked ``math.fsum`` sums of ``helpers.masked_parts``."""
+    ref = masked_parts(sim.model, sim.states, sim.memory.current_u)
     return all(map(same_bits, sim.parts(), ref))
+
+
+def same_band_bits(sim) -> bool:
+    """Whether a shifted simulator's ``value`` and its model's ``output``, read from the
+    ledger, have the bits of the masked ``math.fsum`` of the band."""
+    u = sim.memory.current_u
+    band = masked_parts(sim.model, sim.states, u)[0]
+    return same_bits(sim.value(), band) and same_bits(sim.model.output(sim.states, u), band)
 
 
 def same_direct_bits(sim, lo: float, hi: float) -> bool:
@@ -283,7 +290,7 @@ class TestRelayIndex:
             steps, want = reference_states(sm, -1.0, values[:k])
             assert sim.states.tolist() == want.tolist(), u
             assert sm.fold(steps).tolist() == want.tolist(), u
-            assert same_bits(sim.value(), sm.band_sum(sm.nu, sim.states, u)), u
+            assert same_band_bits(sim), u
         assert sim.states.tolist() == [1.0, 1.0]
 
     @given(thresholds(), capacities, tenths, histories, shift_tables(), st.integers(0, 7))
@@ -301,8 +308,7 @@ class TestRelayIndex:
             def check(s, want, k):
                 assert np.array_equal(s.states, want), (model, k)
                 if isinstance(model, ShiftModel):  # also before the first push
-                    ref = model.band_sum(model.nu, s.states, s.memory.current_u)
-                    assert same_bits(s.value(), ref), (k, s.value(), ref)
+                    assert same_band_bits(s), k
                 if isinstance(model, AgentPopulation):
                     assert same_direct_bits(s, *span), k
                 if isinstance(model, (AgentPopulation, ShiftModel)):
@@ -350,8 +356,7 @@ class TestRelayIndex:
                               sim.model.up_compare, sim.model.down_compare)
             assert np.array_equal(sim.states, want), (sim.model, n_pairs)
             if isinstance(sim.model, ShiftModel):
-                ref = sim.model.band_sum(sim.model.nu, sim.states, sim.memory.current_u)
-                assert same_bits(sim.value(), ref), n_pairs
+                assert same_band_bits(sim), n_pairs
             if isinstance(sim.model, AgentPopulation):
                 assert same_direct_bits(sim, -2.0, 1.0), n_pairs  # the history's span
             if isinstance(sim.model, (AgentPopulation, ShiftModel)):
@@ -362,6 +367,65 @@ class TestRelayIndex:
             check(sim, 120)
             sim.push(bottoms[60])  # swallows the 60 innermost pairs
             check(sim, 61)
+
+
+def same_soft_readout(gpop, agents, sim, lo: float, hi: float) -> bool:
+    """Whether a soft simulator's ``value`` and ``parts``, its population's ``output`` and
+    the ``chord`` of the cycle ``[lo, hi]`` at the current input have the bits of the
+    agents' branch values summed exactly and rounded once (``helpers.soft_exact``)."""
+    u = sim.memory.current_u
+    value, parts, chord = soft_exact(agents, sim.states, u, lo, hi)
+    return (same_bits(sim.value(), value) and same_bits(gpop.output(sim.states, u), value)
+            and all(map(same_bits, sim.parts(), parts)) and same_bits(gpop.chord(lo, hi, u), chord))
+
+
+TOP = 1.7976931348623157e308  # the largest double
+
+
+class TestSoftReadout:
+    """The soft readout is one ``math.fsum`` of the branch levels per sum: each output,
+    part and chord is the exact sum of the agents' branch values rounded once."""
+
+    @given(st.lists(soft_agents(), min_size=1, max_size=8), tenths, histories, st.booleans())
+    @TIES
+    def test_exact_sums_on_thresholds_and_knots(self, agents, start, values, resume):
+        # thresholds, knots and inputs share the one-decimal grid, so inputs land on them
+        gpop = soft_population(agents)
+        span = min(start, *values), max(start, *values)
+        sim = gpop.simulator(start)
+        assert same_soft_readout(gpop, agents, sim, *span)
+        for u in values:
+            sim.push(u)
+            assert same_soft_readout(gpop, agents, sim, *span), u
+        if resume:
+            assert same_soft_readout(gpop, agents, gpop.simulator(memory=sim.memory), *span)
+
+    def test_subnormal_levels(self):
+        # each part halves an exact sum rounded once, so it is the exact half rounded once:
+        # half of 5e-324 rounds to 0 (ties to even) and half of 1.5e-323 to 1e-323, so
+        # there the parts need not add up to the output
+        for top, half in ((5e-324, 0.0), (1.5e-323, 1e-323)):
+            agents = [(0.5, -0.5, [(0.0, 0.0)], [(0.0, top)])]
+            gpop = soft_population(agents)
+            sim = gpop.simulator(-1.0)
+            sim.push(0.6)
+            sim.push(0.0)  # UP in the band
+            assert sim.value() == top
+            assert sim.parts() == (half, 0.0, half)
+            assert same_soft_readout(gpop, agents, sim, -1.0, 0.6)
+
+    def test_levels_near_the_float_range(self):
+        # the agents' largest values add up to TOP + 2**969, which rounds to TOP: the rule
+        # passes them, and every sum the readout forms stays a double
+        agents = [(0.5, -0.5, [(-1.0, -TOP / 4), (1.0, 0.0)], [(-1.0, 0.0), (1.0, TOP / 4)]),
+                  (0.25, -0.25, [(0.0, -TOP / 4)], [(0.0, TOP / 4)]),
+                  (0.0, 0.0, [(0.0, 0.0)], [(0.0, 2.0 ** 969)])]
+        gpop = soft_population(agents)
+        sim = gpop.simulator(-1.0)
+        for u in (1.0, -0.25, 0.5, -1.0, 0.0, 1.0, 0.25):
+            sim.push(u)
+            assert same_soft_readout(gpop, agents, sim, -1.0, 1.0), u
+            assert all(map(math.isfinite, (sim.value(), *sim.parts(), gpop.chord(-1.0, 1.0, u))))
 
 
 class TestPackedReadout:
