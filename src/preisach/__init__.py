@@ -13,8 +13,6 @@ from .signal import (
     ReversalSequence,
     SampledSeries,
     extract_reversals,
-    require_valid,
-    validate,
 )
 from .hysteron import PiecewiseLinear, relay_fold
 from .memory import (
@@ -79,9 +77,7 @@ __all__ = [
     "minor_loop",
     "push_extremum",
     "relay_fold",
-    "require_valid",
     "save_memory",
     "states_of",
     "uniform_grid",
-    "validate",
 ]

@@ -55,7 +55,7 @@ from .memory import (
     push_extremum,
     starting_memory,
 )
-from .signal import ReversalSequence, require_valid
+from .signal import ReversalSequence
 
 
 def require_cycle(u_minus: float, u_plus: float, n_points: int = 2) -> None:
@@ -384,7 +384,6 @@ def eval_direct(pop: AgentPopulation, seq: ReversalSequence) -> np.ndarray:
     Returns ``len(seq) + 1`` outputs: in the initial state, all agents
     DOWN, then after each reversal.
     """
-    require_valid(seq)
     states = np.full(len(pop), -1.0)
     out = [pop.output(states, seq.start_u)]
     for value, rising in seq.steps():
@@ -639,8 +638,9 @@ class LoopTrace:
     f_descending: np.ndarray
 
     def chord(self) -> np.ndarray:
-        """Vertical gap between the branches at each grid input."""
-        return self.f_descending - self.f_ascending
+        """Vertical gap between the branches at each grid input; ``inf`` past the float range."""
+        with np.errstate(over="ignore"):
+            return self.f_descending - self.f_ascending
 
 
 def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
@@ -655,7 +655,6 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
     weight grid, or their generalized counterparts.
     """
     require_cycle(u_minus, u_plus, n_points)
-    require_valid(history)
 
     sim = model.simulator(history.start_u)
     for v in history.extrema:
@@ -689,25 +688,21 @@ class CongruencyReport:
     max_deviation: float
 
 
-def _require_comparable(l1: LoopTrace, l2: LoopTrace) -> None:
-    if (
-        l1.u_minus != l2.u_minus
-        or l1.u_plus != l2.u_plus
-        or not np.array_equal(l1.us, l2.us)
-    ):
-        raise ValueError("incomparable loops: cycle bounds or input grids differ")
-
-
 def check_congruency(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> CongruencyReport:
     """Compare two loops up to a vertical translation.
 
     Both loops are anchored at their ascending start; the report carries
-    the largest remaining branch deviation over both branches.
+    the largest remaining branch deviation over both branches. The branches
+    are anchored in halves, so ``f - f_ascending[0]`` never passes the float
+    range, and the deviation is doubled back: wherever the direct difference
+    stays in range and no nonzero value is below 2**-1021 in magnitude, these
+    are its bits.
     """
-    _require_comparable(l1, l2)
-    shift1 = l1.f_ascending[0]
-    shift2 = l2.f_ascending[0]
-    d_asc = np.abs((l1.f_ascending - shift1) - (l2.f_ascending - shift2))
-    d_desc = np.abs((l1.f_descending - shift1) - (l2.f_descending - shift2))
-    dev = float(max(d_asc.max(), d_desc.max()))
+    if l1.u_minus != l2.u_minus or l1.u_plus != l2.u_plus or not np.array_equal(l1.us, l2.us):
+        raise ValueError("incomparable loops: cycle bounds or input grids differ")
+
+    def anchored(loop):
+        return np.array([loop.f_ascending, loop.f_descending]) / 2 - loop.f_ascending[0] / 2
+    with np.errstate(over="ignore"):  # a deviation past the float range reads inf
+        dev = 2 * float(np.abs(anchored(l1) - anchored(l2)).max())
     return CongruencyReport(congruent=dev <= tol, max_deviation=dev)

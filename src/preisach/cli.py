@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .classical import SupportError, from_agents, minor_loop, require_cycle
 from .memory import load_memory, save_memory
-from .signal import ReversalSequence, extract_reversals, require_valid
+from .signal import ReversalSequence, extract_reversals
 from .verify import residual_limit, run_suite
 
 USAGE_ERROR = 1
@@ -105,25 +105,26 @@ def _load_model(args):
     return fileio.read_shift_json(args.agents)
 
 
-def _input_values(args, start_u: float) -> list[float]:
+def _input_values(args, start_u: float) -> tuple[float, ...]:
     """The input moves to drive, from --input or --history (``main`` requires just one)."""
     if args.input:
-        return list(fileio.read_series_csv(args.input).values)
+        return fileio.read_series_csv(args.input).values
+    return _history_seq(args, start_u).extrema
+
+
+def _history_seq(args, start_u: float) -> ReversalSequence:
+    """History as a reversal sequence (empty when none was given); building it checks it."""
+    if args.input:
+        return extract_reversals(fileio.read_series_csv(args.input), start_u)
+    if not args.history:
+        return ReversalSequence(start_u)
     try:
         values = [float(x) for x in args.history.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --history value: {exc}") from exc
     if not values:
         raise ValueError("empty --history")
-    require_valid(ReversalSequence(start_u, tuple(values)))
-    return values
-
-
-def _history_seq(args, start_u: float) -> ReversalSequence:
-    """History as a reversal sequence (empty when none was given)."""
-    if args.input:
-        return extract_reversals(fileio.read_series_csv(args.input), start_u)
-    return ReversalSequence(start_u, tuple(_input_values(args, start_u) if args.history else ()))
+    return ReversalSequence(start_u, tuple(values))
 
 
 def _write_rows(args, header, rows) -> None:
@@ -167,7 +168,9 @@ def cmd_loop(args) -> int:
     chord_formula = np.array(
         [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
     )
-    mismatch = float(np.abs(chord_loop - chord_formula).max())
+    with np.errstate(invalid="ignore"):  # inf - inf: equal values, infinities too, agree
+        gaps = np.abs(chord_loop - chord_formula)
+    mismatch = float(gaps[chord_loop != chord_formula].max(initial=0.0))
     if mismatch <= residual_limit(args.tol, (trace.f_ascending, trace.f_descending)):
         header = ["u", "f_ascending", "f_descending", "chord"]
         rows = zip(trace.us, trace.f_ascending, trace.f_descending, chord_loop)

@@ -89,8 +89,11 @@ def read_agents_csv(path) -> AgentPopulation:
     cols = _columns(path, names, check)
     if not len(cols[0]):
         raise ValueError(f"{path}: empty agent file")
-    check(cols)
-    return AgentPopulation(*cols)
+    try:
+        return AgentPopulation(*cols)
+    except ValueError:  # the population names the agent, ``check`` its line
+        check(cols)
+        raise
 
 
 def read_generalized_json(path) -> GeneralizedPopulation:

@@ -55,7 +55,6 @@ from .classical import (
     _CapacitySimulator,
     _RelayModel,
     _RelaySimulator,
-    _require_comparable,
     check_congruency,
 )
 from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
@@ -155,9 +154,8 @@ def check_equal_chords(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> Equa
     ``chords_equal`` true with ``congruent`` false is the expected signature
     of an input-dependent weight.
     """
-    _require_comparable(l1, l2)
+    congruency = check_congruency(l1, l2, tol)  # raises first on incomparable loops
     chord_dev = float(np.abs(l1.chord() - l2.chord()).max())
-    congruency = check_congruency(l1, l2, tol)
     return EqualChordsReport(
         chords_equal=chord_dev <= tol,
         max_chord_deviation=chord_dev,

@@ -4,7 +4,8 @@ Rate-independent hysteresis operators never see how fast the input moves:
 only the turning points of the input path matter. This module holds the two
 input representations used throughout the package -- a sampled time series
 and the alternating sequence of reversal values it reduces to -- plus the
-reduction itself.
+reduction itself. Each checks its invariants when it is built, so every one
+that exists is valid and no caller checks it again.
 
 Reduction conventions (fixed for determinism):
 
@@ -56,13 +57,18 @@ class SampledSeries:
 class ReversalSequence:
     """Alternating reversal values of an input path starting at ``start_u``.
 
-    The invariants (strict alternation, no repeats, all finite) are not
-    enforced on construction; use :func:`validate` to check a hand-built
-    sequence. Everything produced by :func:`extract_reversals` is valid.
+    Construction checks the invariants -- all values finite, no value equal
+    to the one before it, and strict alternation -- and raises ``ValueError``
+    naming the first violation and its index, so every sequence is valid.
     """
 
     start_u: float
     extrema: tuple[float, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        problem = _violation(self.start_u, self.extrema)
+        if problem is not None:
+            raise ValueError(f"invalid reversal sequence: {problem}")
 
     def __len__(self) -> int:
         return len(self.extrema)
@@ -80,7 +86,6 @@ class ReversalSequence:
         ``query_u`` is the momentary input on the final leg: it must equal
         the last reversal value or continue monotonically past it.
         """
-        require_valid(self)
         if not math.isfinite(query_u):
             raise ValueError("query value must be finite")
         steps = list(self.steps())
@@ -95,17 +100,13 @@ class ReversalSequence:
         return steps
 
 
-def validate(seq: ReversalSequence) -> str | None:
-    """Check the alternation invariants of a reversal sequence.
-
-    Returns None when the sequence is valid, otherwise a description of the
-    first violation (including the offending index).
-    """
-    if not math.isfinite(seq.start_u):
+def _violation(start_u: float, extrema) -> str | None:
+    """The first violation of the reversal-sequence invariants, with its index, or None."""
+    if not math.isfinite(start_u):
         return "start value is not finite"
-    prev = seq.start_u
+    prev = start_u
     direction = 0
-    for i, v in enumerate(seq.extrema):
+    for i, v in enumerate(extrema):
         if not math.isfinite(v):
             return f"violation at index {i}: value is not finite"
         if v == prev:
@@ -117,13 +118,6 @@ def validate(seq: ReversalSequence) -> str | None:
         direction = d
         prev = v
     return None
-
-
-def require_valid(seq: ReversalSequence) -> None:
-    """Raise ValueError if ``seq`` violates the reversal-sequence invariants."""
-    problem = validate(seq)
-    if problem is not None:
-        raise ValueError(f"invalid reversal sequence: {problem}")
 
 
 def extract_reversals(series: SampledSeries, start_u: float) -> ReversalSequence:

@@ -5,7 +5,8 @@ bytes of every CLI call on them.
 
 * ``inputs/``: relay agents with non-dyadic capacities (run directly and
   binned into a 64 x 64 grid), a shift model, soft-branch agents, a sampled
-  series, and two bad soft-agent files;
+  series, bad relay and soft-agent files, and one relay whose chord is past
+  the float range;
 * ``expected/manifest.json``: each call's argv, exit code and stderr, and
   the files it writes; ``expected/<case>.stdout`` and those files hold the
   bytes it wrote.
@@ -120,6 +121,8 @@ def write_inputs() -> None:
     (INPUTS / "bad_soft_overflow.json").write_text(json.dumps(
         [{"alpha": 0.5, "beta": 0.25, "f_plus": [[0.0, 0.0]], "f_minus": [[0.0, v]]}
          for v in edge]) + "\n")
+    # outputs of -1e308 and 1e308: the chord inside the relay's loop is 2e308, so inf
+    (INPUTS / "huge_relay.csv").write_text("alpha,beta,nu\n0.5,0.25,1e308\n")
 
 
 # relay thresholds hit: 0.7, 0.2, 0.5, 0.3 (tenths), 0.46875 (30/64)
@@ -142,7 +145,8 @@ KINDS = {
 
 def cases() -> dict[str, list[str]]:
     """Each call by name: the five commands on every model kind, a run split in
-    two by ``--memory-out``/``--memory-in``, and a few runs that fail."""
+    two by ``--memory-out``/``--memory-in``, a few runs that fail, and a loop
+    whose chord is past the float range."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -169,6 +173,9 @@ def cases() -> dict[str, list[str]]:
                                     f"inputs/bad_soft_{bad}.json", "--history", "0.5"]
     calls["bad-relay-overflow"] = ["simulate", "--agents", "inputs/bad_relay_overflow.csv",
                                    "--history", "0.5"]
+    calls["bad-history"] = ["simulate", *KINDS["relay"][0], "--history", "0.5,0.7"]
+    calls["loop-relay-huge"] = ["loop", "--agents", "inputs/huge_relay.csv",
+                                "--u-minus", "0.2", "--u-plus", "0.6", "--n-points", "5"]
     return calls
 
 

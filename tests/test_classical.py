@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import preisach.classical
 from helpers import (
@@ -17,6 +19,7 @@ from helpers import (
 )
 from preisach import (
     AgentPopulation,
+    LoopTrace,
     PiecewiseLinear,
     ReversalSequence,
     ShiftModel,
@@ -34,6 +37,11 @@ from preisach import (
 from preisach.classical import _limb_bits
 
 RS = ReversalSequence
+# a relay whose branches are 2e308 apart: past the float range
+HUGE_RELAY = ([0.5], [0.25], [1e308])
+# magnitudes whose halves are exact, and whose anchored differences stay in range
+NORMAL_OUTPUT = st.one_of(st.just(0.0), st.floats(2.0 ** -1021, 1e300),
+                          st.floats(-1e300, -(2.0 ** -1021)))
 
 
 def scaled(values, scale):
@@ -460,6 +468,32 @@ class TestMinorLoop:
             report = check_congruency(l1, l2, 1e-12)
             assert report.congruent, report
 
+    @pytest.mark.filterwarnings("error")
+    def test_congruency_past_the_float_range(self):
+        pop = AgentPopulation(*HUGE_RELAY)
+        l1 = minor_loop(pop, RS(0.0, (0.9,)), 0.2, 0.6, 5)
+        l2 = minor_loop(pop, RS(0.0, (0.9, 0.1)), 0.2, 0.6, 5)
+        assert float(l1.f_descending[1]) - float(l1.f_ascending[0]) == math.inf
+        report = check_congruency(l1, l2)
+        assert report.congruent and report.max_deviation == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_deviation_past_the_float_range_reads_inf(self):
+        # anchored in halves, the branches still differ by 3.4e308 at u = 1
+        us, big = np.array([0.0, 1.0]), 1.7e308
+        l1 = LoopTrace(0.0, 1.0, us, np.array([-big, big]), np.array([big, big]))
+        l2 = LoopTrace(0.0, 1.0, us, np.array([big, -big]), np.array([big, -big]))
+        assert check_congruency(l1, l2).max_deviation == math.inf
+
+    @given(st.lists(st.tuples(*[NORMAL_OUTPUT] * 4), min_size=1, max_size=6))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_congruency_keeps_the_bits_of_the_direct_difference(self, rows):
+        a1, d1, a2, d2 = np.array(rows).T
+        us = np.linspace(0.0, 1.0, len(rows))
+        l1, l2 = LoopTrace(0.0, 1.0, us, a1, d1), LoopTrace(0.0, 1.0, us, a2, d2)
+        direct = max(np.abs((f1 - a1[0]) - (f2 - a2[0])).max() for f1, f2 in ((a1, a2), (d1, d2)))
+        assert check_congruency(l1, l2).max_deviation == direct
+
     def test_incomparable_loops_rejected(self, center_population):
         l1 = minor_loop(center_population, RS(0.0, ()), 0.2, 0.8, 11)
         l2 = minor_loop(center_population, RS(0.0, ()), 0.2, 0.8, 13)
@@ -475,6 +509,13 @@ class TestVerticalChord:
     def test_outside_cycle_rejected(self, center_population):
         with pytest.raises(ValueError, match="outside cycle"):
             center_population.chord(0.2, 0.8, 0.9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_loop_gap_past_the_float_range_reads_inf(self):
+        pop = AgentPopulation(*HUGE_RELAY)
+        trace = minor_loop(pop, RS(0.0), 0.2, 0.6, 5)
+        assert trace.chord().tolist() == [0.0, math.inf, math.inf, 0.0, 0.0]
+        assert [pop.chord(0.2, 0.6, float(u)) for u in trace.us] == trace.chord().tolist()
 
     def test_equals_loop_gap_for_arbitrary_populations(self):
         # Loop-simulation oracle for the closed-form rectangle sum.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
 def agents_csv(tmp_path):
     path = tmp_path / "agents.csv"
     path.write_text(AGENTS_CSV)
+    return str(path)
+
+
+@pytest.fixture()
+def huge_relay_csv(tmp_path):
+    """One relay whose outputs are -1e308 and 1e308: its chord, 2e308, is past the float range."""
+    path = tmp_path / "huge.csv"
+    path.write_text("alpha,beta,nu\n0.5,0.25,1e308\n")
     return str(path)
 
 
@@ -69,7 +78,8 @@ def large_agents_csv(tmp_path):
 
 
 def read_rows(path):
-    lines = open(path, "r", encoding="utf-8").read().strip().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().strip().splitlines()
     header = lines[0].split(",")
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return header, rows
@@ -891,6 +901,29 @@ class TestLoop:
         assert read_rows(out)[0][-1] == "chord_formula"
 
 
+    HUGE_LOOP = ["loop", "--u-minus", "0.2", "--u-plus", "0.6", "--n-points", "5"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinite_chords_agree(self, huge_relay_csv, tmp_path, capsys):
+        out = tmp_path / "loop.csv"
+        assert main([*self.HUGE_LOOP, "--agents", huge_relay_csv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_rows(out)
+        assert header == ["u", "f_ascending", "f_descending", "chord"]
+        assert [(u, chord) for u, _, _, chord in rows] == [
+            (0.2, 0.0), (0.3, math.inf), (0.4, math.inf), (0.5, 0.0), (0.6, 0.0)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_infinite_chord_still_warns(self, huge_relay_csv, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(preisach.classical.AgentPopulation, "chord",
+                            lambda *args: 0.0)
+        out = tmp_path / "loop.csv"
+        assert main([*self.HUGE_LOOP, "--agents", huge_relay_csv, "--out", str(out)]) == 0
+        assert "warning: chord mismatch up to inf" in capsys.readouterr().err
+        assert read_rows(out)[0][-1] == "chord_formula"
+
+
 class TestChord:
     def test_single_probe(self, agents_csv, tmp_path):
         out = tmp_path / "chord.csv"
@@ -1080,6 +1113,13 @@ class TestVerify:
         # outputs near 1e9: rounding alone gives deviations far above 1e-12
         assert main(["verify", "--agents", large_agents_csv]) == 0
         assert "PASS  congruency" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_congruency_past_the_float_range(self, huge_relay_csv, capsys):
+        code = main(["verify", "--agents", huge_relay_csv, "--grid-n", "4", "--bounds", "0,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "PASS  congruency: max deviation 0.000e+00" in captured.out
 
     def test_relative_error_in_one_loop_fails_at_scale(self, large_agents_csv, monkeypatch,
                                                        capsys):

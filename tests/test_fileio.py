@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import preisach.classical
 from helpers import agents_by_row, series_by_row, soft_agents_by_loop
 from preisach import AgentPopulation, GeneralizedPopulation, SampledSeries, fileio
 
@@ -141,6 +142,21 @@ def test_clean_files_skip_the_row_loops(tmp_path, monkeypatch):
     assert len(fileio.read_agents_csv(str(tmp_path / "a.csv"))) == 2
     assert fileio.read_series_csv(str(tmp_path / "s.csv")).values == (0.5, -0.5)
     assert len(fileio.read_generalized_json(str(tmp_path / "g.json"))) == 2
+
+
+def test_clean_agent_file_is_checked_once(tmp_path, monkeypatch):
+    calls = []
+    relay_fault = preisach.classical._relay_fault
+
+    def counted(*cols):
+        calls.append(len(cols[0]))
+        return relay_fault(*cols)
+
+    for module in (preisach.classical, fileio):  # the population's binding and the reader's
+        monkeypatch.setattr(module, "_relay_fault", counted)
+    (tmp_path / "a.csv").write_text("alpha,beta,nu\n0.5,0.1,1\n0.7,0.7,0\n0.9,0.2,2\n")
+    assert len(fileio.read_agents_csv(str(tmp_path / "a.csv"))) == 3
+    assert calls == [3]
 
 
 @st.composite

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import series_from_values
-from preisach import ReversalSequence, SampledSeries, extract_reversals, validate
+from preisach import ReversalSequence, SampledSeries, extract_reversals
 
 
 def sign_change_scan(start, values):
@@ -47,8 +49,7 @@ class TestExtractReversals:
 
     def test_constant_series_gives_empty_sequence(self):
         seq = extract_reversals(series_from_values([0, 0, 0]), 0.0)
-        assert seq.extrema == ()
-        assert validate(seq) is None
+        assert seq == ReversalSequence(0.0)
 
     def test_first_sample_below_start(self):
         seq = extract_reversals(series_from_values([-1, 4]), 0.0)
@@ -65,7 +66,7 @@ class TestExtractReversals:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     def test_output_always_validates(self, values):
         seq = extract_reversals(series_from_values(values), 0.0)
-        assert validate(seq) is None
+        assert is_reversal_path(seq.start_u, seq.extrema)
 
     def test_rate_independence(self):
         # Same reversal values walked with different intermediate samplings
@@ -92,21 +93,58 @@ class TestSeriesValidation:
             extract_reversals(series_from_values([1.0]), float("inf"))
 
 
+def is_reversal_path(start, extrema):
+    """Oracle: every value finite, none equal to the one before, and moves alternating."""
+    path = [start, *extrema]
+    rises = [b > a for a, b in zip(path, path[1:])]
+    return (all(math.isfinite(v) for v in path)
+            and all(a != b for a, b in zip(path, path[1:]))
+            and all(r != s for r, s in zip(rises, rises[1:])))
+
+
+# a few values, so repeats and alternations are common, and any float, nan and inf too
+REVERSAL_VALUE = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats())
+
+
+def invalid(match):
+    return pytest.raises(ValueError, match=r"^invalid reversal sequence: " + match + "$")
+
+
 class TestValidate:
+    """Construction checks the invariants and names the first violation."""
+
     def test_valid_sequence(self):
-        assert validate(ReversalSequence(0.0, (3.0, 1.0, 2.0))) is None
+        assert ReversalSequence(0.0, (3.0, 1.0, 2.0)).extrema == (3.0, 1.0, 2.0)
 
     def test_two_increases_in_a_row(self):
-        msg = validate(ReversalSequence(0.0, (3.0, 4.0)))
-        assert msg is not None and "index 1" in msg and "increases" in msg
+        with invalid("violation at index 1: two increases in a row"):
+            ReversalSequence(0.0, (3.0, 4.0))
+
+    def test_two_decreases_in_a_row(self):
+        with invalid("violation at index 2: two decreases in a row"):
+            ReversalSequence(0.0, (3.0, 1.0, 0.5))
 
     def test_repeated_value(self):
-        msg = validate(ReversalSequence(0.0, (3.0, 3.0)))
-        assert msg is not None and "index 1" in msg and "repeat" in msg
+        with invalid("violation at index 1: repeats previous value"):
+            ReversalSequence(0.0, (3.0, 3.0))
 
     def test_first_extremum_equal_to_start(self):
-        assert validate(ReversalSequence(3.0, (3.0,))) is not None
+        with invalid("violation at index 0: repeats previous value"):
+            ReversalSequence(3.0, (3.0,))
 
     def test_non_finite_extremum(self):
-        msg = validate(ReversalSequence(0.0, (float("nan"),)))
-        assert msg is not None and "index 0" in msg
+        with invalid("violation at index 0: value is not finite"):
+            ReversalSequence(0.0, (float("nan"),))
+
+    def test_non_finite_start(self):
+        with invalid("start value is not finite"):
+            ReversalSequence(float("inf"))
+
+    @given(REVERSAL_VALUE, st.lists(REVERSAL_VALUE, max_size=6))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    def test_constructs_exactly_when_the_oracle_accepts(self, start, extrema):
+        if is_reversal_path(start, extrema):
+            assert ReversalSequence(start, tuple(extrema)).extrema == tuple(extrema)
+        else:
+            with invalid(".+"):
+                ReversalSequence(start, tuple(extrema))
