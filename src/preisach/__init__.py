@@ -17,7 +17,6 @@ from .signal import (
 from .hysteron import PiecewiseLinear, relay_fold
 from .memory import (
     StaircaseMemory,
-    apply_sequence,
     check_invariants,
     initial_memory,
     load_memory,
@@ -32,7 +31,6 @@ from .classical import (
     LoopTrace,
     WeightGrid,
     check_congruency,
-    eval_direct,
     eval_geometric,
     from_agents,
     minor_loop,
@@ -61,12 +59,10 @@ __all__ = [
     "ShiftModel",
     "StaircaseMemory",
     "WeightGrid",
-    "apply_sequence",
     "check_congruency",
     "check_equal_chords",
     "check_invariants",
     "chord_generalized",
-    "eval_direct",
     "eval_generalized",
     "eval_geometric",
     "extract_reversals",

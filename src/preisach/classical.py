@@ -1,7 +1,7 @@
 """Aggregation of rectangular binary agents, with two evaluation routes.
 
-``eval_direct`` is the definition: each agent is a rectangular relay, the
-aggregate output is the capacity-weighted sum of relay states, taken exactly
+``AgentPopulation.output`` is the definition: each agent is a rectangular relay,
+the aggregate output is the capacity-weighted sum of relay states, taken exactly
 and rounded once. It costs O(agents) per input move and is the oracle.
 
 ``eval_geometric`` is the fast route: agents are binned by threshold pair
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteron import _ROUNDS_TO_INF, _overflow_at, relay_fold
+from .hysteron import _ROUNDS_TO_INF, _overflow_at
 from .memory import (
     FALLING,
     INITIAL,
@@ -378,20 +378,6 @@ class AgentPopulation(_RelayModel):
         return PopulationSimulator(self, starting_memory(start_u, memory))
 
 
-def eval_direct(pop: AgentPopulation, seq: ReversalSequence) -> np.ndarray:
-    """Aggregate output along a reversal sequence, one relay per agent.
-
-    Returns ``len(seq) + 1`` outputs: in the initial state, all agents
-    DOWN, then after each reversal.
-    """
-    states = np.full(len(pop), -1.0)
-    out = [pop.output(states, seq.start_u)]
-    for value, rising in seq.steps():
-        relay_fold(pop.alpha, pop.beta, [(value, rising)], states)
-        out.append(pop.output(states, value))
-    return np.array(out)
-
-
 class WeightGrid:
     """Cell-binned weight over the triangle beta0 <= beta <= alpha <= alpha0.
 
@@ -641,6 +627,13 @@ class LoopTrace:
         """Vertical gap between the branches at each grid input; ``inf`` past the float range."""
         with np.errstate(over="ignore"):
             return self.f_descending - self.f_ascending
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest ``|a - b|`` where ``a != b``: equal values, equal infinities too, read 0."""
+    differ = a != b
+    with np.errstate(over="ignore"):  # a gap past the float range reads inf
+        return float(np.abs(a[differ] - b[differ]).max(initial=0.0))
 
 
 def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,

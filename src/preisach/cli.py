@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .classical import SupportError, from_agents, minor_loop, require_cycle
+from .classical import SupportError, _max_gap, from_agents, minor_loop, require_cycle
 from .memory import load_memory, save_memory
 from .signal import ReversalSequence, extract_reversals
 from .verify import residual_limit, run_suite
@@ -168,9 +168,7 @@ def cmd_loop(args) -> int:
     chord_formula = np.array(
         [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
     )
-    with np.errstate(invalid="ignore"):  # inf - inf: equal values, infinities too, agree
-        gaps = np.abs(chord_loop - chord_formula)
-    mismatch = float(gaps[chord_loop != chord_formula].max(initial=0.0))
+    mismatch = _max_gap(chord_loop, chord_formula)
     if mismatch <= residual_limit(args.tol, (trace.f_ascending, trace.f_descending)):
         header = ["u", "f_ascending", "f_descending", "chord"]
         rows = zip(trace.us, trace.f_ascending, trace.f_descending, chord_loop)

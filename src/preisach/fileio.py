@@ -1,8 +1,8 @@
 """File formats: CSV series and agent tables, JSON agents and shift models.
 
-Each file is parsed once and checked by its model's one validity rule. A CSV
-table is parsed by numpy, or where numpy cannot, by a row loop that only parses.
-An agent at fault is named by its CSV line or JSON index, a shift table by name.
+Each file is parsed once and checked by its model's one validity rule. A CSV header
+must name its columns first; numpy parses the rows under it, or where it cannot, a
+row loop. An agent at fault is named by its CSV line or JSON index, a shift table by name.
 
 All real numbers are written with ``repr`` (shortest round-trip form) so
 identical inputs always produce byte-identical output files.
@@ -30,24 +30,31 @@ def fmt(x) -> str:
 
 
 def _columns(path, names: tuple[str, ...], check=lambda cols: None):
-    """The columns ``names`` under the header row as contiguous float arrays: one
-    ``np.loadtxt`` pass, or the row loop where that fails. Before the loop names a
-    line it cannot read, ``check`` runs on the columns above, so their faults come first."""
+    """The columns ``names`` under a header naming them first, as contiguous float arrays:
+    one ``np.loadtxt`` pass, or the row loop where that fails. Before the loop names a line
+    it cannot read, ``check`` runs on the columns above, so their faults come first."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns about a file without rows
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                               encoding="utf-8")
-    except (ValueError, OSError):  # whatever numpy cannot read, the row loop reads
-        table = np.empty((0, 0))
-    if not len(table) or table.shape[1] < len(names):
-        rows = []
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            line = fh.readline()  # a file without lines has no header and no rows
+        if line and [cell.strip() for cell in next(csv.reader([line]))[:len(names)]] != [*names]:
+            raise ValueError(f"{path}:1: expected {','.join(names)} header")
         try:
-            rows.extend(values for _, values in _rows(path, names))
-        except ValueError:
-            check(np.reshape(rows, (-1, len(names))).T)
-            raise
-        table = np.reshape(rows, (-1, len(names)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns about a file without rows
+                table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                                   encoding="utf-8")
+        except (ValueError, OSError):  # whatever numpy cannot read, the row loop reads
+            table = np.empty((0, 0))
+        if not len(table) or table.shape[1] < len(names):
+            rows = []
+            try:
+                rows.extend(values for _, values in _rows(path, names))
+            except ValueError:
+                check(np.reshape(rows, (-1, len(names))).T)
+                raise
+            table = np.reshape(rows, (-1, len(names)))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return [np.ascontiguousarray(col) for col in table.T[:len(names)]]
 
 
@@ -68,7 +75,7 @@ def _rows(path, names: tuple[str, ...]):
 
 
 def read_series_csv(path) -> SampledSeries:
-    """Parse a ``time,u`` CSV (header row required) into a series."""
+    """Parse a ``time,u`` CSV (a header naming those columns first) into a series."""
     times, values = _columns(path, ("time", "u"))
     try:
         return SampledSeries(tuple(times.tolist()), tuple(values.tolist()))
@@ -77,7 +84,7 @@ def read_series_csv(path) -> SampledSeries:
 
 
 def read_agents_csv(path) -> AgentPopulation:
-    """Parse an ``alpha,beta,nu`` CSV (header row required) into a population."""
+    """Parse an ``alpha,beta,nu`` CSV (a header naming those columns first) into a population."""
     names = ("alpha", "beta", "nu")
 
     def check(cols):

@@ -55,6 +55,7 @@ from .classical import (
     _CapacitySimulator,
     _RelayModel,
     _RelaySimulator,
+    _max_gap,
     check_congruency,
 )
 from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
@@ -155,7 +156,7 @@ def check_equal_chords(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> Equa
     of an input-dependent weight.
     """
     congruency = check_congruency(l1, l2, tol)  # raises first on incomparable loops
-    chord_dev = float(np.abs(l1.chord() - l2.chord()).max())
+    chord_dev = _max_gap(l1.chord(), l2.chord())
     return EqualChordsReport(
         chords_equal=chord_dev <= tol,
         max_chord_deviation=chord_dev,

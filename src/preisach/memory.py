@@ -166,25 +166,12 @@ def push_extremum(mem: StaircaseMemory, u: float) -> StaircaseMemory:
     )
 
 
-def apply_sequence(mem: StaircaseMemory, seq: ReversalSequence) -> StaircaseMemory:
-    """Fold a reversal sequence into the memory.
-
-    The sequence must take over exactly where the memory sits
-    (``seq.start_u == mem.current_u``).
-    """
-    if seq.start_u != mem.current_u:
-        raise ValueError(
-            "discontinuous history: sequence starts at "
-            f"{seq.start_u!r} but memory sits at {mem.current_u!r}"
-        )
+def memory_from_sequence(seq: ReversalSequence) -> StaircaseMemory:
+    """Build a memory from scratch by folding ``seq`` onto a fresh start."""
+    mem = initial_memory(seq.start_u)
     for v in seq.extrema:
         mem = push_extremum(mem, v)
     return mem
-
-
-def memory_from_sequence(seq: ReversalSequence) -> StaircaseMemory:
-    """Build a memory from scratch by folding ``seq`` onto a fresh start."""
-    return apply_sequence(initial_memory(seq.start_u), seq)
 
 
 def starting_memory(start_u=None, memory: StaircaseMemory | None = None) -> StaircaseMemory:

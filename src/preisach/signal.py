@@ -128,8 +128,6 @@ def extract_reversals(series: SampledSeries, start_u: float) -> ReversalSequence
     change records the value where the run turned, and the final sample
     always terminates the last run.
     """
-    if not math.isfinite(start_u):
-        raise ValueError("invalid sample: start value is not finite")
     extrema: list[float] = []
     prev = start_u
     direction = 0

@@ -90,6 +90,18 @@ def raw_relay_states(alphas, betas, seq: ReversalSequence) -> np.ndarray:
     return states
 
 
+def eval_direct(pop: AgentPopulation, seq: ReversalSequence) -> np.ndarray:
+    """Aggregate output along a reversal sequence, one relay per agent: ``len(seq) + 1``
+    outputs, in the initial state (every agent DOWN), then after each reversal, each
+    read by ``AgentPopulation.output``."""
+    states = np.full(len(pop), -1.0)
+    out = [pop.output(states, seq.start_u)]
+    for value, rising in seq.steps():
+        relay_fold(pop.alpha, pop.beta, [(value, rising)], states)
+        out.append(pop.output(states, value))
+    return np.array(out)
+
+
 def branch_at(knots, u) -> float:
     """A branch given by its ``(u, f)`` knots at input ``u``, by ``np.interp``."""
     us, fs = zip(*knots)

@@ -5,7 +5,8 @@ bytes of every CLI call on them.
 
 * ``inputs/``: relay agents with non-dyadic capacities (run directly and
   binned into a 64 x 64 grid), a shift model, soft-branch agents, a sampled
-  series, bad relay and soft-agent files, and one relay whose chord is past
+  series, bad relay and soft-agent files, an agent and a series file whose
+  headers name their columns out of order, and one relay whose chord is past
   the float range;
 * ``expected/manifest.json``: each call's argv, exit code and stderr, and
   the files it writes; ``expected/<case>.stdout`` and those files hold the
@@ -123,6 +124,10 @@ def write_inputs() -> None:
          for v in edge]) + "\n")
     # outputs of -1e308 and 1e308: the chord inside the relay's loop is 2e308, so inf
     (INPUTS / "huge_relay.csv").write_text("alpha,beta,nu\n0.5,0.25,1e308\n")
+    # headers that name their columns in another order: read by position, the relay
+    # (0.5, 0.25) of capacity 2 would be read as alpha 2, beta 0.5, nu 0.25
+    (INPUTS / "bad_header.csv").write_text("nu,alpha,beta\n2,0.5,0.25\n")
+    (INPUTS / "bad_header_series.csv").write_text("u,time\n0.5,0\n0.7,1\n")
 
 
 # relay thresholds hit: 0.7, 0.2, 0.5, 0.3 (tenths), 0.46875 (30/64)
@@ -176,6 +181,9 @@ def cases() -> dict[str, list[str]]:
     calls["bad-history"] = ["simulate", *KINDS["relay"][0], "--history", "0.5,0.7"]
     calls["loop-relay-huge"] = ["loop", "--agents", "inputs/huge_relay.csv",
                                 "--u-minus", "0.2", "--u-plus", "0.6", "--n-points", "5"]
+    calls["bad-header"] = ["simulate", "--agents", "inputs/bad_header.csv", "--history", "0.6"]
+    calls["bad-header-series"] = ["simulate", *KINDS["relay"][0],
+                                  "--input", "inputs/bad_header_series.csv"]
     return calls
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    eval_direct,
     random_history,
     random_population,
     random_shift_model,
@@ -27,7 +28,6 @@ from preisach import (
     ReversalSequence,
     check_congruency,
     check_equal_chords,
-    eval_direct,
     eval_generalized,
     extract_reversals,
     from_agents,

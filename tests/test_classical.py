@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import preisach.classical
 from helpers import (
     cell_masses,
+    eval_direct,
     random_history,
     random_population,
     raw_relay_states,
@@ -25,7 +26,6 @@ from preisach import (
     ShiftModel,
     WeightGrid,
     check_congruency,
-    eval_direct,
     eval_geometric,
     extract_reversals,
     from_agents,

@@ -279,6 +279,48 @@ class TestDataErrors:
         assert err == f"preisach: error: {path}: {message}\n"
 
 
+class TestCsvHeaders:
+    """Both CSV readers read their header: its first cells must name the columns in
+    order, and a file whose bytes are not UTF-8 is named."""
+
+    @staticmethod
+    def simulate(agents_csv, option, path):
+        """``simulate`` with ``path`` as the agent file or as the input series."""
+        if option == "--agents":
+            return main(["simulate", "--agents", str(path), "--history", "0.6"])
+        return main(["simulate", "--agents", agents_csv, "--input", str(path)])
+
+    @pytest.mark.parametrize("option, text, message", [
+        ("--agents", "nu,alpha,beta\n2,0.5,0.25\n", "expected alpha,beta,nu header"),
+        ("--input", "u,time\n0,0.5\n1,0.7\n", "expected time,u header"),
+    ])
+    def test_swapped_header_names_line_1(self, agents_csv, tmp_path, capsys, option, text,
+                                         message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert self.simulate(agents_csv, option, path) == 2
+        assert capsys.readouterr().err == f"preisach: error: {path}:1: {message}\n"
+
+    @pytest.mark.parametrize("header", [" alpha , beta,nu,note", "\ufeffalpha,beta,nu"],
+                             ids=["spaces-and-an-extra-column", "byte-order-mark"])
+    def test_header_naming_the_columns_first_reads(self, tmp_path, capsys, header):
+        (tmp_path / "a.csv").write_text(header + "\n2,1,1,x\n3,0,2,y\n", encoding="utf-8")
+        assert main(["simulate", "--agents", str(tmp_path / "a.csv"), "--history", "2.5"]) == 0
+        assert capsys.readouterr().out == "step,u,f\n1,2.5,-1.0\n"
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe", b"alpha,beta,nu\n0.5,0.25,1\n0.5,0.2\xff,1\n",
+                                      b"alpha,beta,nu\n" + b"0.5,0.25,1\n" * 2000 + b"\xff\n"],
+                             ids=["header", "row-3", "past-the-first-block"])
+    @pytest.mark.parametrize("option", ["--agents", "--input"])
+    def test_bytes_not_utf8_name_the_file(self, agents_csv, tmp_path, capsys, text, option):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text if option == "--agents"
+                         else text.replace(b"alpha,beta,nu", b"time,u"))
+        assert self.simulate(agents_csv, option, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"preisach: error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 # The soft-agent rules, each with its exact message: what the CLI prints after
 # "agent k: " and what the single-agent constructors raise.
 SOFT_RULES = {
@@ -812,6 +854,18 @@ class TestLoop:
             _, rows = read_rows(out)
             chords.append([r[3] for r in rows])
         assert chords[0] == chords[1]
+
+    def test_non_finite_start_reads_the_same_from_either_input(self, agents_csv, tmp_path,
+                                                               capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("time,u\n0,0.0\n1,3.0\n")
+        errs = []
+        for given in (["--input", str(series)], ["--history", "3"]):
+            assert main(["loop", "--agents", agents_csv, *given, "--start", "inf",
+                         "--u-minus", "0.5", "--u-plus", "2.5"]) == 2
+            errs.append(capsys.readouterr().err)
+        message = "invalid reversal sequence: start value is not finite"
+        assert errs == [f"preisach: error: {message}\n"] * 2
 
     def test_input_series_loops_as_its_reversals(self, agents_csv, tmp_path):
         # a leading sample at the start value, plateaus and monotone runs reduce to

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     branch_at,
+    eval_direct,
     gen_apply,
     masked_parts,
     random_history,
@@ -28,7 +29,6 @@ from preisach import (
     ShiftModel,
     check_equal_chords,
     chord_generalized,
-    eval_direct,
     eval_generalized,
     memory_from_sequence,
     minor_loop,
@@ -315,6 +315,16 @@ class TestGeneralizedChords:
         assert report.chords_equal
         assert not report.congruent
         assert report.max_branch_deviation > 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinite_chords_are_equal(self):
+        # one relay with outputs -1e308 and 1e308: its chord, 2e308, reads inf on both loops
+        pop = AgentPopulation([0.5], [0.25], [1e308])
+        l1 = minor_loop(pop, RS(0.0, (1.0, 0.0)), 0.2, 0.6, 5)
+        l2 = minor_loop(pop, RS(0.0, (0.9, 0.1)), 0.2, 0.6, 5)
+        assert np.isinf(l1.chord()).any()
+        report = check_equal_chords(l1, l2)
+        assert report.chords_equal and report.max_chord_deviation == 0.0
 
     def test_formula_matches_loop_gap(self):
         gpop = varying_gap_fixture()

@@ -7,7 +7,6 @@ from helpers import push_by_list, random_history, raw_relay_states
 from preisach import (
     AgentPopulation,
     ReversalSequence,
-    apply_sequence,
     check_invariants,
     initial_memory,
     load_memory,
@@ -118,13 +117,7 @@ class TestPushExtremum:
 
 class TestApplySequence:
     def test_empty_sequence_is_identity(self):
-        mem = memory_from_sequence(ReversalSequence(0.0, (5.0, 1.0)))
-        assert apply_sequence(mem, ReversalSequence(1.0, ())) == mem
-
-    def test_start_mismatch_rejected(self):
-        mem = memory_from_sequence(ReversalSequence(0.0, (5.0,)))
-        with pytest.raises(ValueError, match="discontinuous history"):
-            apply_sequence(mem, ReversalSequence(4.0, (1.0,)))
+        assert memory_from_sequence(ReversalSequence(1.0, ())) == initial_memory(1.0)
 
     def test_dominant_extrema_structure(self):
         m1, lo1, m2, lo2 = 5.0, 1.0, 4.0, 2.0

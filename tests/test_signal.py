@@ -89,7 +89,7 @@ class TestSeriesValidation:
             SampledSeries(times=(), values=())
 
     def test_non_finite_start_rejected(self):
-        with pytest.raises(ValueError, match="invalid sample"):
+        with pytest.raises(ValueError, match="start value is not finite"):
             extract_reversals(series_from_values([1.0]), float("inf"))
 
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (branch_at, grid_cells, grid_reference, masked_parts, raw_relay_states,
-                     series_from_values, soft_exact, soft_population)
+from helpers import (branch_at, eval_direct, grid_cells, grid_reference, masked_parts,
+                     raw_relay_states, series_from_values, soft_exact, soft_population)
 from preisach import (
     AgentPopulation,
     GeneralizedPopulation,
@@ -25,7 +25,6 @@ from preisach import (
     ReversalSequence,
     ShiftModel,
     WeightGrid,
-    eval_direct,
     eval_generalized,
     eval_geometric,
     extract_reversals,
