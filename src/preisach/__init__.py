@@ -37,10 +37,8 @@ from .classical import (
     uniform_grid,
 )
 from .generalized import (
-    EqualChordsReport,
     GeneralizedPopulation,
     ShiftModel,
-    check_equal_chords,
     chord_generalized,
     eval_generalized,
 )
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentPopulation",
     "CongruencyReport",
-    "EqualChordsReport",
     "GeneralizedPopulation",
     "LoopTrace",
     "PiecewiseLinear",
@@ -60,7 +57,6 @@ __all__ = [
     "StaircaseMemory",
     "WeightGrid",
     "check_congruency",
-    "check_equal_chords",
     "check_invariants",
     "chord_generalized",
     "eval_generalized",

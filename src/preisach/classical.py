@@ -16,16 +16,16 @@ history extremum needs to split a cell. Only the table's lower triangle is kept
 (no cell above the diagonal carries mass), packed row by row; built one cell
 row at a time, it is all the grid keeps, with no matrix of cell masses.
 
-Also here: cycle tracing (``minor_loop``), the translation-adjusted loop
-comparison (``check_congruency``), the vertical-chord formula (each
-model's ``chord``: twice the capacity inside the rectangle spanned by the
-cycle bounds and the probe input, a history-independent quantity), and the
-split of the output into its history-carrying band contribution and the
-part forced by the current input (each simulator's ``parts``, over the relays
-of ``_RelayModel.masks``). What every relay model and its simulator share lives
-here as well (``_RelayModel``, ``_RelaySimulator``), and so does ``_relay_fault``,
-the one validity rule every relay agent is checked by: its exact total capacity
-must round to a double, so every sum of capacities a readout forms does.
+Also here: cycle tracing (``minor_loop``), the one loop comparison
+(``check_congruency``: branches up to a translation, and chords), the vertical-chord
+formula (each model's ``chord``: twice the capacity inside the rectangle spanned by
+the cycle bounds and the probe input, a history-independent quantity), and the split
+of the output into its history-carrying band contribution and the part forced by the
+current input (each simulator's ``parts``, over the relays of
+``_RelayModel.masks``). What every relay model and its simulator share lives here as
+well (``_RelayModel``, ``_RelaySimulator``), and so does ``_relay_fault``, the one
+validity rule every relay agent is checked by: its exact total capacity must round
+to a double, so every sum of capacities a readout forms does.
 
 A relay simulator does not pay O(agents) per move: each relay model sorts
 its thresholds once (``_RelayIndex``), and a leg switches only the relays
@@ -52,6 +52,7 @@ from .memory import (
     INITIAL,
     RISING,
     StaircaseMemory,
+    memory_from_sequence,
     push_extremum,
     starting_memory,
 )
@@ -417,7 +418,10 @@ class WeightGrid:
         self.n = n = self.centers.size
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.scale, self.bits = scale, bits
-        self.prefix = prefix = np.zeros((limbs, (n + 1) * (n + 2) // 2), np.int64)
+        try:
+            self.prefix = prefix = np.zeros((limbs, size := (n + 1) * (n + 2) // 2), np.int64)
+        except MemoryError:
+            raise ValueError(f"grid n={n} is too large: its table needs {8 * limbs * size} bytes")
         cols = np.zeros((limbs, n), np.int64)  # column sums of the rows so far
         for i, row in enumerate(rows, 1):
             cols[:, :i] += row
@@ -644,14 +648,12 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
     full unrecorded cycle is run so the recorded branches are the repeating
     loop (the first traverse after an arbitrary entry can still be wiping
     out old vertices; from the second cycle on the loop retraces itself).
-    ``model`` is anything with a ``simulator(start_u)`` -- a population, a
+    ``model`` is anything with a ``simulator(memory=...)`` -- a population, a
     weight grid, or their generalized counterparts.
     """
     require_cycle(u_minus, u_plus, n_points)
 
-    sim = model.simulator(history.start_u)
-    for v in history.extrema:
-        sim.push(v)
+    sim = model.simulator(memory=memory_from_sequence(history))
     for v in (u_minus, u_plus, u_minus):
         sim.push(v)
 
@@ -679,17 +681,23 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
 class CongruencyReport:
     congruent: bool
     max_deviation: float
+    chords_equal: bool
+    max_chord_deviation: float
 
 
 def check_congruency(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> CongruencyReport:
-    """Compare two loops up to a vertical translation.
+    """Compare two loops up to a vertical translation, and their vertical chords.
 
-    Both loops are anchored at their ascending start; the report carries
+    Both loops are anchored at their ascending start; ``max_deviation`` is
     the largest remaining branch deviation over both branches. The branches
     are anchored in halves, so ``f - f_ascending[0]`` never passes the float
     range, and the deviation is doubled back: wherever the direct difference
     stays in range and no nonzero value is below 2**-1021 in magnitude, these
-    are its bits.
+    are its bits. ``max_chord_deviation`` is the largest pointwise gap between
+    the two loops' chords (``_max_gap``). Soft-weight models keep the chords
+    equal across histories while the branch shapes may differ beyond any
+    translation, so ``chords_equal`` true with ``congruent`` false is the
+    signature of an input-dependent weight.
     """
     if l1.u_minus != l2.u_minus or l1.u_plus != l2.u_plus or not np.array_equal(l1.us, l2.us):
         raise ValueError("incomparable loops: cycle bounds or input grids differ")
@@ -698,4 +706,6 @@ def check_congruency(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> Congru
         return np.array([loop.f_ascending, loop.f_descending]) / 2 - loop.f_ascending[0] / 2
     with np.errstate(over="ignore"):  # a deviation past the float range reads inf
         dev = 2 * float(np.abs(anchored(l1) - anchored(l2)).max())
-    return CongruencyReport(congruent=dev <= tol, max_deviation=dev)
+    chord_dev = _max_gap(l1.chord(), l2.chord())
+    return CongruencyReport(congruent=dev <= tol, max_deviation=dev,
+                            chords_equal=chord_dev <= tol, max_chord_deviation=chord_dev)

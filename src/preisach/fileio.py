@@ -2,7 +2,8 @@
 
 Each file is parsed once and checked by its model's one validity rule. A CSV header
 must name its columns first; numpy parses the rows under it, or where it cannot, a
-row loop. An agent at fault is named by its CSV line or JSON index, a shift table by name.
+row loop. Cells past the named columns are ignored, in the header and in every row.
+An agent at fault is named by its CSV line or JSON index, a shift table by name.
 
 All real numbers are written with ``repr`` (shortest round-trip form) so
 identical inputs always produce byte-identical output files.

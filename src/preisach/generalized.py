@@ -16,8 +16,8 @@ histories are generally *not* congruent: agents outside the cycle band
 contribute ``gap_k(u) * s_k`` with history-dependent signs, which bends the
 branches rather than translating them. The vertical gap between the two
 branches, however, only involves agents flipped inside the cycle and stays
-history-independent (``chord_generalized``; ``check_equal_chords`` verifies
-both halves of that statement on sampled loops).
+history-independent (``chord_generalized``; ``classical.check_congruency``
+reports both halves of that statement on sampled loops).
 
 ``ShiftModel`` drives rectangular agents whose switching thresholds slide
 with the input: the up threshold is crossed where ``u + g2(u)`` reaches
@@ -45,19 +45,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import (
-    AgentPopulation,
-    LoopTrace,
-    _CapacitySimulator,
-    _RelayModel,
-    _RelaySimulator,
-    _max_gap,
-    check_congruency,
-)
+from .classical import AgentPopulation, _CapacitySimulator, _RelayModel, _RelaySimulator
 from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
 from .memory import StaircaseMemory, starting_memory
 from .signal import ReversalSequence
@@ -137,32 +128,6 @@ def chord_generalized(gpop: GeneralizedPopulation, u_minus: float,
     flipped = gpop.flipped(u_minus, u_plus, u)
     down, up = gpop.levels(u)
     return math.fsum(np.concatenate((up[flipped], -down[flipped])).tolist())
-
-
-@dataclass(frozen=True)
-class EqualChordsReport:
-    chords_equal: bool
-    max_chord_deviation: float
-    congruent: bool
-    max_branch_deviation: float
-
-
-def check_equal_chords(l1: LoopTrace, l2: LoopTrace, tol: float = 1e-12) -> EqualChordsReport:
-    """Compare two loops' vertical gaps pointwise; also report congruency.
-
-    Soft-weight models keep the gaps equal across histories while the
-    branch shapes themselves may differ beyond any translation, so
-    ``chords_equal`` true with ``congruent`` false is the expected signature
-    of an input-dependent weight.
-    """
-    congruency = check_congruency(l1, l2, tol)  # raises first on incomparable loops
-    chord_dev = _max_gap(l1.chord(), l2.chord())
-    return EqualChordsReport(
-        chords_equal=chord_dev <= tol,
-        max_chord_deviation=chord_dev,
-        congruent=congruency.congruent,
-        max_branch_deviation=congruency.max_deviation,
-    )
 
 
 def _composite_map(g: PiecewiseLinear, name: str):

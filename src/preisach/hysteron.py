@@ -192,4 +192,5 @@ class BranchTable:
         j = np.clip(below - 1, 0, rows - 2) * n + cols
         us, fs = self.us.ravel(), self.fs.ravel()
         x0, x1, y0, y1 = us[j], us[j + n], fs[j], fs[j + n]
-        return np.where((u <= x0) | np.isinf(x1), y0, (y1 - y0) / (x1 - x0) * (u - x0) + y0)
+        at_y0 = (u <= x0) | np.isinf(x1)  # where u - x0 may pass the float range, read 0
+        return np.where(at_y0, y0, (y1 - y0) / (x1 - x0) * (np.where(at_y0, x0, u) - x0) + y0)

@@ -107,14 +107,7 @@ def check_invariants(mem: StaircaseMemory) -> str | None:
 
 def initial_memory(start_u: float) -> StaircaseMemory:
     """A fresh memory at ``start_u`` with every relay in the DOWN state."""
-    if not math.isfinite(start_u):
-        raise ValueError("start value must be finite")
-    return StaircaseMemory(
-        start_u=float(start_u),
-        vertex_pairs=(),
-        current_u=float(start_u),
-        trend=INITIAL,
-    )
+    return memory_from_sequence(ReversalSequence(start_u))
 
 
 def push_extremum(mem: StaircaseMemory, u: float) -> StaircaseMemory:
@@ -168,7 +161,7 @@ def push_extremum(mem: StaircaseMemory, u: float) -> StaircaseMemory:
 
 def memory_from_sequence(seq: ReversalSequence) -> StaircaseMemory:
     """Build a memory from scratch by folding ``seq`` onto a fresh start."""
-    mem = initial_memory(seq.start_u)
+    mem = StaircaseMemory(float(seq.start_u), (), float(seq.start_u), INITIAL)
     for v in seq.extrema:
         mem = push_extremum(mem, v)
     return mem
@@ -245,4 +238,8 @@ def read_json(path):
 
 
 def load_memory(path) -> StaircaseMemory:
-    return from_dict(read_json(path))
+    data = read_json(path)
+    try:
+        return from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

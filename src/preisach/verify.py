@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import AgentPopulation, WeightGrid, check_congruency, minor_loop
-from .generalized import GeneralizedPopulation, ShiftModel, check_equal_chords, eval_generalized
+from .generalized import GeneralizedPopulation, ShiftModel, eval_generalized
 from .hysteron import relay_fold
 from .memory import memory_from_sequence, states_of
 from .signal import ReversalSequence, SampledSeries, extract_reversals
@@ -138,7 +138,7 @@ def check_generalized_equal_chords(gpop: GeneralizedPopulation, rng,
                                    tol: float = 1e-12) -> CheckResult:
     """Branch gaps must agree across histories; congruency usually fails."""
     pairs, limit = _loop_pairs(gpop, rng, 8, 30, 0.4, tol)
-    reports = [check_equal_chords(l1, l2, limit) for l1, l2 in pairs]
+    reports = [check_congruency(l1, l2, limit) for l1, l2 in pairs]
     worst = max(rep.max_chord_deviation for rep in reports)
     incongruent_seen = not all(rep.congruent for rep in reports)
     witness = "incongruent loops observed" if incongruent_seen else "all loops congruent"

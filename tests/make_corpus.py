@@ -184,6 +184,8 @@ def cases() -> dict[str, list[str]]:
     calls["bad-header"] = ["simulate", "--agents", "inputs/bad_header.csv", "--history", "0.6"]
     calls["bad-header-series"] = ["simulate", *KINDS["relay"][0],
                                   "--input", "inputs/bad_header_series.csv"]
+    calls["bad-start-series"] = ["simulate", *KINDS["relay"][0], "--input", "inputs/series.csv",
+                                 "--start", "inf"]
     return calls
 
 

@@ -27,7 +27,6 @@ from preisach import (
     AgentPopulation,
     ReversalSequence,
     check_congruency,
-    check_equal_chords,
     eval_generalized,
     extract_reversals,
     from_agents,
@@ -167,7 +166,7 @@ def test_06_equal_chords_without_congruency():
     h_down = RS(-3.0, (1.0, -0.6))
     l1 = minor_loop(gpop, h_up, -0.5, 0.5, 61)
     l2 = minor_loop(gpop, h_down, -0.5, 0.5, 61)
-    rep = check_equal_chords(l1, l2, 1e-12)
+    rep = check_congruency(l1, l2, 1e-12)
     degenerate_dev = 0.0
     for hist in (h_up, h_down, RS(-3.0, (0.05, -0.05))):
         trace = minor_loop(gpop, hist, -0.1, 0.1, 31)
@@ -175,14 +174,14 @@ def test_06_equal_chords_without_congruency():
     ok = (
         rep.chords_equal
         and not rep.congruent
-        and rep.max_branch_deviation > 1e-3
+        and rep.max_deviation > 1e-3
         and degenerate_dev == 0.0
     )
     report(
         6,
         "equal-chords-without-congruency",
         ok,
-        f"chord dev {rep.max_chord_deviation:.3e}, branch dev {rep.max_branch_deviation:.3e}, "
+        f"chord dev {rep.max_chord_deviation:.3e}, branch dev {rep.max_deviation:.3e}, "
         f"degenerate-cycle chord {degenerate_dev:.3e}",
     )
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import preisach.classical
 import preisach.generalized
@@ -248,7 +255,8 @@ class TestDataErrors:
         path.write_text(f'{{"start_u": 0.0, "pairs": [], "current_u": {self.HUGE}, '
                         '"trend": "rising"}')
         err = self.run(capsys, "simulate", "--agents", agents_csv, "--memory-in", str(path))
-        assert err == "preisach: error: malformed memory record: int too large to convert to float\n"
+        assert err == (f"preisach: error: {path}: malformed memory record: "
+                       "int too large to convert to float\n")
 
     @pytest.mark.parametrize("record, message", [
         ('{"start_u": 0.0, "pairs": [], "current_u": "abc", "trend": "rising"}',
@@ -260,7 +268,7 @@ class TestDataErrors:
         path = tmp_path / "memory.json"
         path.write_text(record)
         err = self.run(capsys, "simulate", "--agents", agents_csv, "--memory-in", str(path))
-        assert err == f"preisach: error: malformed memory record: {message}\n"
+        assert err == f"preisach: error: {path}: malformed memory record: {message}\n"
 
     @pytest.mark.parametrize("option, model, text, message", [
         ("--memory-in", "classical", '{"start_u": 0.0,',
@@ -691,6 +699,21 @@ class TestGridOptions:
         assert texts[1] == texts[0]
         assert ("inf" in texts[0]) == (argv[0] == "chord")
 
+    def test_grid_that_cannot_be_allocated_exits_2(self, agents_csv, capsys, monkeypatch):
+        # every large allocation is refused, so no size that might succeed is ever tried
+        zeros = np.zeros
+
+        def refuse(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(preisach.classical.np, "zeros", refuse)
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", "100000", "--bounds", "0,3",
+                     "--history", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == ("preisach: error: grid n=100000 is too large: "
+                                           "its table needs 40001200008 bytes\n")
+
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
@@ -860,12 +883,13 @@ class TestLoop:
         series = tmp_path / "series.csv"
         series.write_text("time,u\n0,0.0\n1,3.0\n")
         errs = []
-        for given in (["--input", str(series)], ["--history", "3"]):
-            assert main(["loop", "--agents", agents_csv, *given, "--start", "inf",
-                         "--u-minus", "0.5", "--u-plus", "2.5"]) == 2
-            errs.append(capsys.readouterr().err)
+        for command in (["loop", "--u-minus", "0.5", "--u-plus", "2.5"], ["simulate"],
+                        ["decompose"]):
+            for given in (["--input", str(series)], ["--history", "3"]):
+                assert main([*command, "--agents", agents_csv, *given, "--start", "inf"]) == 2
+                errs.append(capsys.readouterr().err)
         message = "invalid reversal sequence: start value is not finite"
-        assert errs == [f"preisach: error: {message}\n"] * 2
+        assert errs == [f"preisach: error: {message}\n"] * 6
 
     def test_input_series_loops_as_its_reversals(self, agents_csv, tmp_path):
         # a leading sample at the start value, plateaus and monotone runs reduce to
@@ -1257,3 +1281,76 @@ class TestVerify:
         )
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+FUZZ_AGENTS = "alpha,beta,nu\n0.5,0.1,1\n0.7,0.2,2\n"
+# each file kind: its clean text and the call that reads it, ``{f}`` standing for the
+# (damaged) file and ``{a}`` for a clean agent CSV; no damage can make a memory's input
+# 0.4375, so the history that follows it never repeats it and a failure is the memory's
+FUZZ_FILES = {
+    "agents": (FUZZ_AGENTS, ["simulate", "--agents", "{f}", "--history", "0.6,0.15"]),
+    "series": ("time,u\n0,0.1\n1,0.6\n2,0.2\n", ["simulate", "--agents", "{a}", "--input", "{f}"]),
+    "soft": (json.dumps([{"alpha": 0.5, "beta": 0.1, "f_plus": [[0.0, -1.0], [1.0, 0.0]],
+                          "f_minus": [[0.0, 0.0], [1.0, 1.0]]}]),
+             ["simulate", "--model", "generalized", "--agents", "{f}", "--history", "0.6,0.15"]),
+    "shift": (json.dumps({"agents": [{"alpha": 0.5, "beta": 0.1, "nu": 1.0}],
+                          "g1": [[0.0, 0.1], [1.0, 0.2]], "g2": [[0.0, 0.0], [1.0, 0.1]]}),
+              ["simulate", "--model", "shifted", "--agents", "{f}", "--history", "0.6,0.15"]),
+    "memory": (json.dumps({"start_u": 0.0, "pairs": [[0.7, 0.2]], "current_u": 0.2,
+                           "trend": "falling"}),
+               ["simulate", "--agents", "{a}", "--memory-in", "{f}", "--history", "0.4375"]),
+}
+NUMBER = re.compile(rb"-?\d+(\.\d+)?")
+
+
+@st.composite
+def damaged_file(draw):
+    """``(kind, bytes)``: a clean file of one kind, truncated at a drawn byte, with two
+    comma-separated fields swapped, with a byte that is not UTF-8 put in, emptied, or with
+    some of its numbers replaced by values past or near the float range."""
+    kind = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    data = FUZZ_FILES[kind][0].encode()
+    damage = draw(st.sampled_from(["truncate", "swap", "not-utf8", "empty", "huge"]))
+    if damage == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif damage == "swap":
+        fields = data.split(b",")
+        i, j = (draw(st.integers(0, len(fields) - 1)) for _ in range(2))
+        fields[i], fields[j] = fields[j], fields[i]
+        data = b",".join(fields)
+    elif damage == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    elif damage == "empty":
+        data = b""
+    else:
+        spans = [m.span() for m in NUMBER.finditer(data)]
+        for lo, hi in sorted(draw(st.sets(st.sampled_from(spans), min_size=1)), reverse=True):
+            value = draw(st.sampled_from([b"1e400", b"-1e400", b"1.7e308", b"-1.7e308"]))
+            data = data[:lo] + value + data[hi:]
+    return kind, data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=damaged_file())
+@example(case=("memory", b'{"start_u": 0.0, "pairs": [], "current_u": 1e400, "trend": "x"}'))
+@example(case=("agents", b"alpha,beta,nu\n0.5,0.1,1.7e308\n0.7,0.2,1.7e308\n"))
+@example(case=("series", b"time,u\n0,0.1\n1,0.6,extra\n2\n"))
+@example(case=("soft", b'[{"alpha": 0.5, "beta": -1.7e308, "f_plus": [[0.0, -1.7e308], [1.0, 0.0]],'
+                       b' "f_minus": [[0.0, 0.0], [1.0, 1.0]]}]'))
+def test_damaged_file_exits_0_or_2_naming_itself(case):
+    kind, data = case
+    argv = FUZZ_FILES[kind][1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, agents = os.path.join(tmp, f"{kind}.damaged"), os.path.join(tmp, "agents.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open(agents, "w") as fh:
+            fh.write(FUZZ_AGENTS)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(f=path, a=agents) for arg in argv])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert path in err.getvalue()

@@ -27,7 +27,7 @@ from preisach import (
     PiecewiseLinear,
     ReversalSequence,
     ShiftModel,
-    check_equal_chords,
+    check_congruency,
     chord_generalized,
     eval_generalized,
     memory_from_sequence,
@@ -311,10 +311,10 @@ class TestGeneralizedChords:
         h_down = RS(-3.0, (1.0, -0.6))  # background agent still DOWN
         l1 = minor_loop(gpop, h_up, -0.5, 0.5, 41)
         l2 = minor_loop(gpop, h_down, -0.5, 0.5, 41)
-        report = check_equal_chords(l1, l2, 1e-12)
+        report = check_congruency(l1, l2, 1e-12)
         assert report.chords_equal
         assert not report.congruent
-        assert report.max_branch_deviation > 1e-3
+        assert report.max_deviation > 1e-3
 
     @pytest.mark.filterwarnings("error")
     def test_equal_infinite_chords_are_equal(self):
@@ -323,7 +323,7 @@ class TestGeneralizedChords:
         l1 = minor_loop(pop, RS(0.0, (1.0, 0.0)), 0.2, 0.6, 5)
         l2 = minor_loop(pop, RS(0.0, (0.9, 0.1)), 0.2, 0.6, 5)
         assert np.isinf(l1.chord()).any()
-        report = check_equal_chords(l1, l2)
+        report = check_congruency(l1, l2)
         assert report.chords_equal and report.max_chord_deviation == 0.0
 
     def test_formula_matches_loop_gap(self):
@@ -340,7 +340,7 @@ class TestGeneralizedChords:
         gpop = rectangular_embedding(pop)
         l1 = minor_loop(gpop, RS(0.0, (0.9,)), 0.3, 0.7, 31)
         l2 = minor_loop(gpop, RS(0.0, (1.0, 0.05)), 0.3, 0.7, 31)
-        report = check_equal_chords(l1, l2, 1e-12)
+        report = check_congruency(l1, l2, 1e-12)
         assert report.chords_equal and report.congruent
 
     def test_degenerate_cycles_have_zero_chords(self):

@@ -93,6 +93,14 @@ class TestBranchFunctions:
         f = rectangular_population([1.0], [0.0], [3.0]).f_plus
         assert float(f(-100.0)[0]) == -3.0 == float(f(100.0)[0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_inputs_far_past_the_knots_read_the_end_values(self):
+        # u minus the nearest knot, or that times the slope, is past the float range
+        gpop = one_agent(0.5, 0.1, [(0.0, -1.7e308), (1.0, 0.0)], [(-1.7e308, 1.0)])
+        for f, knots, u in ((gpop.f_plus, ([0.0, 1.0], [-1.7e308, 0.0]), -1.7e308),
+                            (gpop.f_minus, ([-1.7e308], [1.0]), 1.7e308)):
+            assert float(f(u)[0]) == float(np.interp(u, *knots))
+
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="agent 0: branch values must be non-decreasing"):
             one_agent(1.0, 0.0, [(0.0, 1.0), (1.0, 0.0)], [(0.0, 3.0)])
