@@ -34,7 +34,6 @@ from .classical import (
     eval_geometric,
     from_agents,
     minor_loop,
-    uniform_grid,
 )
 from .generalized import (
     GeneralizedPopulation,
@@ -71,5 +70,4 @@ __all__ = [
     "relay_fold",
     "save_memory",
     "states_of",
-    "uniform_grid",
 ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteron import _ROUNDS_TO_INF, _overflow_at
+from .hysteron import _overflow_at
 from .memory import (
     FALLING,
     INITIAL,
@@ -380,11 +380,10 @@ class AgentPopulation(_RelayModel):
 
 
 class WeightGrid:
-    """Cell-binned weight over the triangle beta0 <= beta <= alpha <= alpha0.
-
-    ``cell_mass[i, j]`` is the capacity whose up-threshold falls in cell row
-    i and down-threshold in cell column j; cells strictly above the diagonal
-    must be empty. Queries treat each cell as a point mass at its center.
+    """Cell-binned weight over the triangle beta0 <= beta <= alpha <= alpha0, built by
+    ``from_agents``: cell ``[i, j]`` holds the capacity of the agents whose up-threshold
+    falls in cell row i and down-threshold in cell column j, so no cell above the
+    diagonal carries mass. Queries treat each cell as a point mass at its center.
     The grid keeps only the summed-area table of the masses, ``prefix``, exactly:
     the mass ``P[i, j]`` of rows [0, i) x cols [0, j) times ``2**scale`` is the sum
     of the masses' ``_split`` limbs, summed but never carried, and ``prefix[l]``
@@ -393,25 +392,7 @@ class WeightGrid:
     as the rest equals the diagonal. The masses themselves are not kept.
     """
 
-    def __init__(self, beta0: float, alpha0: float, cell_mass):
-        cell_mass = np.asarray(cell_mass, dtype=float)
-        if cell_mass.ndim != 2 or cell_mass.shape[0] != cell_mass.shape[1]:
-            raise ValueError("cell_mass must be a square matrix")
-        geometry = _grid_geometry(beta0, alpha0, n := cell_mass.shape[0])
-        if not (0.0 <= cell_mass.min() and cell_mass.max() < math.inf):  # nan fails too
-            raise ValueError("cell masses must be finite and non-negative")
-        rows, cols = np.nonzero(cell_mass)
-        if (cols > rows).any():
-            raise ValueError("cells with alpha < beta must carry zero mass")
-        self._build(geometry, *_binned(n, rows * n + cols, cell_mass[rows, cols]))
-
-    @classmethod
-    def _from_rows(cls, geometry: tuple, *table) -> WeightGrid:
-        grid = cls.__new__(cls)
-        grid._build(geometry, *table)
-        return grid
-
-    def _build(self, geometry: tuple, scale: int, bits: int, limbs: int, rows) -> None:
+    def __init__(self, geometry: tuple, scale: int, bits: int, limbs: int, rows):
         """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows,
         row i - 1 given as the ``limbs`` x i limbs of its first i cells."""
         self.beta0, self.alpha0, self.cell_width, self.centers = geometry
@@ -429,8 +410,6 @@ class WeightGrid:
             np.cumsum(cols[:, :i], axis=1, out=prefix[:, start + 1:start + i + 1])
         self._limbs = range(limbs - 1, -1, -1)  # the highest first
         self.total = self.rect_mass(0, n, 0, n)  # exact, times 2**scale
-        if self.total >= _ROUNDS_TO_INF << scale:
-            raise ValueError("total cell mass overflows")
         self.total_mass = self.total / (1 << scale)
 
     # Index cuts mirror the relay tie-breaks: a rise to v switches cells
@@ -537,7 +516,7 @@ def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
 
 
 def _binned(n: int, cell: np.ndarray, masses: np.ndarray) -> tuple:
-    """``(scale, bits, L, rows)`` for ``WeightGrid._build``: the masses in cell ``row * n + col``
+    """``(scale, bits, L, rows)`` for ``WeightGrid``: the masses in cell ``row * n + col``
     (``col <= row``) summed exactly, one L x (i + 1) array of limbs per cell row i."""
     order = np.argsort(cell)  # any order: the sums are exact
     bits, cell = _limb_bits(masses.size, 63), cell[order]
@@ -572,23 +551,7 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
 
     def cut(x):  # the cell row of an alpha, or column of a beta (alpha >= beta: col <= row)
         return np.clip(((x - beta0) / width).astype(int), 0, n - 1)
-    return WeightGrid._from_rows(geometry, *_binned(n, cut(pop.alpha) * n + cut(pop.beta), pop.nu))
-
-
-def uniform_grid(density: float, n: int, bounds: tuple[float, float]) -> WeightGrid:
-    """Grid for a constant weight ``density`` over the support triangle.
-
-    Diagonal cells carry half a cell of mass (the triangular sliver below
-    alpha = beta), so the total is density * triangle area exactly.
-    """
-    geometry = _grid_geometry(*bounds, n)
-    cell = density * geometry[2] * geometry[2]  # the cell width squared
-    if not 0.0 <= cell < math.inf:  # nan fails too
-        raise ValueError("cell masses must be finite and non-negative")
-    bits = _limb_bits(n * (n + 1) // 2, 63)
-    scale, limbs = _split(np.array([cell, 0.5 * cell]), bits, np.int64)
-    return WeightGrid._from_rows(geometry, scale, bits, len(limbs),
-                                 (np.repeat(limbs, [i, 1], axis=1) for i in range(n)))
+    return WeightGrid(geometry, *_binned(n, cut(pop.alpha) * n + cut(pop.beta), pop.nu))
 
 
 class SupportError(ValueError):

@@ -124,7 +124,13 @@ def _history_seq(args, start_u: float) -> ReversalSequence:
         raise ValueError(f"bad --history value: {exc}") from exc
     if not values:
         raise ValueError("empty --history")
-    return ReversalSequence(start_u, tuple(values))
+    try:
+        return ReversalSequence(start_u, tuple(values))
+    except ValueError as exc:
+        if getattr(args, "memory_in", None) is None:
+            raise
+        raise ValueError(f"{exc}; --history continues {args.memory_in}, "
+                         f"whose current input is {start_u!r}") from exc
 
 
 def _write_rows(args, header, rows) -> None:

@@ -22,14 +22,40 @@ from preisach import (
     SampledSeries,
     ShiftModel,
     StaircaseMemory,
+    WeightGrid,
     extract_reversals,
+    from_agents,
     relay_fold,
     states_of,
 )
+from preisach.classical import _grid_geometry
 
 
 # the least real that rounds to inf: an exact total below it rounds to a double
 ROUNDS_TO_INF = 2 ** 1024 - 2 ** 970
+
+
+def grid_of(mass, bounds=(0.0, 1.0)) -> WeightGrid:
+    """The weight grid of an n x n matrix of cell masses (none above the diagonal) over
+    ``bounds``: each nonzero cell's mass on one agent at that cell's center, binned by
+    ``from_agents``, so the grid's table holds exactly these masses."""
+    mass = np.asarray(mass, dtype=float)
+    rows, cols = np.nonzero(mass)
+    centers = _grid_geometry(*bounds, len(mass))[3]
+    return from_agents(AgentPopulation(centers[rows], centers[cols], mass[rows, cols]),
+                       len(mass), bounds)
+
+
+def uniform_grid(density: float, n: int, bounds) -> WeightGrid:
+    """The grid of a constant weight ``density`` over the support triangle (``grid_of``):
+    each cell carries ``density * w * w`` for the cell width w, and each diagonal cell half
+    of that (the triangular sliver below alpha = beta), so the total is density times the
+    triangle's area."""
+    width = _grid_geometry(*bounds, n)[2]
+    cell = density * width * width
+    mass = np.tril(np.full((n, n), cell))
+    np.fill_diagonal(mass, 0.5 * cell)
+    return grid_of(mass, bounds)
 
 
 def sat_ints(grid) -> np.ndarray:

@@ -150,8 +150,8 @@ KINDS = {
 
 def cases() -> dict[str, list[str]]:
     """Each call by name: the five commands on every model kind, a run split in
-    two by ``--memory-out``/``--memory-in``, a few runs that fail, and a loop
-    whose chord is past the float range."""
+    two by ``--memory-out``/``--memory-in``, a few runs that fail (one of them
+    resumed from a memory), and a loop whose chord is past the float range."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -186,6 +186,10 @@ def cases() -> dict[str, list[str]]:
                                   "--input", "inputs/bad_header_series.csv"]
     calls["bad-start-series"] = ["simulate", *KINDS["relay"][0], "--input", "inputs/series.csv",
                                  "--start", "inf"]
+    # the memory split-grid-1 writes ends at 0.2578125: a history that repeats it names the file
+    calls["bad-history-resumed"] = ["simulate", *KINDS["relay"][0], "--memory-in",
+                                    "expected/split-grid-1.memory.json",
+                                    "--history", "0.2578125,0.5"]
     return calls
 
 

@@ -11,12 +11,14 @@ import preisach.classical
 from helpers import (
     cell_masses,
     eval_direct,
+    grid_of,
     random_history,
     random_population,
     raw_relay_states,
     rectangular_population,
     sat_ints,
     series_from_values,
+    uniform_grid,
 )
 from preisach import (
     AgentPopulation,
@@ -24,7 +26,6 @@ from preisach import (
     PiecewiseLinear,
     ReversalSequence,
     ShiftModel,
-    WeightGrid,
     check_congruency,
     eval_geometric,
     extract_reversals,
@@ -32,7 +33,6 @@ from preisach import (
     initial_memory,
     memory_from_sequence,
     minor_loop,
-    uniform_grid,
 )
 from preisach.classical import _limb_bits
 
@@ -124,6 +124,8 @@ class TestEvalDirect:
             AgentPopulation([2], [1], [-1])
         with pytest.raises(ValueError, match="agent 1: total capacity overflows"):
             AgentPopulation([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], [1e308] * 3)
+        with pytest.raises(ValueError, match="^agent 1: total capacity overflows$"):
+            AgentPopulation([0.5, 0.5], [0.25, 0.25], [1.7e308, 1.7e308])
         # the float running total stays at the largest double; the exact one rounds to inf
         with pytest.raises(ValueError, match="^agent 2: total capacity overflows$"):
             AgentPopulation([0.5] * 3, [0.25] * 3,
@@ -236,9 +238,7 @@ class TestWeightGrid:
     @pytest.mark.parametrize("n", [-1, 0, 1])
     @pytest.mark.parametrize("build", [
         lambda n: from_agents(AgentPopulation([0.5], [0.25], [1.0]), n, (0.0, 1.0)),
-        lambda n: uniform_grid(1.0, n, (0.0, 1.0)),
-        lambda n: WeightGrid(0.0, 1.0, np.zeros((max(n, 0), max(n, 0)))),
-    ], ids=["from_agents", "uniform_grid", "cell_mass"])
+    ], ids=["from_agents"])
     def test_rejects_fewer_than_two_cells(self, build, n):
         # checked before the cell width divides by n
         with pytest.raises(ValueError, match="grid needs at least 2 cells per axis"):
@@ -246,9 +246,7 @@ class TestWeightGrid:
 
     @pytest.mark.parametrize("build", [
         lambda lo, hi: from_agents(AgentPopulation([0.5], [0.25], [1.0]), 4, (lo, hi)),
-        lambda lo, hi: uniform_grid(1.0, 4, (lo, hi)),
-        lambda lo, hi: WeightGrid(lo, hi, np.zeros((4, 4))),
-    ], ids=["from_agents", "uniform_grid", "cell_mass"])
+    ], ids=["from_agents"])
     def test_rejects_bounds_whose_width_overflows(self, build):
         # finite bounds, but an infinite cell width would put every center at inf; a
         # width that underflows to 0 puts them all at beta0, and at 1e16 (float step 2)
@@ -258,43 +256,20 @@ class TestWeightGrid:
             with pytest.raises(ValueError, match=re.escape(f"invalid bounds ({shown})")):
                 build(lo, hi)
 
-    @pytest.mark.parametrize("build", [
-        lambda: WeightGrid(0, 1, [[1.7e308, 0], [1.7e308, 0]]),
-        lambda: uniform_grid(1e308, 4, (0.0, 2.0)),  # 10 half-cells of 2.5e307 each
-        lambda: WeightGrid(0, 1, [[1.7976931348623157e308, 0], [2.0 ** 969, 2.0 ** 969]]),
-    ])
-    def test_rejects_total_mass_past_the_float_range(self, build):
-        with pytest.raises(ValueError, match="^total cell mass overflows$"):
-            build()
-
-    def test_rejects_mass_above_diagonal(self):
-        # the far corner and the last cell just above the diagonal
-        n = 4
-        for cell in ((0, n - 1), (n - 2, n - 1)):
-            mass = np.zeros((n, n))
-            mass[cell] = 1.0
-            with pytest.raises(ValueError, match="zero mass"):
-                WeightGrid(0.0, 1.0, mass)
-
-    def test_rejects_negative_mass(self):
-        mass = np.zeros((4, 4))
-        mass[2, 1] = -1.0
-        with pytest.raises(ValueError, match="non-negative"):
-            WeightGrid(0.0, 1.0, mass)
-
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("cell", [(2, 1), (3, 3), (0, 3)])
-    def test_rejects_non_finite_mass(self, value, cell):
-        # below, on and above the diagonal
-        mass = np.zeros((4, 4))
-        mass[cell] = value
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            WeightGrid(0.0, 1.0, mass)
+    def test_total_mass_at_the_top_of_the_float_range(self):
+        # the agents' exact total rounds to the largest double, so the relay rule keeps
+        # them, and the grid's total is that same exact sum, rounded once
+        nu = [1.7976931348623157e308, 2.0 ** 969]
+        grid = from_agents(AgentPopulation([0.5, 0.75], [0.25, 0.5], nu), 4, (0.0, 1.0))
+        assert grid.total_mass == math.fsum(nu) == 1.7976931348623157e308
+        sim = grid.simulator(0.0)
+        sim.push(0.9)
+        assert sim.value() == 1.7976931348623157e308
 
     @pytest.mark.parametrize("n", [2, 5, 64, 129])
     def test_prefix_matches_independent_cumsum(self, n):
         mass = np.tril(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
-        grid = WeightGrid(0.0, 1.0, mass)
+        grid = grid_of(mass)
         assert_sat_matches(grid, square_sat(scaled(mass, grid.scale)))
 
     def test_prefix_keeps_the_addition_order(self):
@@ -303,7 +278,7 @@ class TestWeightGrid:
         # sums, which have no order, and the total is rounded once
         n = 129
         mass = np.tril(np.random.default_rng(1).choice([0.0, 1e-17, 1.0, 1e16], (n, n)))
-        grid = WeightGrid(0.0, 1.0, mass)
+        grid = grid_of(mass)
         want = square_sat(scaled(mass, grid.scale))
         rounded = np.array([[v / (1 << grid.scale) for v in row] for row in want.tolist()])
         assert np.count_nonzero(rounded[1:, 1:] != mass.cumsum(0).cumsum(1)) > 0
@@ -332,10 +307,6 @@ class TestWeightGrid:
         pairs = np.sort(rng.uniform(0.0, 1.0, (20_000, 2)), axis=1)
         pop = AgentPopulation(pairs[:, 1], pairs[:, 0], rng.uniform(0.0, 1.0, 20_000))
         table, peak = self.peak_of(lambda: from_agents(pop, n, (0.0, 1.0)))
-        assert peak <= table + 2**20
-
-    def test_uniform_grid_peak_memory(self):
-        table, peak = self.peak_of(lambda: uniform_grid(1.0, 512, (0.0, 1.0)))
         assert peak <= table + 2**20
 
 
@@ -612,7 +583,7 @@ class TestDecomposition:
     ])
     def test_parts_add_up_at_a_tie_and_before_the_first_rise(self, start, extrema):
         # cells centered at 0.125, 0.375, 0.625 and 0.875, one agent on each center
-        grid = WeightGrid(0.0, 1.0, np.tril(np.random.default_rng(7).random((4, 4))))
+        grid = grid_of(np.tril(np.random.default_rng(7).random((4, 4))))
         mass = cell_masses(grid)
         rows, cols = np.nonzero(mass)
         pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
@@ -628,7 +599,7 @@ class TestDecomposition:
         # (rows at or above the cut of u, columns below it), summed exactly
         rng = np.random.default_rng(19)
         n = 32
-        grid = WeightGrid(0.0, 1.0, np.tril(rng.random((n, n))))
+        grid = grid_of(np.tril(rng.random((n, n))))
         points = np.sort(np.r_[np.linspace(0.0, 1.0, n + 1), grid.centers, rng.random(8)])
         for _ in range(30):
             sim = grid.simulator(0.0)

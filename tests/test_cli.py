@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import preisach.classical
 import preisach.generalized
 import preisach.verify
-from helpers import cell_masses
-from preisach import GeneralizedPopulation, PiecewiseLinear, uniform_grid
+from helpers import cell_masses, uniform_grid
+from preisach import GeneralizedPopulation, PiecewiseLinear
 from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
@@ -1163,6 +1163,18 @@ class TestMemoryRoundTrip:
         _, second_rows = read_rows(second)
         _, combined_rows = read_rows(combined)
         assert [r[1:] for r in second_rows] == [r[1:] for r in combined_rows[2:]]
+
+    @pytest.mark.parametrize("command", ["simulate", "decompose"])
+    def test_bad_resumed_history_names_the_memory(self, agents_csv, tmp_path, command, capsys):
+        # the sequence's own message, then the option, the file and the value it continues
+        mem = tmp_path / "m.json"
+        assert main(["simulate", "--agents", agents_csv, "--history", "3.0,0.2",
+                     "--memory-out", str(mem), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([command, "--agents", agents_csv, "--memory-in", str(mem),
+                     "--history", "0.2,0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "preisach: error: invalid reversal sequence: violation at index 0: repeats "
+            f"previous value; --history continues {mem}, whose current input is 0.2\n")
 
 
 class TestVerify:

@@ -16,15 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (branch_at, eval_direct, grid_cells, grid_reference, masked_parts,
-                     raw_relay_states, series_from_values, soft_exact, soft_population)
+from helpers import (branch_at, eval_direct, grid_cells, grid_of, grid_reference,
+                     masked_parts, raw_relay_states, series_from_values, soft_exact,
+                     soft_population)
 from preisach import (
     AgentPopulation,
     GeneralizedPopulation,
     PiecewiseLinear,
     ReversalSequence,
     ShiftModel,
-    WeightGrid,
     eval_generalized,
     eval_geometric,
     extract_reversals,
@@ -466,7 +466,7 @@ def grid_paths(draw):
         for k in range(depth):
             path += [points[-1 - k], points[k]]
         path.append(points[draw(index)])
-    return WeightGrid(0.0, 1.0, mass), points[draw(index)], path
+    return grid_of(mass), points[draw(index)], path
 
 
 def deep_grid_case():
@@ -474,7 +474,7 @@ def deep_grid_case():
     points = cell_points(64)
     staircase = [v for k in range(64) for v in (points[-1 - k], points[k])]
     path = [*staircase, points[60], points[24], points[100], 1.0, 0.0]
-    return WeightGrid(0.0, 1.0, np.tril(np.random.default_rng(7).random((64, 64)))), 0.5, path
+    return grid_of(np.tril(np.random.default_rng(7).random((64, 64)))), 0.5, path
 
 
 class TestStreamedGrid:
@@ -516,7 +516,7 @@ class TestDirectVsGeometricTies:
         # dyadic centers and edges are exact, and integer masses sum exactly,
         # so the two routes must agree bit for bit at every tie
         mass = np.tril(np.random.default_rng(seed).integers(0, 4, (n, n))).astype(float)
-        grid = WeightGrid(0.0, 1.0, mass)
+        grid = grid_of(mass)
         rows, cols = np.nonzero(mass)
         pop = AgentPopulation(grid.centers[rows], grid.centers[cols], mass[rows, cols])
         points = st.sampled_from(cell_points(n))
