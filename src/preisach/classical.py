@@ -54,20 +54,28 @@ from .memory import (
     StaircaseMemory,
     memory_from_sequence,
     push_extremum,
-    starting_memory,
 )
 from .signal import ReversalSequence
 
 
-def require_cycle(u_minus: float, u_plus: float, n_points: int = 2) -> None:
-    """Reject a cycle that cannot be sampled: non-finite or empty bounds, or
-    fewer than two points on it."""
+def require_cycle(u_minus: float, u_plus: float, n_points: int = 2) -> np.ndarray:
+    """The ``n_points`` evenly spaced inputs of a cycle that can be sampled: finite bounds,
+    ``u_minus < u_plus`` a finite width apart, and at least two points. Inputs that cannot
+    be allocated are named by ``n_points``."""
     if not (math.isfinite(u_minus) and math.isfinite(u_plus)):
         raise ValueError("cycle bounds must be finite")
     if u_minus >= u_plus:
         raise ValueError(f"empty cycle: [{u_minus!r}, {u_plus!r}]")
+    if not math.isfinite(u_plus - u_minus):
+        raise ValueError(f"cycle [{u_minus!r}, {u_plus!r}] is too wide: "
+                         "its width is past the float range")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    try:
+        return np.linspace(u_minus, u_plus, n_points)
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range at once
+        raise ValueError(f"n_points={n_points} is too large: "
+                         "the cycle's inputs cannot be allocated") from None
 
 
 def _require_in_cycle(u_minus: float, u_plus: float, u: float) -> None:
@@ -375,8 +383,8 @@ class AgentPopulation(_RelayModel):
     def output(self, states: np.ndarray, u: float) -> float:
         return self._exact.signed_total(states) / (1 << self._exact.scale)
 
-    def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        return PopulationSimulator(self, starting_memory(start_u, memory))
+    def simulator(self, memory: StaircaseMemory):
+        return PopulationSimulator(self, memory)
 
 
 class WeightGrid:
@@ -394,15 +402,14 @@ class WeightGrid:
 
     def __init__(self, geometry: tuple, scale: int, bits: int, limbs: int, rows):
         """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows,
-        row i - 1 given as the ``limbs`` x i limbs of its first i cells."""
+        row i - 1 given as the ``limbs`` x i limbs of its first i cells. The table is
+        allocated first, so that a table too large for memory fails before the list of
+        centers is made."""
         self.beta0, self.alpha0, self.cell_width, self.centers = geometry
         self.n = n = self.centers.size
+        self.prefix = prefix = np.zeros((limbs, (n + 1) * (n + 2) // 2), np.int64)
         self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.scale, self.bits = scale, bits
-        try:
-            self.prefix = prefix = np.zeros((limbs, size := (n + 1) * (n + 2) // 2), np.int64)
-        except MemoryError:
-            raise ValueError(f"grid n={n} is too large: its table needs {8 * limbs * size} bytes")
         cols = np.zeros((limbs, n), np.int64)  # column sums of the rows so far
         for i, row in enumerate(rows, 1):
             cols[:, :i] += row
@@ -433,8 +440,8 @@ class WeightGrid:
     def support_bounds(self) -> tuple[float, float]:
         return self.beta0, self.alpha0
 
-    def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        return GridSimulator(self, starting_memory(start_u, memory))
+    def simulator(self, memory: StaircaseMemory):
+        return GridSimulator(self, memory)
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         _require_in_cycle(u_minus, u_plus, u)
@@ -515,43 +522,57 @@ def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
     raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
 
 
-def _binned(n: int, cell: np.ndarray, masses: np.ndarray) -> tuple:
-    """``(scale, bits, L, rows)`` for ``WeightGrid``: the masses in cell ``row * n + col``
-    (``col <= row``) summed exactly, one L x (i + 1) array of limbs per cell row i."""
+def _binned(n: int, cell: np.ndarray, limbs: np.ndarray):
+    """``WeightGrid``'s cell rows: the masses' limbs (a column each) in cell ``row * n + col``
+    (``col <= row``) summed exactly, one L x (i + 1) array of limbs per cell row i. The sums
+    are taken at once, the rows when they are read."""
     order = np.argsort(cell)  # any order: the sums are exact
-    bits, cell = _limb_bits(masses.size, 63), cell[order]
-    scale, limbs = _split(masses[order], bits, np.int64)
+    cell = cell[order]
     first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first mass
-    sums, cell = np.add.reduceat(limbs, first, axis=1), cell[first]
-    ends = cell.searchsorted(np.arange(1, n + 1) * n).tolist()
+    sums, cell = np.add.reduceat(limbs[:, order], first, axis=1), cell[first]
 
     def rows():
+        ends = cell.searchsorted(np.arange(1, n + 1) * n).tolist()
         for i, start, end in zip(range(n), [0, *ends], ends):
             row = np.zeros((len(sums), i + 1), np.int64)
             row[:, cell[start:end] - i * n] = sums[:, start:end]
             yield row
-    return scale, bits, len(sums), rows()
+    return rows()
 
 
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
     """Bin a population into an n x n grid over ``bounds = (beta0, alpha0)``.
 
     Binning is conservative and exact: the grid's total mass is the agents'
-    exact total capacity. Agents must lie inside the bounds.
+    exact total capacity. Agents must lie inside the bounds. The packed table is sized
+    before any array of n entries is made, and a grid that cannot be allocated, its table
+    or any other of its arrays, is named by n and the bytes of its table.
     """
-    geometry = beta0, alpha0, width, _ = _grid_geometry(*bounds, n)
-    outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
-    if outside.size:
-        k = int(outside[0])
-        raise ValueError(
-            f"agent out of range: agent {k} with "
-            f"(alpha={float(pop.alpha[k])!r}, beta={float(pop.beta[k])!r}) "
-            f"outside bounds ({beta0!r}, {alpha0!r})"
-        )
+    bits = _limb_bits(pop.nu.size, 63)
+    scale, limbs = _split(pop.nu, bits, np.int64)
+    depth = len(limbs)
+    table = 8 * depth * ((n + 1) * (n + 2) // 2)
+    too_large = f"grid n={n} is too large: its table needs {table} bytes"
+    if table > np.iinfo(np.intp).max:  # past numpy's index range: nothing is allocated
+        raise ValueError(too_large)
+    try:  # any array of the grid may be the one that does not fit
+        geometry = beta0, alpha0, width, _ = _grid_geometry(*bounds, n)
+        outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
+        if outside.size:
+            k = int(outside[0])
+            raise ValueError(
+                f"agent out of range: agent {k} with "
+                f"(alpha={float(pop.alpha[k])!r}, beta={float(pop.beta[k])!r}) "
+                f"outside bounds ({beta0!r}, {alpha0!r})"
+            )
 
-    def cut(x):  # the cell row of an alpha, or column of a beta (alpha >= beta: col <= row)
-        return np.clip(((x - beta0) / width).astype(int), 0, n - 1)
-    return WeightGrid(geometry, *_binned(n, cut(pop.alpha) * n + cut(pop.beta), pop.nu))
+        def cut(x):  # the cell row of an alpha, or column of a beta (alpha >= beta: col <= row)
+            return np.clip(((x - beta0) / width).astype(int), 0, n - 1)
+        rows = _binned(n, cut(pop.alpha) * n + cut(pop.beta), limbs)
+        del limbs  # the rows keep the cell sums: no second copy while the table fills
+        return WeightGrid(geometry, scale, bits, depth, rows)
+    except MemoryError:
+        raise ValueError(too_large) from None
 
 
 class SupportError(ValueError):
@@ -572,7 +593,7 @@ def _require_in_support(grid: WeightGrid, mem: StaircaseMemory) -> None:
 def eval_geometric(grid: WeightGrid, mem: StaircaseMemory) -> float:
     """Aggregate output for a staircase memory, up-mass minus down-mass: the
     ``value`` of a grid simulator started from ``mem``."""
-    return grid.simulator(memory=mem).value()
+    return grid.simulator(mem).value()
 
 
 @dataclass(eq=False)
@@ -611,16 +632,14 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
     full unrecorded cycle is run so the recorded branches are the repeating
     loop (the first traverse after an arbitrary entry can still be wiping
     out old vertices; from the second cycle on the loop retraces itself).
-    ``model`` is anything with a ``simulator(memory=...)`` -- a population, a
+    ``model`` is anything with a ``simulator(memory)`` -- a population, a
     weight grid, or their generalized counterparts.
     """
-    require_cycle(u_minus, u_plus, n_points)
-
-    sim = model.simulator(memory=memory_from_sequence(history))
+    us = require_cycle(u_minus, u_plus, n_points)
+    sim = model.simulator(memory_from_sequence(history))
     for v in (u_minus, u_plus, u_minus):
         sim.push(v)
 
-    us = np.linspace(u_minus, u_plus, n_points)
     f_asc = np.empty(n_points)
     f_asc[0] = sim.value()
     for k in range(1, n_points):

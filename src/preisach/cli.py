@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .classical import SupportError, _max_gap, from_agents, minor_loop, require_cycle
-from .memory import load_memory, save_memory
+from .memory import initial_memory, load_memory, save_memory
 from .signal import ReversalSequence, extract_reversals
 from .verify import residual_limit, run_suite
 
@@ -140,10 +140,9 @@ def _write_rows(args, header, rows) -> None:
 def _drive(args, header, row) -> int:
     """Drive the model through the input moves, one ``row(step, u, simulator)`` each."""
     model = _load_model(args)
-    mem_in = load_memory(args.memory_in) if args.memory_in else None
-    start = args.start if mem_in is None else mem_in.current_u
-    values = _input_values(args, start)
-    sim = model.simulator(start, mem_in)
+    mem = load_memory(args.memory_in) if args.memory_in else None
+    values = _input_values(args, args.start if mem is None else mem.current_u)
+    sim = model.simulator(initial_memory(args.start) if mem is None else mem)
     rows = []
     for step, u in enumerate(values, start=1):
         sim.push(u)
@@ -192,11 +191,9 @@ def cmd_loop(args) -> int:
 
 def cmd_chord(args) -> int:
     model = _load_model(args)
-    require_cycle(args.u_minus, args.u_plus, args.n_points)
+    us = require_cycle(args.u_minus, args.u_plus, args.n_points)
     if args.at is not None:
         us = [args.at]
-    else:
-        us = np.linspace(args.u_minus, args.u_plus, args.n_points)
     rows = [(float(u), model.chord(args.u_minus, args.u_plus, float(u))) for u in us]
     _write_rows(args, ["u", "chord"], rows)
     return 0

@@ -50,7 +50,7 @@ import numpy as np
 
 from .classical import AgentPopulation, _CapacitySimulator, _RelayModel, _RelaySimulator
 from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
-from .memory import StaircaseMemory, starting_memory
+from .memory import StaircaseMemory
 from .signal import ReversalSequence
 
 
@@ -103,8 +103,8 @@ class GeneralizedPopulation(_RelayModel):
         band, rise, fall = (half(states[m] * up[m], -states[m] * down[m]) for m in self.masks(u))
         return band, rise + fall, half(up, down)
 
-    def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        return GeneralizedSimulator(self, starting_memory(start_u, memory))
+    def simulator(self, memory: StaircaseMemory):
+        return GeneralizedSimulator(self, memory)
 
     def chord(self, u_minus: float, u_plus: float, u: float) -> float:
         return chord_generalized(self, u_minus, u_plus, u)
@@ -197,8 +197,8 @@ class ShiftModel(_RelayModel):
         band = np.where(self.masks(u)[0], states, 0.0)
         return self._exact.signed_total(band) / (1 << self._exact.scale)
 
-    def simulator(self, start_u=None, memory: StaircaseMemory | None = None):
-        return ShiftedSimulator(self, starting_memory(start_u, memory))
+    def simulator(self, memory: StaircaseMemory):
+        return ShiftedSimulator(self, memory)
 
 
 class ShiftedSimulator(_CapacitySimulator):

@@ -167,15 +167,6 @@ def memory_from_sequence(seq: ReversalSequence) -> StaircaseMemory:
     return mem
 
 
-def starting_memory(start_u=None, memory: StaircaseMemory | None = None) -> StaircaseMemory:
-    """``memory`` when given (a resumed run), else a fresh memory at ``start_u``."""
-    if memory is not None:
-        return memory
-    if start_u is None:
-        raise ValueError("either start_u or memory is required")
-    return initial_memory(start_u)
-
-
 def states_of(mem: StaircaseMemory, alphas, betas) -> np.ndarray:
     """Relay states (+1/-1) for arrays of thresholds under this memory.
 

@@ -66,8 +66,7 @@ def check_erasure(bounds: tuple[float, float], rng) -> CheckResult:
     """Compressed-memory states vs. brute-force replay on a probe lattice."""
     n_histories = 200
     lo, hi = bounds
-    pad = 0.05 * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, 50)
+    grid = np.linspace(*_history_range(lo, hi, 0.05), 50)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
     keep = aa >= bb
     alphas, betas = aa[keep], bb[keep]
@@ -86,9 +85,21 @@ def check_erasure(bounds: tuple[float, float], rng) -> CheckResult:
     )
 
 
-def _support(model) -> tuple[float, float]:
-    lo, hi = model.support_bounds()  # widened by 0.5 on each side if it is one value
-    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+def _history_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """The support ``[lo, hi]`` widened by ``pad`` times its width on each side, after a
+    one-value support is widened by 0.5 on each side: the range ``rng.uniform`` draws
+    histories, cycles and probes from. A support whose range is still empty, or whose
+    padded width is past the float range, cannot be sampled and is named."""
+    a, b = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+    a, b = a - pad * (b - a), b + pad * (b - a)
+    if not (a < b and np.isfinite(b - a)):
+        raise ValueError(f"verify cannot sample the support [{lo!r}, {hi!r}]: widened for "
+                         "sampling, it is empty or its width is past the float range")
+    return a, b
+
+
+def _support(model, pad: float = 0.0) -> tuple[float, float]:
+    return _history_range(*model.support_bounds(), pad)
 
 
 def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
@@ -106,7 +117,7 @@ def _loop_pairs(model, rng, n_pairs: int, max_reversals: int, pad: float, tol: f
     width on each side. Also returns the ``residual_limit`` of the branches.
     """
     lo, hi = _support(model)
-    h_lo, h_hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    h_lo, h_hi = _support(model, pad)
     pairs = []
     for _ in range(n_pairs):
         h1 = random_history(rng, h_lo, h_hi, max_reversals)
@@ -156,11 +167,10 @@ def _two_routes(name: str, model, rng, tol: float, pad: float, routes,
 
     ``routes(seq, q)`` gives each route's output at ``q`` after ``seq``, then any terms one summed.
     """
-    lo, hi = _support(model)
-    span = hi - lo
+    h_lo, h_hi = _support(model, pad)
     worst, outputs = 0.0, []
     for _ in range(100):
-        seq = random_history(rng, lo - pad * span, hi + pad * span, 30)
+        seq = random_history(rng, h_lo, h_hi, 30)
         q = seq.extrema[-1] if seq.extrema else seq.start_u
         first, second, *terms = routes(seq, q)
         worst = max(worst, abs(first - second))
@@ -177,7 +187,7 @@ def check_reconstruction(gpop: GeneralizedPopulation, rng, tol: float = 1e-12) -
     """The soft model folded over the raw history vs. the parts of the
     simulator resumed from the history's staircase memory, summed as ``decompose`` sums them."""
     def routes(seq, q):
-        band, forced, offset = gpop.simulator(memory=memory_from_sequence(seq)).parts()
+        band, forced, offset = gpop.simulator(memory_from_sequence(seq)).parts()
         return eval_generalized(gpop, seq, q), band + forced + offset, band, forced, offset
 
     return _two_routes("reconstruction", gpop, rng, tol, 0.2, routes, "")
@@ -187,7 +197,7 @@ def check_shift_equivalence(sm: ShiftModel, rng, tol: float = 1e-12) -> CheckRes
     """The shift model folded over the raw history vs. the moving-threshold
     simulator resumed, as a ``--memory-in`` run is, from the history's staircase memory."""
     def routes(seq, q):
-        return eval_generalized(sm, seq, q), sm.simulator(memory=memory_from_sequence(seq)).value()
+        return eval_generalized(sm, seq, q), sm.simulator(memory_from_sequence(seq)).value()
 
     return _two_routes("shift-equivalence", sm, rng, tol, 0.5, routes,
                        ", dual evaluation paths")

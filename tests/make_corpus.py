@@ -6,8 +6,8 @@ bytes of every CLI call on them.
 * ``inputs/``: relay agents with non-dyadic capacities (run directly and
   binned into a 64 x 64 grid), a shift model, soft-branch agents, a sampled
   series, bad relay and soft-agent files, an agent and a series file whose
-  headers name their columns out of order, and one relay whose chord is past
-  the float range;
+  headers name their columns out of order, one relay whose chord is past
+  the float range, and relays whose support is too wide for ``verify`` to sample;
 * ``expected/manifest.json``: each call's argv, exit code and stderr, and
   the files it writes; ``expected/<case>.stdout`` and those files hold the
   bytes it wrote.
@@ -128,6 +128,8 @@ def write_inputs() -> None:
     # (0.5, 0.25) of capacity 2 would be read as alpha 2, beta 0.5, nu 0.25
     (INPUTS / "bad_header.csv").write_text("nu,alpha,beta\n2,0.5,0.25\n")
     (INPUTS / "bad_header_series.csv").write_text("u,time\n0.5,0\n0.7,1\n")
+    # a valid support 1e308 wide: padded for verify's random histories, its width is inf
+    (INPUTS / "wide_relay.csv").write_text("alpha,beta,nu\n1e308,1e307,1\n0.5,0.25,2\n")
 
 
 # relay thresholds hit: 0.7, 0.2, 0.5, 0.3 (tenths), 0.46875 (30/64)
@@ -151,7 +153,8 @@ KINDS = {
 def cases() -> dict[str, list[str]]:
     """Each call by name: the five commands on every model kind, a run split in
     two by ``--memory-out``/``--memory-in``, a few runs that fail (one of them
-    resumed from a memory), and a loop whose chord is past the float range."""
+    resumed from a memory, one on a cycle too wide and one verifying a support too
+    wide), and a loop whose chord is past the float range."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -190,6 +193,10 @@ def cases() -> dict[str, list[str]]:
     calls["bad-history-resumed"] = ["simulate", *KINDS["relay"][0], "--memory-in",
                                     "expected/split-grid-1.memory.json",
                                     "--history", "0.2578125,0.5"]
+    # a cycle whose bounds are finite but whose width is past the float range
+    calls["bad-cycle-width"] = ["chord", *KINDS["relay"][0], "--u-minus", "-1e308",
+                                "--u-plus", "1e308", "--n-points", "3"]
+    calls["bad-verify-support"] = ["verify", "--agents", "inputs/wide_relay.csv"]
     return calls
 
 

@@ -30,6 +30,7 @@ from preisach import (
     eval_generalized,
     extract_reversals,
     from_agents,
+    initial_memory,
     memory_from_sequence,
     minor_loop,
     states_of,
@@ -79,7 +80,7 @@ def test_02_oracle_equivalence_direct_vs_geometric():
         seq = extract_reversals(series_from_values(snapped), 0.0)
         if not seq.extrema:
             continue
-        sim = grid.simulator(start_u=0.0)
+        sim = grid.simulator(initial_memory(0.0))
         geo = [sim.value()]
         for v in seq.extrema:
             sim.push(v)
@@ -229,7 +230,7 @@ def test_09_rate_independence():
     same_reduction = seq_fast == seq_slow
 
     def outputs_at_reversals(series, seq):
-        sim = pop.simulator(0.0)
+        sim = pop.simulator(initial_memory(0.0))
         wanted = list(seq.extrema)
         out = []
         for u in series.values:
@@ -271,7 +272,7 @@ def test_10_performance_property():
         return eval_direct(pop, seq)
 
     def run_geometric():
-        sim = grid.simulator(start_u=seq.start_u)
+        sim = grid.simulator(initial_memory(seq.start_u))
         out = [sim.value()]
         for v in seq.extrema:
             sim.push(v)

@@ -6,6 +6,7 @@ would read as zero work instead of failing; these tests make it fail.
 """
 
 import importlib
+import inspect
 import re
 import runpy
 from pathlib import Path
@@ -66,3 +67,10 @@ def test_console_script_target_runs(name, module, attr, capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in preisach.__all__ if not hasattr(preisach, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind", [preisach.AgentPopulation, preisach.WeightGrid,
+                                  preisach.GeneralizedPopulation, preisach.ShiftModel],
+                         ids=lambda kind: kind.__name__)
+def test_every_simulator_starts_from_a_memory(kind):
+    assert list(inspect.signature(kind.simulator).parameters) == ["self", "memory"]

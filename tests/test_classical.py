@@ -110,7 +110,7 @@ class TestEvalDirect:
     def test_monotone_output_along_monotone_input(self):
         rng = np.random.default_rng(2)
         pop = random_population(rng, 200)
-        sim = pop.simulator(0.0)
+        sim = pop.simulator(initial_memory(0.0))
         values = [sim.value()]
         for u in np.linspace(0.0, 1.0, 50):
             sim.push(u)
@@ -262,7 +262,7 @@ class TestWeightGrid:
         nu = [1.7976931348623157e308, 2.0 ** 969]
         grid = from_agents(AgentPopulation([0.5, 0.75], [0.25, 0.5], nu), 4, (0.0, 1.0))
         assert grid.total_mass == math.fsum(nu) == 1.7976931348623157e308
-        sim = grid.simulator(0.0)
+        sim = grid.simulator(initial_memory(0.0))
         sim.push(0.9)
         assert sim.value() == 1.7976931348623157e308
 
@@ -380,7 +380,7 @@ class TestEvalGeometric:
             seq = extract_reversals(series_from_values(edges[rng.integers(0, n + 1, 40)]), 0.0)
             if not seq.extrema:
                 continue
-            sim = grid.simulator(start_u=0.0)
+            sim = grid.simulator(initial_memory(0.0))
             geo = [sim.value()]
             for v in seq.extrema:
                 sim.push(v)
@@ -602,7 +602,7 @@ class TestDecomposition:
         grid = grid_of(np.tril(rng.random((n, n))))
         points = np.sort(np.r_[np.linspace(0.0, 1.0, n + 1), grid.centers, rng.random(8)])
         for _ in range(30):
-            sim = grid.simulator(0.0)
+            sim = grid.simulator(initial_memory(0.0))
             for u in points[rng.integers(0, points.size, 30)]:
                 if u == sim.memory.current_u:
                     continue
@@ -643,7 +643,7 @@ class TestSimulators:
             "grid": from_agents(pop, 8, (0.0, 1.0)),
         }[kind]
         for path in ((), (0.9,), (0.9, 0.3)):
-            sim = model.simulator(0.0)
+            sim = model.simulator(initial_memory(0.0))
             for v in path:
                 sim.push(v)
             with pytest.raises(ValueError, match="input value must be finite"):
@@ -671,7 +671,7 @@ class TestSimulators:
         rng = np.random.default_rng(22)
         pop = random_population(rng, 500)
         seq = random_history(rng, 0.0, 1.0, 40, start_u=0.0)
-        sim = pop.simulator(seq.start_u)
+        sim = pop.simulator(initial_memory(seq.start_u))
         for v in seq.extrema:
             sim.push(v)
         want = raw_relay_states(pop.alpha, pop.beta, seq)

@@ -84,6 +84,23 @@ def large_agents_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def refuse_large_arrays(monkeypatch):
+    """numpy refuses every array of more than 10**6 entries, as a machine out of memory
+    would, so that no size that might succeed is ever tried."""
+    def refusing(make, size_of):
+        def make_or_refuse(*args, **kwargs):
+            if size_of(*args, **kwargs) > 10**6:
+                raise MemoryError
+            return make(*args, **kwargs)
+        return make_or_refuse
+    for name, size_of in (("zeros", lambda shape, *a, **k: np.prod(shape, dtype=object)),
+                          ("empty", lambda shape, *a, **k: np.prod(shape, dtype=object)),
+                          ("arange", lambda *a, **k: a[-1] - a[0] if len(a) > 1 else a[0]),
+                          ("linspace", lambda start, stop, num=50, *a, **k: num)):
+        monkeypatch.setattr(np, name, refusing(getattr(np, name), size_of))
+
+
 def read_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
@@ -714,6 +731,28 @@ class TestGridOptions:
         assert capsys.readouterr().err == ("preisach: error: grid n=100000 is too large: "
                                            "its table needs 40001200008 bytes\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, table", [
+        (50_000_000, 10000000600000008),  # within numpy's index range: an array is refused
+        (10**12, 4000000000012000000000008),  # a table past it: nothing is tried
+    ])
+    def test_grid_whose_arrays_cannot_be_allocated_exits_2(self, agents_csv, capsys,
+                                                           refuse_large_arrays, n, table):
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", str(n), "--bounds", "0,3",
+                     "--history", "2"])
+        assert (code, capsys.readouterr().err) == (
+            2, f"preisach: error: grid n={n} is too large: its table needs {table} bytes\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_past_numpy_index_range_exits_2(self, agents_csv, capsys):
+        # numpy refuses an array this large before it allocates anything
+        n = 10**30
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", str(n), "--bounds", "0,3",
+                     "--history", "2"])
+        table = 8 * (n + 1) * (n + 2) // 2
+        assert (code, capsys.readouterr().err) == (
+            2, f"preisach: error: grid n={n} is too large: its table needs {table} bytes\n")
+
     def test_default_bounds_miss_the_input(self, agents_csv, capsys):
         # the agents span [0, 3]; the input climbs to 4
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--history", "4"])
@@ -1063,6 +1102,32 @@ class TestBadCycle:
         assert (code, capsys.readouterr().err) == (2, f"preisach: error: {message}\n")
 
 
+class TestCycleTooLarge:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["chord", "--n-points", "3"], ["loop", "--n-points", "3"],
+                                      ["chord", "--at", "0"]], ids=" ".join)
+    def test_width_past_the_float_range_exits_2(self, agents_csv, capsys, argv):
+        code = main([argv[0], "--agents", agents_csv, "--u-minus", "-1e308",
+                     "--u-plus", "1e308", *argv[1:]])
+        assert (code, capsys.readouterr().err) == (
+            2, "preisach: error: cycle [-1e+308, 1e+308] is too wide: "
+               "its width is past the float range\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["chord", "loop"])
+    @pytest.mark.parametrize("n_points, refused", [(10**12, True), (10**30, False)])
+    def test_inputs_that_cannot_be_allocated_exit_2(self, agents_csv, capsys, request,
+                                                    command, n_points, refused):
+        # 10**30 points are past numpy's index range: refused before anything is allocated
+        if refused:
+            request.getfixturevalue("refuse_large_arrays")
+        code = main([command, "--agents", agents_csv, "--u-minus", "0.5", "--u-plus", "2.5",
+                     "--n-points", str(n_points)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"preisach: error: n_points={n_points} is too large: "
+               "the cycle's inputs cannot be allocated\n")
+
+
 class TestDecompose:
     def test_rows_reconstruct_total(self, agents_csv, tmp_path):
         out = tmp_path / "dec.csv"
@@ -1283,6 +1348,30 @@ class TestVerify:
         assert main(["verify", "--model", model, "--agents", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) >= 2 and all(line.startswith("PASS  ") for line in lines)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, name, text, shown", [
+        ("classical", "agents.csv", "alpha,beta,nu\n1e308,1e307,1\n0.5,0.25,2\n",
+         "0.25, 1e+308"),
+        ("shifted", "shift.json", '{"agents": [{"alpha": 1e308, "beta": 1e307, "nu": 1.0}, '
+                                  '{"alpha": 0.5, "beta": 0.25, "nu": 2.0}], '
+                                  '"g1": [[0.0, 0.0]], "g2": [[0.0, 0.0]]}', "0.25, 1e+308"),
+        ("generalized", "soft.json",
+         '[{"alpha": 1e308, "beta": 1e307, "f_plus": [[0.0, -1.0]], "f_minus": [[0.0, 1.0]]}, '
+         '{"alpha": 0.5, "beta": 0.25, "f_plus": [[0.0, -1.0]], "f_minus": [[0.0, 1.0]]}]',
+         "0.25, 1e+308"),
+        ("classical", "point.csv", "alpha,beta,nu\n1e17,1e17,1\n", "1e+17, 1e+17"),
+    ], ids=["relay", "shifted", "soft", "one-point"])
+    def test_support_that_cannot_be_sampled_exits_2(self, tmp_path, capsys, model, name, text,
+                                                    shown):
+        # padded for random histories, a support 1e308 wide is inf wide; widened by 0.5,
+        # a support of one value near 1e17 rounds back to that value
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["verify", "--model", model, "--agents", str(path)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"preisach: error: verify cannot sample the support [{shown}]: widened for "
+               "sampling, it is empty or its width is past the float range\n")
 
     def test_zero_tolerance_is_allowed(self, agents_csv):
         assert main(["verify", "--agents", agents_csv, "--tol", "0"]) == 0

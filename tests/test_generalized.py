@@ -30,6 +30,7 @@ from preisach import (
     check_congruency,
     chord_generalized,
     eval_generalized,
+    initial_memory,
     memory_from_sequence,
     minor_loop,
 )
@@ -116,7 +117,7 @@ class TestReversibleTerms:
         gpop = varying_gap_fixture()
         u = -3.0
         want = -math.fsum(gpop.loop_gap_at(u))
-        assert gpop.simulator(u).parts()[1] == want
+        assert gpop.simulator(initial_memory(u)).parts()[1] == want
 
     def test_terms_match_scalar_sweep_oracle(self):
         rng = np.random.default_rng(29)
@@ -285,7 +286,7 @@ class TestShiftModel:
         resumed = sm.simulator(memory=mem)
         for v in seq.extrema[cut:]:
             resumed.push(v)
-        full = sm.simulator(start_u=seq.start_u)
+        full = sm.simulator(initial_memory(seq.start_u))
         for v in seq.extrema:
             full.push(v)
         assert resumed.value() == full.value()
@@ -368,7 +369,7 @@ class TestBranchingMultiplicity:
         pop = AgentPopulation([2.0, 0.3, 0.45], [-2.0, -0.2, -0.4], [1.0, 1.0, 1.0])
 
         def descending_increments(model, history):
-            sim = model.simulator(history.start_u)
+            sim = model.simulator(initial_memory(history.start_u))
             for v in history.extrema:
                 sim.push(v)
             start = sim.value()

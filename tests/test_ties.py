@@ -28,6 +28,7 @@ from preisach import (
     eval_generalized,
     eval_geometric,
     extract_reversals,
+    initial_memory,
     memory_from_sequence,
     relay_fold,
     states_of,
@@ -109,7 +110,7 @@ def soft_agents(draw):
 
 
 def driven(model, start, values, resume=False):
-    sim = model.simulator(start)
+    sim = model.simulator(initial_memory(start))
     for u in values:
         sim.push(u)
     if resume:
@@ -283,7 +284,7 @@ class TestRelayIndex:
         # the fall from 0.9 must switch the relay at up_compare(0.9) DOWN, and
         # the rise from 0.9 the one at down_compare(0.9) UP
         values = [0.9, -1.0, 2.0, 0.9, 2.0]
-        sim = sm.simulator(-1.0)
+        sim = sm.simulator(initial_memory(-1.0))
         for k, u in enumerate(values, start=1):
             sim.push(u)
             steps, want = reference_states(sm, -1.0, values[:k])
@@ -313,7 +314,7 @@ class TestRelayIndex:
                 if isinstance(model, (AgentPopulation, ShiftModel)):
                     assert same_parts(s), (model, k)
 
-            sim, resumed = model.simulator(start), None
+            sim, resumed = model.simulator(initial_memory(start)), None
             check(sim, np.full(alpha.size, -1.0), 0)
             for k, u in enumerate(values, start=1):
                 if k == split:
@@ -391,7 +392,7 @@ class TestSoftReadout:
         # thresholds, knots and inputs share the one-decimal grid, so inputs land on them
         gpop = soft_population(agents)
         span = min(start, *values), max(start, *values)
-        sim = gpop.simulator(start)
+        sim = gpop.simulator(initial_memory(start))
         assert same_soft_readout(gpop, agents, sim, *span)
         for u in values:
             sim.push(u)
@@ -406,7 +407,7 @@ class TestSoftReadout:
         for top, half in ((5e-324, 0.0), (1.5e-323, 1e-323)):
             agents = [(0.5, -0.5, [(0.0, 0.0)], [(0.0, top)])]
             gpop = soft_population(agents)
-            sim = gpop.simulator(-1.0)
+            sim = gpop.simulator(initial_memory(-1.0))
             sim.push(0.6)
             sim.push(0.0)  # UP in the band
             assert sim.value() == top
@@ -420,7 +421,7 @@ class TestSoftReadout:
                   (0.25, -0.25, [(0.0, -TOP / 4)], [(0.0, TOP / 4)]),
                   (0.0, 0.0, [(0.0, 0.0)], [(0.0, 2.0 ** 969)])]
         gpop = soft_population(agents)
-        sim = gpop.simulator(-1.0)
+        sim = gpop.simulator(initial_memory(-1.0))
         for u in (1.0, -0.25, 0.5, -1.0, 0.0, 1.0, 0.25):
             sim.push(u)
             assert same_soft_readout(gpop, agents, sim, -1.0, 1.0), u
@@ -483,7 +484,7 @@ class TestStreamedGrid:
     @TIES
     def test_bit_identical_to_stateless_route(self, case, split):
         grid, start, path = case
-        sim = grid.simulator(start)
+        sim = grid.simulator(initial_memory(start))
         resumed = None
         for k, u in enumerate(path):
             if k == min(split, len(path) - 1):
@@ -502,7 +503,7 @@ class TestStreamedGrid:
         # output and part an exact sum of the cells' masses rounded once
         grid, start, path = case
         cells = grid_cells(grid)
-        sim = grid.simulator(start)
+        sim = grid.simulator(initial_memory(start))
         for u in [start, *path]:
             if u != sim.memory.current_u:
                 sim.push(u)
@@ -523,7 +524,7 @@ class TestDirectVsGeometricTies:
         start = data.draw(points)
         values = data.draw(st.lists(points, min_size=1, max_size=12))
         seq = extract_reversals(series_from_values(values), start)
-        sim = grid.simulator(start)
+        sim = grid.simulator(initial_memory(start))
         for u in values:
             sim.push(u)
             # the grid's parts, read from its stack, are the direct model's
