@@ -71,11 +71,17 @@ def require_cycle(u_minus: float, u_plus: float, n_points: int = 2) -> np.ndarra
                          "its width is past the float range")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    return _per_point(n_points, "inputs", np.linspace, u_minus, u_plus, n_points)
+
+
+def _per_point(n_points: int, what: str, make, *args) -> np.ndarray:
+    """``make(*args)``, an array of the cycle's ``what``; named by ``n_points`` if it cannot
+    be allocated."""
     try:
-        return np.linspace(u_minus, u_plus, n_points)
+        return make(*args)
     except (MemoryError, ValueError):  # numpy refuses a size past its index range at once
         raise ValueError(f"n_points={n_points} is too large: "
-                         "the cycle's inputs cannot be allocated") from None
+                         f"the cycle's {what} cannot be allocated") from None
 
 
 def _require_in_cycle(u_minus: float, u_plus: float, u: float) -> None:
@@ -135,11 +141,11 @@ class _RelayModel:
         path, each leg starting where the one before it ended.
         """
         states = np.full(self.alpha.shape, -1.0)
-        last = None  # where the last leg ended, once the input has risen
+        last = -math.inf  # where the last leg ended, once the input has risen
         for value, rising in steps:
             crossed, state = self._index.crossed(last, value, rising)
             states[crossed] = state
-            if rising or last is not None:
+            if rising or last > -math.inf:
                 last = value
         return states
 
@@ -191,20 +197,17 @@ class _RelayIndex:
     def crossed(self, c, v: float, rising: bool) -> tuple[np.ndarray, int]:
         """The relays a leg from ``c`` to ``v`` may switch, and the state it gives them.
 
-        ``c`` is None before the input first rises, when every relay is DOWN:
-        a rise then switches UP every ``alpha <= up(v)`` and a fall nothing.
-        After it, the relays with ``alpha`` below both ``up(c)`` and
-        ``down(c)`` are UP and those with ``beta`` above both are DOWN, so a
-        rise needs only ``alpha`` in ``[min(up(c), down(c)), up(v)]`` and a
-        fall only ``beta`` in ``[down(v), max(down(c), up(c))]``. Both bounds
-        are needed: ``g2 <= g1`` does not make ``up(c) <= down(c)`` in floats.
+        The relays with ``alpha`` below both ``up(c)`` and ``down(c)`` are UP and those
+        with ``beta`` above both are DOWN, so a rise needs only ``alpha`` in ``[min(up(c),
+        down(c)), up(v)]`` and a fall only ``beta`` in ``[down(v), max(down(c), up(c))]``.
+        Both bounds are needed: ``g2 <= g1`` does not make ``up(c) <= down(c)`` in floats.
+        Before the input first rises ``c`` is -inf: every relay is DOWN, as a fall to -inf
+        leaves it. Every compare map sends -inf to -inf (``_composite_map``: ``u + g(first
+        knot)``), so a rise takes every ``alpha <= up(v)`` and a fall ``[down(v), -inf]``, none.
         """
         m = self.model
         if rising:
-            lo = -math.inf if c is None else min(m.up_compare(c), m.down_compare(c))
-            return self.alpha_within(lo, m.up_compare(v)), 1
-        if c is None:
-            return self.by_beta[:0], -1
+            return self.alpha_within(min(m.up_compare(c), m.down_compare(c)), m.up_compare(v)), 1
         return self.beta_within(m.down_compare(v), max(m.down_compare(c), m.up_compare(c))), -1
 
 
@@ -306,7 +309,7 @@ class _RelaySimulator:
         if u == mem.current_u:
             return
         self.memory = push_extremum(mem, u)  # first: a rejected u switches nothing
-        self._switch(*self.model._index.crossed(mem.current_u if mem.risen else None,
+        self._switch(*self.model._index.crossed(mem.current_u if mem.risen else -math.inf,
                                                  u, u > mem.current_u))
 
     def _switch(self, crossed: np.ndarray, state: int) -> None:
@@ -509,12 +512,10 @@ class GridSimulator:
 
 
 def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
-    """``(beta0, alpha0, cell_width, centers)`` of n >= 2 cells per axis, checked: ``beta0 <
-    alpha0``, a finite width, and centers that strictly increase (no two cells round together)."""
+    """``(beta0, alpha0, cell_width, centers)`` of n >= 2 cells per axis (``from_agents`` checks
+    n), checked: ``beta0 < alpha0``, a finite width, and centers that strictly increase."""
     beta0, alpha0 = float(beta0), float(alpha0)
     if beta0 < alpha0 and math.isfinite(alpha0 - beta0):  # nan and inf fail here
-        if n < 2:
-            raise ValueError("grid needs at least 2 cells per axis")
         width = (alpha0 - beta0) / n
         centers = beta0 + (np.arange(n) + 0.5) * width
         if (centers[1:] > centers[:-1]).all():  # a width of 0 fails here
@@ -548,6 +549,8 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     before any array of n entries is made, and a grid that cannot be allocated, its table
     or any other of its arrays, is named by n and the bytes of its table.
     """
+    if n < 2:
+        raise ValueError("grid needs at least 2 cells per axis")
     bits = _limb_bits(pop.nu.size, 63)
     scale, limbs = _split(pop.nu, bits, np.int64)
     depth = len(limbs)
@@ -636,27 +639,16 @@ def minor_loop(model, history: ReversalSequence, u_minus: float, u_plus: float,
     weight grid, or their generalized counterparts.
     """
     us = require_cycle(u_minus, u_plus, n_points)
+    branches = _per_point(n_points, "outputs", np.empty, (2, n_points))
     sim = model.simulator(memory_from_sequence(history))
     for v in (u_minus, u_plus, u_minus):
         sim.push(v)
-
-    f_asc = np.empty(n_points)
-    f_asc[0] = sim.value()
-    for k in range(1, n_points):
-        sim.push(us[k])
-        f_asc[k] = sim.value()
-    f_desc = np.empty(n_points)
-    f_desc[-1] = f_asc[-1]
-    for k in range(n_points - 2, -1, -1):
-        sim.push(us[k])
-        f_desc[k] = sim.value()
-    return LoopTrace(
-        u_minus=float(u_minus),
-        u_plus=float(u_plus),
-        us=us,
-        f_ascending=f_asc,
-        f_descending=f_desc,
-    )
+    # up the inputs, then back down them; each branch starts where the input already is
+    for f, ks in zip(branches, (range(n_points), range(n_points - 1, -1, -1))):
+        for k in ks:
+            sim.push(us[k])
+            f[k] = sim.value()
+    return LoopTrace(float(u_minus), float(u_plus), us, *branches)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .classical import SupportError, _max_gap, from_agents, minor_loop, require_cycle
+from .classical import SupportError, _max_gap, _per_point, from_agents, minor_loop, require_cycle
 from .memory import initial_memory, load_memory, save_memory
 from .signal import ReversalSequence, extract_reversals
 from .verify import residual_limit, run_suite
@@ -87,8 +87,6 @@ def _load_model(args):
     if kind == "classical":
         pop = fileio.read_agents_csv(args.agents)
         if args.grid_n is not None:
-            if args.grid_n < 2:
-                raise ValueError("--grid-n must be at least 2")
             if args.bounds is not None:
                 try:
                     lo, hi = (float(x) for x in args.bounds.split(","))
@@ -170,9 +168,7 @@ def cmd_loop(args) -> int:
     history = _history_seq(args, args.start)
     trace = minor_loop(model, history, args.u_minus, args.u_plus, args.n_points)
     chord_loop = trace.chord()
-    chord_formula = np.array(
-        [model.chord(args.u_minus, args.u_plus, float(u)) for u in trace.us]
-    )
+    chord_formula = _chords(model, args, trace.us)
     mismatch = _max_gap(chord_loop, chord_formula)
     if mismatch <= residual_limit(args.tol, (trace.f_ascending, trace.f_descending)):
         header = ["u", "f_ascending", "f_descending", "chord"]
@@ -194,9 +190,16 @@ def cmd_chord(args) -> int:
     us = require_cycle(args.u_minus, args.u_plus, args.n_points)
     if args.at is not None:
         us = [args.at]
-    rows = [(float(u), model.chord(args.u_minus, args.u_plus, float(u))) for u in us]
-    _write_rows(args, ["u", "chord"], rows)
+    _write_rows(args, ["u", "chord"], zip(us, _chords(model, args, us)))
     return 0
+
+
+def _chords(model, args, us) -> np.ndarray:
+    """The model's chord formula at each of ``us``, into an array allocated before the first."""
+    chords = _per_point(args.n_points, "chords", np.empty, len(us))
+    for k, u in enumerate(us):
+        chords[k] = model.chord(args.u_minus, args.u_plus, float(u))
+    return chords
 
 
 def cmd_verify(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from .classical import AgentPopulation, _relay_fault
 from .generalized import GeneralizedPopulation, ShiftModel
 from .hysteron import PiecewiseLinear, _branch_fault
-from .memory import read_json
+from .memory import _pair, read_json
 from .signal import SampledSeries
 
 
@@ -118,7 +118,7 @@ def read_generalized_json(path) -> GeneralizedPopulation:
         for k, entry in enumerate(data):
             try:
                 for key, values in zip(("alpha", "beta", "f_plus", "f_minus"), fields):
-                    values.append([(float(u), float(f)) for u, f in entry[key]]
+                    values.append([*map(_pair, entry[key])]
                                   if key.startswith("f_") else float(entry[key]))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 if k:  # a fault of an earlier agent, then of this agent's f_plus, is named first
@@ -144,7 +144,7 @@ def read_shift_json(path) -> ShiftModel:
             for name in ("g1", "g2"):
                 knots = data[name]
                 try:
-                    maps.append(PiecewiseLinear(knots))
+                    maps.append(PiecewiseLinear([*map(_pair, knots)]))
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{name}: {exc}") from exc
         except (KeyError, TypeError) as exc:

@@ -100,8 +100,6 @@ def check_invariants(mem: StaircaseMemory) -> str | None:
         if pairs:
             if mem.current_u != pairs[-1][1]:
                 return "falling memory must keep its live minimum at current_u"
-            if mem.current_u >= pairs[-1][0]:
-                return "falling input must stay below its own maximum"
     return None
 
 
@@ -199,9 +197,7 @@ def from_dict(data: dict) -> StaircaseMemory:
     try:
         mem = StaircaseMemory(
             start_u=float(data["start_u"]),
-            vertex_pairs=tuple(
-                (float(big), float(small)) for big, small in data["pairs"]
-            ),
+            vertex_pairs=tuple(map(_pair, data["pairs"])),
             current_u=float(data["current_u"]),
             trend=str(data["trend"]),
         )
@@ -226,6 +222,14 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def _pair(item) -> tuple[float, float]:
+    """A JSON array of two numbers as two floats: no string or object unpacks as a pair."""
+    if not isinstance(item, list):
+        raise TypeError(f"expected an array of two numbers, got {item!r}")
+    a, b = item
+    return float(a), float(b)
 
 
 def load_memory(path) -> StaircaseMemory:

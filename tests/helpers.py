@@ -244,14 +244,20 @@ def soft_agents_by_loop(path, data):
     Python and ``np.interp``: the thresholds, then ``(sizes, us, fs)`` per
     branch, or the ``ValueError`` naming the first agent at fault. An
     ``f_minus`` that cannot be read is named after any fault of ``f_plus``, and
-    the exact running total of the agents' largest branch values last."""
+    the exact running total of the agents' largest branch values last. A knot
+    must be a JSON array, so a two-character string is not read as two numbers."""
     alphas, betas, branches, total = [], [], ([], []), 0.0
     for k, entry in enumerate(data):
         try:
             alpha, beta = float(entry["alpha"]), float(entry["beta"])
             for key, knots in zip(("f_plus", "f_minus"), branches):
                 try:
-                    pts = [(float(u), float(f)) for u, f in entry[key]]
+                    pts = []
+                    for knot in entry[key]:
+                        if not isinstance(knot, list):  # a knot is a JSON array
+                            raise TypeError(f"expected an array of two numbers, got {knot!r}")
+                        u, f = knot
+                        pts.append((float(u), float(f)))
                 except (KeyError, TypeError, ValueError, OverflowError):
                     if key == "f_minus":
                         _check_steps(branches[0][-1])

@@ -7,7 +7,8 @@ bytes of every CLI call on them.
   binned into a 64 x 64 grid), a shift model, soft-branch agents, a sampled
   series, bad relay and soft-agent files, an agent and a series file whose
   headers name their columns out of order, one relay whose chord is past
-  the float range, and relays whose support is too wide for ``verify`` to sample;
+  the float range, relays whose support is too wide for ``verify`` to sample,
+  and soft agents whose knots are strings, not arrays;
 * ``expected/manifest.json``: each call's argv, exit code and stderr, and
   the files it writes; ``expected/<case>.stdout`` and those files hold the
   bytes it wrote.
@@ -130,6 +131,10 @@ def write_inputs() -> None:
     (INPUTS / "bad_header_series.csv").write_text("u,time\n0.5,0\n0.7,1\n")
     # a valid support 1e308 wide: padded for verify's random histories, its width is inf
     (INPUTS / "wide_relay.csv").write_text("alpha,beta,nu\n1e308,1e307,1\n0.5,0.25,2\n")
+    # knots that are two-character strings, not arrays: unpacked, "05" and "16" would
+    # read as a valid f_minus with knots (0, 5) and (1, 6)
+    (INPUTS / "bad_soft_knot.json").write_text(json.dumps(
+        [good, {**good, "f_minus": ["05", "16"]}]) + "\n")
 
 
 # relay thresholds hit: 0.7, 0.2, 0.5, 0.3 (tenths), 0.46875 (30/64)
@@ -153,8 +158,8 @@ KINDS = {
 def cases() -> dict[str, list[str]]:
     """Each call by name: the five commands on every model kind, a run split in
     two by ``--memory-out``/``--memory-in``, a few runs that fail (one of them
-    resumed from a memory, one on a cycle too wide and one verifying a support too
-    wide), and a loop whose chord is past the float range."""
+    resumed from a memory, one on a cycle too wide, one verifying a support too
+    wide and one on a grid of one cell), and a loop whose chord is past the float range."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -176,7 +181,7 @@ def cases() -> dict[str, list[str]]:
                                     "--memory-out", f"{{out}}/split-{kind}-2.memory.json"]
     calls["simulate-grid-agent-extent"] = ["simulate", "--agents", "inputs/relay.csv",
                                            "--grid-n", "64", "--history", "0.99,-0.5"]
-    for bad in ("falling", "slope", "overflow"):
+    for bad in ("falling", "slope", "overflow", "knot"):
         calls[f"bad-soft-{bad}"] = ["simulate", "--model", "generalized", "--agents",
                                     f"inputs/bad_soft_{bad}.json", "--history", "0.5"]
     calls["bad-relay-overflow"] = ["simulate", "--agents", "inputs/bad_relay_overflow.csv",
@@ -197,6 +202,7 @@ def cases() -> dict[str, list[str]]:
     calls["bad-cycle-width"] = ["chord", *KINDS["relay"][0], "--u-minus", "-1e308",
                                 "--u-plus", "1e308", "--n-points", "3"]
     calls["bad-verify-support"] = ["verify", "--agents", "inputs/wide_relay.csv"]
+    calls["bad-grid-n"] = ["simulate", *KINDS["relay"][0], "--grid-n", "1", "--history", "0.5"]
     return calls
 
 

@@ -235,7 +235,7 @@ class TestWeightGrid:
         with pytest.raises(ValueError, match="agent out of range"):
             from_agents(pop, 8, (0.0, 1.0))
 
-    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [-1, 0, 1, -10**30])
     @pytest.mark.parametrize("build", [
         lambda n: from_agents(AgentPopulation([0.5], [0.25], [1.0]), n, (0.0, 1.0)),
     ], ids=["from_agents"])

@@ -15,7 +15,7 @@ import preisach.classical
 import preisach.generalized
 import preisach.verify
 from helpers import cell_masses, uniform_grid
-from preisach import GeneralizedPopulation, PiecewiseLinear
+from preisach import AgentPopulation, GeneralizedPopulation, PiecewiseLinear
 from preisach.cli import build_parser, main
 
 AGENTS_CSV = "alpha,beta,nu\n2,1,1\n3,0,2\n"
@@ -84,21 +84,35 @@ def large_agents_csv(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def refuse_large_arrays(monkeypatch):
-    """numpy refuses every array of more than 10**6 entries, as a machine out of memory
-    would, so that no size that might succeed is ever tried."""
+# the entries of the array each numpy maker is asked for
+ARRAY_SIZES = {"zeros": lambda shape, *a, **k: np.prod(shape, dtype=object),
+               "empty": lambda shape, *a, **k: np.prod(shape, dtype=object),
+               "arange": lambda *a, **k: a[-1] - a[0] if len(a) > 1 else a[0],
+               "linspace": lambda start, stop, num=50, *a, **k: num}
+
+
+def refuse_arrays_over_a_million(monkeypatch, names):
+    """The numpy makers ``names`` refuse every array of more than 10**6 entries, as a
+    machine out of memory would, so that no size that might succeed is ever tried."""
     def refusing(make, size_of):
         def make_or_refuse(*args, **kwargs):
             if size_of(*args, **kwargs) > 10**6:
                 raise MemoryError
             return make(*args, **kwargs)
         return make_or_refuse
-    for name, size_of in (("zeros", lambda shape, *a, **k: np.prod(shape, dtype=object)),
-                          ("empty", lambda shape, *a, **k: np.prod(shape, dtype=object)),
-                          ("arange", lambda *a, **k: a[-1] - a[0] if len(a) > 1 else a[0]),
-                          ("linspace", lambda start, stop, num=50, *a, **k: num)):
-        monkeypatch.setattr(np, name, refusing(getattr(np, name), size_of))
+    for name in names:
+        monkeypatch.setattr(np, name, refusing(getattr(np, name), ARRAY_SIZES[name]))
+
+
+@pytest.fixture()
+def refuse_large_arrays(monkeypatch):
+    refuse_arrays_over_a_million(monkeypatch, ARRAY_SIZES)
+
+
+@pytest.fixture()
+def refuse_large_outputs(monkeypatch):
+    """As ``refuse_large_arrays``, but ``np.linspace`` makes a cycle's inputs of any size."""
+    refuse_arrays_over_a_million(monkeypatch, set(ARRAY_SIZES) - {"linspace"})
 
 
 def read_rows(path):
@@ -280,7 +294,12 @@ class TestDataErrors:
          "could not convert string to float: 'abc'"),
         ('{"start_u": 0.0, "pairs": [[1]], "current_u": 0.5, "trend": "falling"}',
          "not enough values to unpack (expected 2, got 1)"),
-    ], ids=["text-value", "short-pair"])
+        # a pair is a JSON array: neither of these reads as the pair (9, 1)
+        ('{"start_u": 0.0, "pairs": ["91"], "current_u": 1.5, "trend": "rising"}',
+         "expected an array of two numbers, got '91'"),
+        ('{"start_u": 0.0, "pairs": [{"9": 0, "1": 0}], "current_u": 1.5, "trend": "rising"}',
+         "expected an array of two numbers, got {'9': 0, '1': 0}"),
+    ], ids=["text-value", "short-pair", "string-pair", "object-pair"])
     def test_malformed_memory_value(self, agents_csv, tmp_path, capsys, record, message):
         path = tmp_path / "memory.json"
         path.write_text(record)
@@ -404,6 +423,11 @@ BAD_SOFT_FILES = {
                           "could not convert string to float: 'x'"),
     "knot-not-a-pair": ([{**GOOD_SOFT, "f_minus": [[0.0, 0.0], [1.0]]}], 0,
                         "not enough values to unpack (expected 2, got 1)"),
+    # a knot is a JSON array: a two-character string or a two-key object does not unpack
+    "knot-a-string": ([GOOD_SOFT, {**GOOD_SOFT, "f_plus": ["05", "16"]}], 1,
+                      "expected an array of two numbers, got '05'"),
+    "knot-an-object": ([{**GOOD_SOFT, "f_minus": [[0.0, 0.0], {"1": 0, "2": 0}]}], 0,
+                       "expected an array of two numbers, got {'1': 0, '2': 0}"),
     # the f_plus rule is named before the missing f_minus
     "decreasing-f_plus-and-no-f_minus": (
         [{"alpha": 1, "beta": 0, "f_plus": [[0, 1], [1, 0]]}], 0,
@@ -529,6 +553,10 @@ BAD_SHIFT_FILES = {
     "string-in-g2": ({**GOOD_SHIFT, "g2": [[0.0, "x"]]},
                      "g2: could not convert string to float: 'x'"),
     "no-g1": (without(GOOD_SHIFT, "g1"), "malformed shift model: 'g1'"),
+    "string-knots": ({**GOOD_SHIFT, "g1": ["00"], "g2": ["00"]},
+                     "g1: expected an array of two numbers, got '00'"),
+    "object-knot-in-g2": ({**GOOD_SHIFT, "g2": [{"0": 1, "1": 2}]},
+                          "g2: expected an array of two numbers, got {'0': 1, '1': 2}"),
     "capacity-total-overflows": ({**GOOD_SHIFT, "agents": [
         {"alpha": 0.9 - 0.1 * k, "beta": 0.1 * k, "nu": 1e308} for k in range(3)]},
         "agent 1: total capacity overflows"),
@@ -657,6 +685,13 @@ class TestGridOptions:
         code = main(["simulate", "--model", model, "--agents", agents, "--history", "1", *option])
         assert code == 1
         assert "--model classical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "-1000000000000000000000000000000"])
+    def test_fewer_than_two_cells_exit_2(self, agents_csv, capsys, n):
+        # checked once, before the table is sized from n
+        code = main(["simulate", "--agents", agents_csv, "--grid-n", n, "--history", "2"])
+        assert (code, capsys.readouterr().err) == (
+            2, "preisach: error: grid needs at least 2 cells per axis\n")
 
     def test_malformed_bounds_named(self, agents_csv, capsys):
         code = main(["simulate", "--agents", agents_csv, "--grid-n", "8", "--bounds", "0",
@@ -1126,6 +1161,23 @@ class TestCycleTooLarge:
         assert (code, capsys.readouterr().err) == (
             2, f"preisach: error: n_points={n_points} is too large: "
                "the cycle's inputs cannot be allocated\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, what, tracer", [("loop", "outputs", "simulator"),
+                                                       ("chord", "chords", "chord")])
+    def test_outputs_that_cannot_be_allocated_exit_2(self, agents_csv, capsys, monkeypatch,
+                                                     refuse_large_outputs, command, what,
+                                                     tracer):
+        # the inputs are made, and the per-point outputs are refused before any point is
+        # traced: a loop starts no simulator, a chord profile reads no chord
+        def untraced(*args):
+            raise AssertionError(f"{tracer} called")
+        monkeypatch.setattr(AgentPopulation, tracer, untraced)
+        code = main([command, "--agents", agents_csv, "--u-minus", "0.5", "--u-plus", "2.5",
+                     "--n-points", "2000000"])
+        assert (code, capsys.readouterr().err) == (
+            2, "preisach: error: n_points=2000000 is too large: "
+               f"the cycle's {what} cannot be allocated\n")
 
 
 class TestDecompose:

@@ -185,7 +185,7 @@ def soft_agent(draw):
         k = draw(st.integers(0, len(knots) - 1))
         knots[k] = draw(st.sampled_from(([knots[k][0]], knots[k] + [0.0], knots[k][0],
                                          [knots[k][0], str(knots[k][1])],
-                                         [knots[k][0], None], [True, knots[k][1]])))
+                                         [knots[k][0], None], [True, knots[k][1]], "05")))
     elif odd == 4:
         entry[draw(st.sampled_from(("f_plus", "f_minus")))] = draw(st.sampled_from(
             ([], 0.5, "12", {"12": 3})))
@@ -225,6 +225,9 @@ def soft_agent(draw):
 @example(agents=[HUGE, HUGE, {"alpha": 1.0, "beta": 0.0, "f_plus": [[-1.0, -1.0], [2.0, 2.0]],
                               "f_minus": [[-1.0, 0.5], [2.0, 0.8]]}])
 @example(agents=[HUGE, HUGE, {key: value for key, value in AGENT.items() if key != "alpha"}])
+# a knot is a JSON array: a two-character string or a two-key object is not read as one
+@example(agents=[AGENT, {**AGENT, "f_plus": ["05", "16"]}])
+@example(agents=[{**AGENT, "f_minus": {"05": 1}}])
 # signed zeros: the probe named is the first listed of equal ones
 @example(agents=[{"alpha": 0.0, "beta": -0.0, "f_plus": [[-0.0, 1.0]], "f_minus": [[0.0, 0.5]]}])
 @LOADERS

@@ -235,3 +235,7 @@ class TestSerialization:
             from_dict(bad_trend)
         with pytest.raises(ValueError, match="malformed memory record"):
             from_dict({"pairs": []})
+        # a pair is a JSON array of two numbers, not a string or an object of two keys
+        for pair in ("91", {"9": 0, "1": 0}):
+            with pytest.raises(ValueError, match="malformed memory record: expected an array"):
+                from_dict(dict(good, pairs=[pair], current_u=1.5, trend="rising"))
