@@ -13,8 +13,9 @@ route from a memory to the table. Grid cells act as point masses at their
 centers, and the table holds their exact integer sums, so every grid output is
 one exact sum rounded once, and the two routes agree bit for bit whenever no
 history extremum needs to split a cell. Only the table's lower triangle is kept
-(no cell above the diagonal carries mass), packed row by row; built one cell
-row at a time, it is all the grid keeps, with no matrix of cell masses.
+(no cell above the diagonal carries mass), packed row by row. ``from_agents`` sums
+each cell's agents at once and fills the table from those sums one cell row at a
+time; the table is all the grid keeps, with no matrix of cell masses.
 
 Also here: cycle tracing (``minor_loop``), the one loop comparison
 (``check_congruency``: branches up to a translation, and chords), the vertical-chord
@@ -136,9 +137,10 @@ class _RelayModel:
     def fold(self, steps) -> np.ndarray:
         """Relay states after ``(value, rising)`` steps, starting all-DOWN.
 
-        The states of :func:`relay_fold`, switching only the relays each step
-        crosses (``_RelayIndex.crossed``); the steps must be those of one input
-        path, each leg starting where the one before it ended.
+        The states of :func:`relay_fold` over the steps, each value mapped as the model
+        compares it (``up_compare`` on a rise, ``down_compare`` on a fall), switching only
+        the relays each step crosses (``_RelayIndex.crossed``); the steps must be those of
+        one input path, each leg starting where the one before it ended.
         """
         states = np.full(self.alpha.shape, -1.0)
         last = -math.inf  # where the last leg ended, once the input has risen
@@ -395,30 +397,22 @@ class WeightGrid:
     ``from_agents``: cell ``[i, j]`` holds the capacity of the agents whose up-threshold
     falls in cell row i and down-threshold in cell column j, so no cell above the
     diagonal carries mass. Queries treat each cell as a point mass at its center.
-    The grid keeps only the summed-area table of the masses, ``prefix``, exactly:
-    the mass ``P[i, j]`` of rows [0, i) x cols [0, j) times ``2**scale`` is the sum
-    of the masses' ``_split`` limbs, summed but never carried, and ``prefix[l]``
-    holds limb l (int64, ``bits`` bits) of every entry. It holds the lower triangle,
-    ``P[i, j]`` for ``j <= i`` at entry ``i*(i+1)//2 + j``: (n+1)(n+2)/2 entries,
-    as the rest equals the diagonal. The masses themselves are not kept.
+    The grid stores its bounds, the cell centers and, filled by ``from_agents``, the
+    summed-area table of the masses, ``prefix``, exactly: the mass ``P[i, j]`` of rows
+    [0, i) x cols [0, j) times ``2**scale`` is the sum of the masses' ``_split`` limbs,
+    summed but never carried, and ``prefix[l]`` holds limb l (int64, ``bits`` bits) of
+    every entry. It holds the lower triangle, ``P[i, j]`` for ``j <= i`` at entry
+    ``i*(i+1)//2 + j``: (n+1)(n+2)/2 entries, as the rest equals the diagonal. The
+    masses themselves are not kept.
     """
 
-    def __init__(self, geometry: tuple, scale: int, bits: int, limbs: int, rows):
-        """Set up the grid of a ``_grid_geometry`` and its packed table from its cell rows,
-        row i - 1 given as the ``limbs`` x i limbs of its first i cells. The table is
-        allocated first, so that a table too large for memory fails before the list of
-        centers is made."""
-        self.beta0, self.alpha0, self.cell_width, self.centers = geometry
-        self.n = n = self.centers.size
-        self.prefix = prefix = np.zeros((limbs, (n + 1) * (n + 2) // 2), np.int64)
-        self._center_list = self.centers.tolist()  # bisect: ~10x a scalar searchsorted
+    def __init__(self, beta0: float, alpha0: float, centers: np.ndarray, prefix: np.ndarray,
+                 scale: int, bits: int):
+        self.beta0, self.alpha0, self.centers, self.prefix = beta0, alpha0, centers, prefix
+        self.n = n = centers.size
+        self._center_list = centers.tolist()  # bisect: ~10x a scalar searchsorted
         self.scale, self.bits = scale, bits
-        cols = np.zeros((limbs, n), np.int64)  # column sums of the rows so far
-        for i, row in enumerate(rows, 1):
-            cols[:, :i] += row
-            start = i * (i + 1) // 2
-            np.cumsum(cols[:, :i], axis=1, out=prefix[:, start + 1:start + i + 1])
-        self._limbs = range(limbs - 1, -1, -1)  # the highest first
+        self._limbs = range(len(prefix) - 1, -1, -1)  # the highest first
         self.total = self.rect_mass(0, n, 0, n)  # exact, times 2**scale
         self.total_mass = self.total / (1 << scale)
 
@@ -511,36 +505,6 @@ class GridSimulator:
         return (2 * self.up - grid.total - up - down) / unit, up / unit + down / unit, 0.0
 
 
-def _grid_geometry(beta0: float, alpha0: float, n: int) -> tuple:
-    """``(beta0, alpha0, cell_width, centers)`` of n >= 2 cells per axis (``from_agents`` checks
-    n), checked: ``beta0 < alpha0``, a finite width, and centers that strictly increase."""
-    beta0, alpha0 = float(beta0), float(alpha0)
-    if beta0 < alpha0 and math.isfinite(alpha0 - beta0):  # nan and inf fail here
-        width = (alpha0 - beta0) / n
-        centers = beta0 + (np.arange(n) + 0.5) * width
-        if (centers[1:] > centers[:-1]).all():  # a width of 0 fails here
-            return beta0, alpha0, width, centers
-    raise ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
-
-
-def _binned(n: int, cell: np.ndarray, limbs: np.ndarray):
-    """``WeightGrid``'s cell rows: the masses' limbs (a column each) in cell ``row * n + col``
-    (``col <= row``) summed exactly, one L x (i + 1) array of limbs per cell row i. The sums
-    are taken at once, the rows when they are read."""
-    order = np.argsort(cell)  # any order: the sums are exact
-    cell = cell[order]
-    first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first mass
-    sums, cell = np.add.reduceat(limbs[:, order], first, axis=1), cell[first]
-
-    def rows():
-        ends = cell.searchsorted(np.arange(1, n + 1) * n).tolist()
-        for i, start, end in zip(range(n), [0, *ends], ends):
-            row = np.zeros((len(sums), i + 1), np.int64)
-            row[:, cell[start:end] - i * n] = sums[:, start:end]
-            yield row
-    return rows()
-
-
 def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> WeightGrid:
     """Bin a population into an n x n grid over ``bounds = (beta0, alpha0)``.
 
@@ -559,7 +523,14 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
     if table > np.iinfo(np.intp).max:  # past numpy's index range: nothing is allocated
         raise ValueError(too_large)
     try:  # any array of the grid may be the one that does not fit
-        geometry = beta0, alpha0, width, _ = _grid_geometry(*bounds, n)
+        beta0, alpha0 = map(float, bounds)
+        invalid = ValueError(f"invalid bounds ({beta0!r}, {alpha0!r})")
+        if not (beta0 < alpha0 and math.isfinite(alpha0 - beta0)):  # nan and inf fail here
+            raise invalid
+        width = (alpha0 - beta0) / n
+        centers = beta0 + (np.arange(n) + 0.5) * width
+        if not (centers[1:] > centers[:-1]).all():  # a width of 0 fails here
+            raise invalid
         outside = np.flatnonzero((pop.alpha > alpha0) | (pop.beta < beta0))  # alpha >= beta
         if outside.size:
             k = int(outside[0])
@@ -571,9 +542,20 @@ def from_agents(pop: AgentPopulation, n: int, bounds: tuple[float, float]) -> We
 
         def cut(x):  # the cell row of an alpha, or column of a beta (alpha >= beta: col <= row)
             return np.clip(((x - beta0) / width).astype(int), 0, n - 1)
-        rows = _binned(n, cut(pop.alpha) * n + cut(pop.beta), limbs)
-        del limbs  # the rows keep the cell sums: no second copy while the table fills
-        return WeightGrid(geometry, scale, bits, depth, rows)
+        cell = cut(pop.alpha) * n + cut(pop.beta)
+        order = np.argsort(cell)  # any order: the sums are exact
+        cell = cell[order]
+        first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first mass
+        sums, cell = np.add.reduceat(limbs[:, order], first, axis=1), cell[first]
+        del limbs, order, first  # the cell sums alone are kept while the table fills
+        prefix = np.zeros((depth, (n + 1) * (n + 2) // 2), np.int64)
+        cols = np.zeros((depth, n), np.int64)  # column sums of the rows so far
+        ends = cell.searchsorted(np.arange(1, n + 1) * n).tolist()
+        for i, start, end in zip(range(1, n + 1), [0, *ends], ends):  # cell row i - 1
+            cols[:, cell[start:end] % n] += sums[:, start:end]
+            row = i * (i + 1) // 2
+            np.cumsum(cols[:, :i], axis=1, out=prefix[:, row + 1:row + i + 1])
+        return WeightGrid(beta0, alpha0, centers, prefix, scale, bits)
     except MemoryError:
         raise ValueError(too_large) from None
 

@@ -33,25 +33,23 @@ import numpy as np
 _ROUNDS_TO_INF = 2 ** 1024 - 2 ** 970  # the least real that rounds to inf
 
 
-def relay_fold(alpha, beta, steps, states=None, up_compare=None,
-               down_compare=None) -> np.ndarray:
+def relay_fold(alpha, beta, steps, states=None) -> np.ndarray:
     """Relay states after a stream of ``(value, rising)`` input legs.
 
     This is the reference switching rule of the package. A rise to ``value``
-    switches UP every relay whose up-threshold is <= the compared value, a
-    fall switches DOWN every relay whose down-threshold is >= it, and all
-    other relays keep their state. ``up_compare``/``down_compare`` map the
-    input to the value compared (the identity when omitted; the shift model
-    slides them). ``states`` is updated in place and defaults to all-DOWN
-    floats.
+    switches UP every relay whose up-threshold is <= ``value``, a fall switches
+    DOWN every relay whose down-threshold is >= it, and all other relays keep
+    their state. A model that compares a mapped input (the shift model's sliding
+    maps) folds the mapped values. ``states`` is updated in place and defaults to
+    all-DOWN floats.
     """
     if states is None:
         states = np.full(np.shape(alpha), -1.0)
     for value, rising in steps:
         if rising:
-            states[alpha <= (value if up_compare is None else up_compare(value))] = 1
+            states[alpha <= value] = 1
         else:
-            states[beta >= (value if down_compare is None else down_compare(value))] = -1
+            states[beta >= value] = -1
     return states
 
 

@@ -103,10 +103,10 @@ def _support(model, pad: float = 0.0) -> tuple[float, float]:
 
 
 def _random_cycle(rng, lo: float, hi: float) -> tuple[float, float]:
+    """Two sorted draws from ``[lo, hi]``, or the whole range if they are equal
+    (``_history_range`` makes ``lo < hi``)."""
     a, b = np.sort(rng.uniform(lo, hi, 2))
-    if a == b:
-        b = a + 0.1 * (hi - lo)
-    return float(a), float(b)
+    return (float(a), float(b)) if a < b else (lo, hi)
 
 
 def _loop_pairs(model, rng, n_pairs: int, max_reversals: int, pad: float, tol: float):

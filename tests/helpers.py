@@ -28,7 +28,6 @@ from preisach import (
     relay_fold,
     states_of,
 )
-from preisach.classical import _grid_geometry
 
 
 # the least real that rounds to inf: an exact total below it rounds to a double
@@ -41,7 +40,7 @@ def grid_of(mass, bounds=(0.0, 1.0)) -> WeightGrid:
     ``from_agents``, so the grid's table holds exactly these masses."""
     mass = np.asarray(mass, dtype=float)
     rows, cols = np.nonzero(mass)
-    centers = _grid_geometry(*bounds, len(mass))[3]
+    centers = bounds[0] + (np.arange(len(mass)) + 0.5) * ((bounds[1] - bounds[0]) / len(mass))
     return from_agents(AgentPopulation(centers[rows], centers[cols], mass[rows, cols]),
                        len(mass), bounds)
 
@@ -51,7 +50,7 @@ def uniform_grid(density: float, n: int, bounds) -> WeightGrid:
     each cell carries ``density * w * w`` for the cell width w, and each diagonal cell half
     of that (the triangular sliver below alpha = beta), so the total is density times the
     triangle's area."""
-    width = _grid_geometry(*bounds, n)[2]
+    width = (bounds[1] - bounds[0]) / n
     cell = density * width * width
     mass = np.tril(np.full((n, n), cell))
     np.fill_diagonal(mass, 0.5 * cell)

@@ -8,7 +8,8 @@ bytes of every CLI call on them.
   series, bad relay and soft-agent files, an agent and a series file whose
   headers name their columns out of order, one relay whose chord is past
   the float range, relays whose support is too wide for ``verify`` to sample,
-  and soft agents whose knots are strings, not arrays;
+  a relay whose support is two ulps wide, and soft agents whose knots are
+  strings, not arrays;
 * ``expected/manifest.json``: each call's argv, exit code and stderr, and
   the files it writes; ``expected/<case>.stdout`` and those files hold the
   bytes it wrote.
@@ -131,6 +132,8 @@ def write_inputs() -> None:
     (INPUTS / "bad_header_series.csv").write_text("u,time\n0.5,0\n0.7,1\n")
     # a valid support 1e308 wide: padded for verify's random histories, its width is inf
     (INPUTS / "wide_relay.csv").write_text("alpha,beta,nu\n1e308,1e307,1\n0.5,0.25,2\n")
+    # a support two ulps wide: two equal draws of a random cycle cannot be widened inside it
+    (INPUTS / "narrow_relay.csv").write_text("alpha,beta,nu\n1.0000000000000002,1.0,1\n")
     # knots that are two-character strings, not arrays: unpacked, "05" and "16" would
     # read as a valid f_minus with knots (0, 5) and (1, 6)
     (INPUTS / "bad_soft_knot.json").write_text(json.dumps(
@@ -159,7 +162,8 @@ def cases() -> dict[str, list[str]]:
     """Each call by name: the five commands on every model kind, a run split in
     two by ``--memory-out``/``--memory-in``, a few runs that fail (one of them
     resumed from a memory, one on a cycle too wide, one verifying a support too
-    wide and one on a grid of one cell), and a loop whose chord is past the float range."""
+    wide and one on a grid of one cell), a loop whose chord is past the float range,
+    and verify on a support two ulps wide."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -203,6 +207,7 @@ def cases() -> dict[str, list[str]]:
                                 "--u-plus", "1e308", "--n-points", "3"]
     calls["bad-verify-support"] = ["verify", "--agents", "inputs/wide_relay.csv"]
     calls["bad-grid-n"] = ["simulate", *KINDS["relay"][0], "--grid-n", "1", "--history", "0.5"]
+    calls["verify-narrow"] = ["verify", "--agents", "inputs/narrow_relay.csv"]
     return calls
 
 

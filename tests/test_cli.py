@@ -206,6 +206,12 @@ class TestSimulate:
     def test_invalid_history_rejected(self, agents_csv, capsys):
         assert main(["simulate", "--agents", agents_csv, "--history", "1,2"]) == 2
         assert "invalid reversal sequence" in capsys.readouterr().err
+        for history, message in [
+            ("0.5,abc", "bad --history value: could not convert string to float: 'abc'"),
+            (",", "empty --history"),
+        ]:
+            assert main(["simulate", "--agents", agents_csv, "--history", history]) == 2
+            assert capsys.readouterr().err == f"preisach: error: {message}\n"
 
     def test_shift_gap_past_the_float_range(self, tmp_path, capsys):
         # g1 - g2 = 2e308 is past the float range, but g2 <= g1 holds: no warning
@@ -1387,17 +1393,25 @@ class TestVerify:
         assert capsys.readouterr().err.endswith("preisach: error: --seed must be at least 0\n")
 
     @pytest.mark.parametrize("model, name, text", [
-        ("classical", "agents.csv", "alpha,beta,nu\n0.5,0.5,1\n0.5,0.5,2\n"),
-        ("generalized", "soft.json",
+        (["--model", "classical"], "agents.csv", "alpha,beta,nu\n0.5,0.5,1\n0.5,0.5,2\n"),
+        (["--model", "generalized"], "soft.json",
          '[{"alpha": 0.5, "beta": 0.5, "f_plus": [[0.5, -1.0]], "f_minus": [[0.5, 1.0]]}]'),
-        ("shifted", "shift.json", '{"agents": [{"alpha": 0.5, "beta": 0.5, "nu": 1.0}], '
-                                  '"g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}'),
-    ], ids=["classical", "generalized", "shifted"])
+        (["--model", "shifted"], "shift.json",
+         '{"agents": [{"alpha": 0.5, "beta": 0.5, "nu": 1.0}], '
+         '"g1": [[0.0, 0.1]], "g2": [[0.0, 0.0]]}'),
+        (["--model", "classical"], "agents.csv", "alpha,beta,nu\n1.0000000000000002,1.0,1\n"),
+        (["--grid-n", "2"], "agents.csv", "alpha,beta,nu\n1.0000000000000002,1.0,1\n"),
+        (["--model", "generalized"], "soft.json",
+         '[{"alpha": 1.0000000000000002, "beta": 1.0, "f_plus": [[1.0, -1.0]], '
+         '"f_minus": [[1.0, 1.0]]}]'),
+    ], ids=["classical", "generalized", "shifted", "classical-narrow", "grid-narrow",
+            "generalized-narrow"])
     def test_thresholds_at_one_value_pass(self, tmp_path, capsys, model, name, text):
-        # the support is one point; random cycles and histories need a span
+        # the support is one point, or two ulps wide; random histories need a span, and a
+        # random cycle whose two draws are equal is the whole support
         path = tmp_path / name
         path.write_text(text)
-        assert main(["verify", "--model", model, "--agents", str(path)]) == 0
+        assert main(["verify", *model, "--agents", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) >= 2 and all(line.startswith("PASS  ") for line in lines)
 

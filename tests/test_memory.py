@@ -233,6 +233,19 @@ class TestSerialization:
         bad_trend = dict(good, trend="sideways")
         with pytest.raises(ValueError, match="invalid memory record"):
             from_dict(bad_trend)
+        # good stores the pairs (5, 1) and (3, 2) and falls at 2
+        for record, rule in [
+            (dict(good, pairs=[[5.0, 1.0], [3.0, 1.0]]),
+             "minima not strictly increasing at pair 1"),
+            (dict(good, trend="initial"), "initial memory must have no vertices"),
+            (dict(good, pairs=[], trend="initial"), "initial memory must sit at its start value"),
+            (dict(good, trend="rising"), "rising input must exceed the last stored minimum"),
+            (dict(good, trend="rising", current_u=3.0),
+             "rising input must stay below the last stored maximum"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                from_dict(record)
+            assert str(exc.value) == f"invalid memory record: {rule}"
         with pytest.raises(ValueError, match="malformed memory record"):
             from_dict({"pairs": []})
         # a pair is a JSON array of two numbers, not a string or an object of two keys

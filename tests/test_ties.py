@@ -226,6 +226,13 @@ def relay_models(alpha, beta, nu, tables):
             *([] if sm is None else [sm])]
 
 
+def compared(model, steps):
+    """The steps with each value mapped as the model compares it: ``up(v)`` on a rise,
+    ``down(v)`` on a fall."""
+    return [(model.up_compare(v) if rising else model.down_compare(v), rising)
+            for v, rising in steps]
+
+
 def reference_states(model, start, values):
     """``relay_fold`` over the raw pushes, each repeated value dropped as a push drops it."""
     steps, prev = [], start
@@ -233,8 +240,7 @@ def reference_states(model, start, values):
         if v != prev:
             steps.append((v, v > prev))
             prev = v
-    return steps, relay_fold(model.alpha, model.beta, steps, None,
-                             model.up_compare, model.down_compare)
+    return steps, relay_fold(model.alpha, model.beta, compared(model, steps))
 
 
 def same_bits(x: float, y: float) -> bool:
@@ -328,8 +334,7 @@ class TestRelayIndex:
                         check(s, want, k)
             seq = extract_reversals(series_from_values(values), start)
             q = seq.extrema[-1] if seq.extrema else seq.start_u
-            reference = relay_fold(alpha, beta, seq.steps_to(q), None,
-                                   model.up_compare, model.down_compare)
+            reference = relay_fold(alpha, beta, compared(model, seq.steps_to(q)))
             assert np.array_equal(model.fold(seq.steps_to(q)), reference)
 
     def test_deep_staircase_resume(self):
@@ -352,8 +357,7 @@ class TestRelayIndex:
 
         def check(sim, n_pairs):
             assert len(sim.memory.vertex_pairs) == n_pairs
-            want = relay_fold(alpha, beta, sim.memory.steps(), None,
-                              sim.model.up_compare, sim.model.down_compare)
+            want = relay_fold(alpha, beta, compared(sim.model, sim.memory.steps()))
             assert np.array_equal(sim.states, want), (sim.model, n_pairs)
             if isinstance(sim.model, ShiftModel):
                 assert same_band_bits(sim), n_pairs
