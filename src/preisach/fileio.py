@@ -157,6 +157,8 @@ def read_shift_json(path) -> ShiftModel:
 def _relay_fields(rows) -> tuple[list, list, list]:
     """``alpha``, ``beta`` and ``nu`` of JSON relay agents, in one pass; an agent
     with a field that cannot be read is named after a fault of an earlier agent."""
+    if not isinstance(rows, list):
+        raise TypeError("agents must be a JSON array")
     fields = alphas, betas, nus = [], [], []
     for k, row in enumerate(rows):
         try:

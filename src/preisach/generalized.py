@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .classical import AgentPopulation, _CapacitySimulator, _RelayModel, _RelaySimulator
-from .hysteron import BranchTable, PiecewiseLinear, _packed, _soft_fault
+from .hysteron import PiecewiseLinear, _soft_tables
 from .memory import StaircaseMemory
 from .signal import ReversalSequence
 
@@ -62,7 +62,7 @@ class GeneralizedPopulation(_RelayModel):
     given as ``(u, f)`` knots and clamped to their end values outside them.
     ``f_minus`` must dominate ``f_plus`` on ``[beta, alpha]`` so the loop has
     a non-negative vertical gap. Raises ``agent k: <message>`` for the first
-    agent at fault (``hysteron._soft_fault``).
+    agent at fault (``hysteron._soft_tables``, which builds both tables).
     """
 
     def __init__(self, alpha, beta, f_plus, f_minus):
@@ -71,11 +71,7 @@ class GeneralizedPopulation(_RelayModel):
             raise ValueError("alpha, beta, f_plus, f_minus must be 1-d and of equal length")
         if not len(f_plus):
             raise ValueError("at least one agent is required")
-        packed = _packed(f_plus), _packed(f_minus)
-        fault = _soft_fault(self.alpha, self.beta, *packed)
-        if fault is not None:
-            raise ValueError("agent %d: %s" % fault)
-        self.f_plus, self.f_minus = (BranchTable(s, *k.T) for s, k in packed)
+        self.f_plus, self.f_minus = _soft_tables(self.alpha, self.beta, f_plus, f_minus)
 
     def loop_gap_at(self, u: float) -> np.ndarray:
         return 0.5 * (self.f_minus(u) - self.f_plus(u))

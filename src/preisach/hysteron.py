@@ -10,8 +10,9 @@ Two kinds of binary agent live here:
   levels are replaced by monotone piecewise-linear curves ``f_plus`` (taken
   while the state is down) and ``f_minus`` (taken while up), each given as
   ``(u, f)`` knots. ``BranchTable`` evaluates many such curves in one numpy
-  pass, and ``_soft_fault`` is the one validity rule every soft agent is
-  checked by; ``generalized.GeneralizedPopulation`` holds the agents.
+  pass, and ``_soft_tables``, the one validity rule every soft agent is
+  checked by, builds the two tables ``generalized.GeneralizedPopulation``
+  holds.
 
 ``relay_fold`` costs O(agents) per step and is the reference: the relay
 models' sorted-threshold steps (``classical._RelayIndex``), which touch only
@@ -100,17 +101,20 @@ def _overflow_at(values: np.ndarray) -> int:
     return next((k for k, t in enumerate(totals) if t >= _ROUNDS_TO_INF), len(values))
 
 
-def _soft_fault(alpha, beta, f_plus, f_minus):
-    """``(k, message)`` for the first soft agent at fault and its first failed check, or None:
+def _soft_tables(alpha, beta, f_plus, f_minus) -> tuple[BranchTable, BranchTable]:
+    """The ``f_plus`` and ``f_minus`` tables of soft agents given as ``(u, f)`` knot lists; raises
+    ``ValueError("agent k: <message>")`` for the first agent at fault, at its first failed check:
     ``_KNOT_RULES[:4]`` of ``f_plus``, then of ``f_minus``; finite thresholds; ``alpha >= beta``;
     the finite steps and slopes of ``f_plus``, then ``f_minus``; ``f_minus >= f_plus`` at band
     edges and knots in the band; an exact running total of the largest ``|f|`` of each branch
     that rounds to a double (``_overflow_at``), which bounds every sum a soft readout forms."""
+    f_plus, f_minus = _packed(f_plus), _packed(f_minus)
     plus, minus = _knot_faults(*f_plus), _knot_faults(*f_minus)
     rules = np.vstack([plus[:4], minus[:4], ~(np.isfinite(alpha) & np.isfinite(beta)),
                        alpha < beta, plus[4:], minus[4:]])
     m = int(np.argmax(rules.any(0))) if rules.any() else len(alpha)
-    # the agents before m pass all other checks, so a gap fault among them comes first
+    # the agents before m pass all other checks, so a gap fault among them comes first;
+    # with no agent at fault, the tables of these heads are the tables of all agents
     heads = [(sizes[:m], knots[:sizes[:m].sum()]) for sizes, knots in (f_plus, f_minus)]
     plus, minus = (BranchTable(sizes, *knots.T) for sizes, knots in heads)
     largest = [np.abs(plus.fs).max(0), np.abs(minus.fs).max(0)]
@@ -125,15 +129,15 @@ def _soft_fault(alpha, beta, f_plus, f_minus):
         # its lowest faulty probe; of equal ones the first listed, as a set keeps it
         at = np.flatnonzero(low & (agent == agent[low].min()))
         k, u = agent[at[0]], u[at[np.argmin(u[at])]]
-        return int(k), f"descending branch below ascending branch at u={float(u)}"
+        raise ValueError(f"agent {k}: descending branch below ascending branch at u={float(u)}")
     if over < m:
-        return over, "total branch value overflows"
+        raise ValueError(f"agent {over}: total branch value overflows")
     if m == len(alpha):
-        return None
+        return plus, minus
     messages = (*_KNOT_RULES[:4], *_KNOT_RULES[:4], "thresholds must be finite",
                 f"alpha must be >= beta, got alpha={float(alpha[m])}, beta={float(beta[m])}",
                 *_KNOT_RULES[4:], *_KNOT_RULES[4:])
-    return m, messages[int(np.argmax(rules[:, m]))]
+    raise ValueError(f"agent {m}: {messages[int(np.argmax(rules[:, m]))]}")
 
 
 class PiecewiseLinear:

@@ -163,7 +163,8 @@ def cases() -> dict[str, list[str]]:
     two by ``--memory-out``/``--memory-in``, a few runs that fail (one of them
     resumed from a memory, one on a cycle too wide, one verifying a support too
     wide and one on a grid of one cell), a loop whose chord is past the float range,
-    and verify on a support two ulps wide."""
+    verify on a support two ulps wide, and verify through a grid on the relay whose
+    chord is past the float range."""
     calls = {}
     for kind, (model, history, (lo, hi)) in KINDS.items():
         cycle = ["--u-minus", lo, "--u-plus", hi]
@@ -208,6 +209,8 @@ def cases() -> dict[str, list[str]]:
     calls["bad-verify-support"] = ["verify", "--agents", "inputs/wide_relay.csv"]
     calls["bad-grid-n"] = ["simulate", *KINDS["relay"][0], "--grid-n", "1", "--history", "0.5"]
     calls["verify-narrow"] = ["verify", "--agents", "inputs/narrow_relay.csv"]
+    calls["verify-huge-grid"] = ["verify", "--agents", "inputs/huge_relay.csv", "--grid-n", "4",
+                                 "--bounds", "0,1"]
     return calls
 
 

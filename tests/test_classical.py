@@ -135,6 +135,12 @@ class TestEvalDirect:
         with pytest.raises(ValueError, match="^at least one agent is required$"):
             AgentPopulation([], [], [])
 
+    @pytest.mark.parametrize("alpha, beta, nu", [([2, 0], [1], [1, 1]), ([[2]], [[1]], [[1]])])
+    def test_arrays_of_unequal_length_rejected(self, alpha, beta, nu):
+        message = "^alpha, beta, nu must be 1-d arrays of equal length$"
+        with pytest.raises(ValueError, match=message):
+            AgentPopulation(alpha, beta, nu)
+
 
 class TestExactCapacities:
     @staticmethod

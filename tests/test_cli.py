@@ -550,6 +550,10 @@ BAD_SHIFT_FILES = {
     "first-agent-without-nu": ({**GOOD_SHIFT, "agents": [without(GOOD_SHIFT["agents"][0], "nu")]},
                                "agent 0: 'nu'"),
     "no-agents": ({**GOOD_SHIFT, "agents": []}, "at least one agent is required"),
+    **{f"{kind}-agents": ({**GOOD_SHIFT, "agents": agents},
+                          "malformed shift model: agents must be a JSON array")
+       for kind, agents in [("object", GOOD_SHIFT["agents"][0]), ("string", "agents"),
+                            ("number", 5), ("null", None)]},
     # agent 0's fault is named before agent 1's missing nu
     "negative-nu-then-no-nu": ({**GOOD_SHIFT, "agents": [
         {"alpha": 0.5, "beta": 0.0, "nu": -1.0}, {"alpha": 0.5, "beta": 0.0}]},
@@ -1333,6 +1337,10 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert "PASS  congruency: max deviation 0.000e+00" in captured.out
+
+    def test_unsupported_model_rejected(self):
+        with pytest.raises(ValueError, match="^unsupported model type: object$"):
+            preisach.verify.run_suite(object())
 
     def test_relative_error_in_one_loop_fails_at_scale(self, large_agents_csv, monkeypatch,
                                                        capsys):

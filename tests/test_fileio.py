@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import preisach.classical
+import preisach.hysteron
 from helpers import agents_by_row, series_by_row, soft_agents_by_loop
 from preisach import AgentPopulation, GeneralizedPopulation, SampledSeries, fileio
 
@@ -157,6 +158,22 @@ def test_clean_agent_file_is_checked_once(tmp_path, monkeypatch):
     (tmp_path / "a.csv").write_text("alpha,beta,nu\n0.5,0.1,1\n0.7,0.7,0\n0.9,0.2,2\n")
     assert len(fileio.read_agents_csv(str(tmp_path / "a.csv"))) == 3
     assert calls == [3]
+
+
+def test_clean_soft_file_builds_its_tables_once(tmp_path, monkeypatch):
+    calls = []
+    init = preisach.hysteron.BranchTable.__init__
+
+    def counted(table, sizes, us, fs):
+        calls.append(len(sizes))
+        init(table, sizes, us, fs)
+
+    monkeypatch.setattr(preisach.hysteron.BranchTable, "__init__", counted)
+    agents = [{"alpha": 0.5, "beta": 0.1, "f_plus": [[0, 0], [1, 1]], "f_minus": [[0, 1]]},
+              {"alpha": 0.7, "beta": 0.7, "f_plus": [[0, -1]], "f_minus": [[0, 0], [1, 2]]}]
+    (tmp_path / "soft.json").write_text(json.dumps(agents))
+    assert len(fileio.read_generalized_json(str(tmp_path / "soft.json"))) == 2
+    assert calls == [2, 2]  # f_plus, then f_minus
 
 
 @st.composite

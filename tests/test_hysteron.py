@@ -14,7 +14,7 @@ from preisach import (
     ReversalSequence,
     relay_fold,
 )
-from preisach.hysteron import _overflow_at
+from preisach.hysteron import BranchTable, _overflow_at
 
 DOWN, UP = -1.0, 1.0
 
@@ -211,3 +211,31 @@ class TestOverflowAt:
         # of them reach 2**1024 at the last
         assert _overflow_at(np.full(2 ** 16, 2.0 ** 1007)) == 2 ** 16
         assert _overflow_at(np.full(2 ** 17, 2.0 ** 1007)) == 2 ** 17 - 1
+
+
+tenths = st.integers(-15, 15).map(lambda k: k / 10)
+
+
+@st.composite
+def knot_map(draw):
+    """1-6 knots on the one-decimal grid, abscissae increasing; the values may be -0.0."""
+    us = sorted(draw(st.lists(tenths, min_size=1, max_size=6, unique=True)))
+    return us, draw(st.lists(st.just(-0.0) | tenths, min_size=len(us), max_size=len(us)))
+
+
+class TestBranchTable:
+    @given(st.lists(knot_map(), min_size=1, max_size=5))
+    @example([([0.0], [-0.0]), ([-0.1, 0.0, 0.1], [-0.0, -0.0, 0.5])])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_matches_np_interp_bit_for_bit(self, maps):
+        sizes = np.array([len(us) for us, _ in maps])
+        table = BranchTable(sizes, *(np.array(sum(flat, []), dtype=float) for flat in zip(*maps)))
+        knots = np.unique([u for us, _ in maps for u in us])
+        # at and between the knots, past both ends, and at both zeros
+        probes = [*knots, *(knots[1:] + knots[:-1]) / 2, knots[0] - 1, knots[-1] + 1, -0.0, 0.0]
+        want = np.array([[np.interp(u, us, fs) for us, fs in maps] for u in probes])
+        for u, row in zip(probes, want):  # every column at one u
+            assert table(u).tobytes() == row.tobytes()
+        # column k at u, for every pair, listed by probe so the columns interleave
+        cols = np.tile(np.arange(len(maps)), len(probes))
+        assert table(np.repeat(probes, len(maps)), cols).tobytes() == want.tobytes()

@@ -92,6 +92,10 @@ class TestSeriesValidation:
         with pytest.raises(ValueError, match="start value is not finite"):
             extract_reversals(series_from_values([1.0]), float("inf"))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^times and values must have equal length$"):
+            SampledSeries((0.0, 1.0), (0.5,))
+
 
 def is_reversal_path(start, extrema):
     """Oracle: every value finite, none equal to the one before, and moves alternating."""
@@ -139,6 +143,11 @@ class TestValidate:
     def test_non_finite_start(self):
         with invalid("start value is not finite"):
             ReversalSequence(float("inf"))
+
+    @pytest.mark.parametrize("query", [math.inf, math.nan])
+    def test_non_finite_query_rejected(self, query):
+        with pytest.raises(ValueError, match="^query value must be finite$"):
+            ReversalSequence(0.0, (1.0,)).steps_to(query)
 
     @given(REVERSAL_VALUE, st.lists(REVERSAL_VALUE, max_size=6))
     @settings(derandomize=True, database=None, deadline=None, max_examples=500)
